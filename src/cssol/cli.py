@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--P", help="[[re,im],...]")
         sp.add_argument("--Q", help="[[re,im],...]")
         sp.add_argument("--field-out", default=None,
-                        help="save the sampled field (npz)")
+                        help="save the sampled field: raw <f8 (re, im) "
+                             "pairs, plus a PATH.json sidecar")
         sp.add_argument("--mass-tol", type=float, default=1e-2)
         sp.add_argument("--identity-tol", type=float, default=1e-4)
         _add_common(sp)
@@ -433,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vortex")
     sp.add_argument("--P")
     sp.add_argument("--Q")
-    sp.add_argument("--field", help="load a saved field (npz)")
+    sp.add_argument("--field", help="load a saved field: raw <f8 (re, im) "
+                    "pairs, plus a PATH.json sidecar")
     sp.add_argument("--beta", type=float, default=None)
     _add_common(sp)
     sp.set_defaults(fn=cmd_energy)

@@ -238,11 +238,19 @@ def save_field(field: GridField, path: str) -> None:
 
 
 def load_field(path: str) -> GridField:
+    """Read a field written by save_field; ValueError unless the file holds
+    16*M^2 bytes and, if marked "real", a zero imaginary part."""
     with open(path + ".json") as fh:
         meta = json.load(fh)
     M = int(meta["M"])
+    size = os.path.getsize(path)
+    if size != 16 * M * M:
+        raise ValueError(f"{path}: {size} bytes, expected 16*M^2 = {16 * M * M} for M = {M}")
     raw = np.fromfile(path, dtype="<f8").reshape(M, M, 2)
-    values = raw[..., 0] + 1j * raw[..., 1]
     if meta.get("kind") == "real":
-        values = values.real
+        if np.any(raw[..., 1] != 0.0):
+            raise ValueError(f"{path}: field marked real has a nonzero imaginary part")
+        values = raw[..., 0]
+    else:
+        values = raw[..., 0] + 1j * raw[..., 1]
     return GridField(Grid(float(meta["L"]), M), values)

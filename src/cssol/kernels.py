@@ -8,9 +8,25 @@ the discrete sums
 
 with Kbar the exact cell average of the kernel near the singularity and the
 midpoint kernel value elsewhere (both kernels are harmonic away from 0, so
-midpoint = cell average + O(h^4) there). The sums are evaluated by
-zero-padded FFT linear convolution, which reproduces the direct blocked
-summation exactly up to rounding, without periodic aliasing.
+midpoint = cell average + O(h^4) there).
+
+Near-zone correction: within a 5x5 window of the singular cell, the cell-
+averaged kernel times the midpoint field misses the covariance of the kernel
+with the field's slope across the cell: the cell's first-moment table applied
+to the 4th-order central difference of the field. Moment table and stencil
+compose to a fixed 9x9 stencil folded into the centre of the kernel table, so
+each sum is one convolution. (Beyond the window the first-moment term cancels
+against the midpoint-rule Laplacian error up to a measured higher-order
+remainder.) The folded A table is odd, so the discrete A and A* are exact
+negative adjoints of each other.
+
+Evaluation is the free-space convolution on the doubled grid (Hockney &
+Eastwood, Computer Simulation Using Particles): the spectrum of the (2M-1)^2
+offset table at N = next_fast_len(2M-1) is computed once and cached; N >=
+2M-1 keeps the M x M output window free of wrap-around. Each input is
+transformed once and each output transformed back once. The A spectra depend
+on M alone; the log spectrum on (M, h). One process-wide LRU cache, bounded
+by bytes, holds the spectra; the tables are built only to be transformed.
 
 Self-cell rule: log|x| gets its exact analytic cell integral; the components
 of the A kernel are odd, so their principal-value self-cell contribution is
@@ -19,17 +35,30 @@ exactly zero.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sint
-from scipy.signal import fftconvolve
+from scipy.fft import ifft, irfft, next_fast_len, rfft2
 
-from .grid import Grid, GridField
+from .grid import _D1, Grid, GridField
 
 # offsets within this Chebyshev radius of the singular cell get exact
 # cell-averaged kernel values
 _NEAR = 2
+
+# total size of the cached spectra: one M=1024 grid holds 104 MiB (three
+# 32 MiB spectra and the log(|y|+1) weight), so two box sizes at M=1024 fit
+_CACHE_BYTES = 256 * 2**20
+
+
+def _cell_integral(f, i: int, j: int) -> float:
+    """integral of f(x, y) over the unit cell centered at (i, j)."""
+    val, _ = _sint.dblquad(lambda y, x: f(x, y), i - 0.5, i + 0.5, j - 0.5, j + 0.5,
+                           epsabs=1e-13, epsrel=1e-13)
+    return val
 
 
 @lru_cache(maxsize=None)
@@ -44,16 +73,7 @@ def _unit_cell_log(i: int, j: int) -> float:
 
         val, _ = _sint.quad(octant, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-14)
         return 8.0 * val
-    val, _ = _sint.dblquad(
-        lambda y, x: 0.5 * np.log(x * x + y * y),
-        i - 0.5,
-        i + 0.5,
-        j - 0.5,
-        j + 0.5,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
+    return _cell_integral(lambda x, y: 0.5 * np.log(x * x + y * y), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -65,16 +85,7 @@ def _unit_cell_inv(i: int, j: int) -> float:
     """
     if i == 0:
         return 0.0
-    val, _ = _sint.dblquad(
-        lambda y, x: x / (x * x + y * y),
-        i - 0.5,
-        i + 0.5,
-        j - 0.5,
-        j + 0.5,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
+    return _cell_integral(lambda x, y: x / (x * x + y * y), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -83,16 +94,7 @@ def _unit_moment_p(i: int, j: int) -> float:
     if i == 0 and j == 0:
         # int x^2/|v|^2 over the unit cell = 1/2 by x <-> y symmetry
         return 0.5
-    val, _ = _sint.dblquad(
-        lambda y, x: (x - i) * x / (x * x + y * y),
-        i - 0.5,
-        i + 0.5,
-        j - 0.5,
-        j + 0.5,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
+    return _cell_integral(lambda x, y: (x - i) * x / (x * x + y * y), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -100,16 +102,7 @@ def _unit_moment_q(i: int, j: int) -> float:
     """integral of (y - j) * x/(x^2+y^2) over the unit cell at (i, j) >= 0."""
     if i == 0 or j == 0:
         return 0.0
-    val, _ = _sint.dblquad(
-        lambda y, x: x * (y - j) / (x * x + y * y),
-        i - 0.5,
-        i + 0.5,
-        j - 0.5,
-        j + 0.5,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
+    return _cell_integral(lambda x, y: x * (y - j) / (x * x + y * y), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -117,130 +110,129 @@ def _unit_moment_log(i: int, j: int) -> float:
     """integral of (x - i) * log|v| over the unit cell at (i, j) >= 0."""
     if i == 0:
         return 0.0  # integrand odd in the centered first coordinate
-    val, _ = _sint.dblquad(
-        lambda y, x: (x - i) * 0.5 * np.log(x * x + y * y),
-        i - 0.5,
-        i + 0.5,
-        j - 0.5,
-        j + 0.5,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
+    return _cell_integral(lambda x, y: (x - i) * 0.5 * np.log(x * x + y * y), i, j)
+
+
+def _fold(CX: np.ndarray, CY: np.ndarray) -> np.ndarray:
+    """9x9 offset stencil of sum_k CX[k] d1F(x - k) + CY[k] d2F(x - k) with
+    dF(x) = sum_s c_s F(x + s) the 4th-order central difference: the weight
+    on F(x - o) sums CX[k] c_s over k - s = o (CY along the second axis)."""
+    c, r = _D1[4]
+    n = 2 * _NEAR + 1
+    out = np.zeros((n + 2 * r, n + 2 * r))
+    for k, ck in enumerate(c):
+        s = k - r
+        out[r - s : r - s + n, r : r + n] += ck * CX
+        out[r : r + n, r - s : r - s + n] += ck * CY
+    return out
 
 
 @lru_cache(maxsize=1)
-def _log_moment_tables():
-    """Near-zone centered first moments of the log-kernel cells."""
+def _near_tables():
+    """(log cells, log fold, K2 cells, K2 fold) at unit spacing: 5x5 cell
+    averages and 9x9 folds of the moments int_cell (v - cell centre) K dv.
+    K2(v) = v1/|v|^2; K1(v) = -v2/|v|^2 is minus the transpose of K2."""
     n = 2 * _NEAR + 1
+    log_cells = np.zeros((n, n))
     LX = np.zeros((n, n))
-    LY = np.zeros((n, n))
-    for i in range(-_NEAR, _NEAR + 1):
-        for j in range(-_NEAR, _NEAR + 1):
-            LX[_NEAR + i, _NEAR + j] = np.sign(i) * _unit_moment_log(abs(i), abs(j))
-            LY[_NEAR + i, _NEAR + j] = np.sign(j) * _unit_moment_log(abs(j), abs(i))
-    return LX, LY
-
-
-def _log_moment_correction(values: np.ndarray, grid) -> np.ndarray:
-    from scipy.signal import convolve2d
-
-    from .grid import GridField as _GF, deriv as _deriv
-
-    LX, LY = _log_moment_tables()
-    f = _GF(grid, values)
-    d1 = _deriv(f, 0).values
-    d2 = _deriv(f, 1).values
-    out = convolve2d(d1, LX, mode="same") + convolve2d(d2, LY, mode="same")
-    return -grid.h * grid.h * out
-
-
-@lru_cache(maxsize=1)
-def _moment_tables():
-    """Near-zone centered first-moment tables of the kernel cells.
-
-    For K1(v) = -v2/|v|^2 and K2(v) = v1/|v|^2, table Cxk (resp. Cyk) holds
-    int_cell(i,j) (v1 - i) K_k(v) dv (resp. (v2 - j)) at unit spacing, for
-    offsets in the 5x5 near zone. Beyond it the cell-by-cell first-moment
-    term (1/12) grad K . grad F cancels against the equally sized Laplacian
-    term of the midpoint-rule error, up to a harmless higher-order remainder
-    (measured), so no far-field correction is applied.
-    """
-    n = 2 * _NEAR + 1
-    CX1 = np.zeros((n, n))
-    CY1 = np.zeros((n, n))
+    K2_cells = np.zeros((n, n))
     CX2 = np.zeros((n, n))
     CY2 = np.zeros((n, n))
     for i in range(-_NEAR, _NEAR + 1):
         for j in range(-_NEAR, _NEAR + 1):
-            p = _unit_moment_p(abs(i), abs(j))
-            q = np.sign(i) * np.sign(j) * _unit_moment_q(abs(i), abs(j))
-            ps = _unit_moment_p(abs(j), abs(i))
-            qs = np.sign(i) * np.sign(j) * _unit_moment_q(abs(j), abs(i))
-            CX2[_NEAR + i, _NEAR + j] = p
-            CY2[_NEAR + i, _NEAR + j] = q
-            CX1[_NEAR + i, _NEAR + j] = -qs
-            CY1[_NEAR + i, _NEAR + j] = -ps
-    return CX1, CY1, CX2, CY2
+            a, b = _NEAR + i, _NEAR + j
+            log_cells[a, b] = _unit_cell_log(abs(i), abs(j))
+            LX[a, b] = np.sign(i) * _unit_moment_log(abs(i), abs(j))
+            K2_cells[a, b] = np.sign(i) * _unit_cell_inv(abs(i), abs(j))
+            CX2[a, b] = _unit_moment_p(abs(i), abs(j))
+            CY2[a, b] = np.sign(i) * np.sign(j) * _unit_moment_q(abs(i), abs(j))
+    # the log moment along the second axis is the transpose of the first
+    return log_cells, _fold(LX, LX.T), K2_cells, _fold(CX2, CY2)
 
 
-def _moment_correction(d1F, d2F, which: int, M: int, h: float) -> np.ndarray:
-    """First-moment correction for kernel component `which` (1 or 2)."""
-    from scipy.signal import convolve2d
-
-    CX1, CY1, CX2, CY2 = _moment_tables()
-    CX, CY = (CX1, CY1) if which == 1 else (CX2, CY2)
-    out = convolve2d(d1F, CX, mode="same") + convolve2d(d2F, CY, mode="same")
-    return -h * h * out
-
-
-@lru_cache(maxsize=32)
-def _offset_grids(M: int):
+def _table(M: int, far, cells: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """(2M-1)^2 table over the grid offsets d at unit spacing: far(d1, |d|^2)
+    (the midpoint value), the 5x5 exact cell averages at the centre, minus
+    the 9x9 folded moment correction."""
     d = np.arange(-(M - 1), M, dtype=float)
-    DX, DY = np.meshgrid(d, d, indexing="ij")
-    return DX, DY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = far(d[:, None], d[:, None] ** 2 + d[None, :] ** 2)
+    c, r, q = M - 1, _NEAR, fold.shape[0] // 2
+    T[c - r : c + r + 1, c - r : c + r + 1] = cells
+    T[c - q : c + q + 1, c - q : c + q + 1] -= fold
+    return T
 
 
-@lru_cache(maxsize=32)
-def _log_table(M: int, h: float) -> np.ndarray:
-    """(2M-1)^2 table of cell-averaged log|x - y| at offset (i,j)*h.
+class _SpectrumCache:
+    """Thread-safe LRU of tuples of arrays, bounded by their total bytes (the
+    newest entry is always kept). Entries are built under the lock, so
+    concurrent first calls on one grid build its spectra once."""
 
-    Scale split: cell average of log over cell (i,j,h) = log h + unit-cell
-    value, and the midpoint value is log h + log|d|.
-    """
-    DX, DY = _offset_grids(M)
-    with np.errstate(divide="ignore"):
-        T = 0.5 * np.log(DX * DX + DY * DY)
-    c = M - 1
-    for i in range(-_NEAR, _NEAR + 1):
-        for j in range(-_NEAR, _NEAR + 1):
-            T[c + i, c + j] = _unit_cell_log(abs(i), abs(j))
-    return T + np.log(h)
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
-
-@lru_cache(maxsize=32)
-def _inv_tables(M: int, h: float):
-    """Tables of cell-averaged (x-y)^perp/|x-y|^2 components at grid offsets.
-
-    kernel(v) = (-v2, v1)/|v|^2 is homogeneous of degree -1, so the cell
-    average over cell (i,j,h) is unit-cell value / h; midpoint likewise.
-    """
-    DX, DY = _offset_grids(M)
-    R2 = DX * DX + DY * DY
-    c = M - 1
-    R2[c, c] = 1.0  # placeholder, overwritten below
-    K1 = -DY / R2
-    K2 = DX / R2
-    for i in range(-_NEAR, _NEAR + 1):
-        for j in range(-_NEAR, _NEAR + 1):
-            # x1/|x|^2 cell constants; K1(v) = -v2/|v|^2 swaps the roles
-            K1[c + i, c + j] = -np.sign(j) * _unit_cell_inv(abs(j), abs(i))
-            K2[c + i, c + j] = np.sign(i) * _unit_cell_inv(abs(i), abs(j))
-    return K1 / h, K2 / h
+    def get(self, key, build):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+                return value
+            value = build()
+            self._items[key] = value
+            self.nbytes += sum(a.nbytes for a in value)
+            while self.nbytes > self.max_bytes and len(self._items) > 1:
+                _, old = self._items.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+            return value
 
 
-def _conv(table: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
-    return fftconvolve(table, values, mode="valid") * h * h
+_SPECTRA = _SpectrumCache(_CACHE_BYTES)
+
+
+class KernelPlan:
+    """Free-space FFT convolution on one grid's doubled grid. Cheap to make:
+    the table spectra come from the shared cache, built on first use."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.N = next_fast_len(2 * grid.M - 1, real=True)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """rfft2 of an M x M (or table) array, zero-padded to N x N."""
+        return rfft2(values, s=(self.N, self.N))
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """The M x M window (rows and columns M-1..2M-2) of the inverse; the
+        M wanted rows are cut out between the column and the row pass."""
+        w = slice(self.grid.M - 1, 2 * self.grid.M - 1)
+        return irfft(ifft(spectrum, axis=0)[w], n=self.N, axis=1)[:, w]
+
+    def log_spectrum(self):
+        """(log-table spectrum, log(|y|+1) weight). At spacing h a cell
+        average of log is log h plus its unit-spacing value; the fold is 1/h."""
+        g = self.grid
+
+        def build():
+            cells, fold, _, _ = _near_tables()
+            T = _table(g.M, lambda d1, r2: 0.5 * np.log(r2), cells, fold / g.h)
+            X, Y = g.mesh()
+            return self.forward(T + np.log(g.h)), np.log(np.hypot(X, Y) + 1.0)
+
+        return _SPECTRA.get(("log", g.M, g.h), build)
+
+    def a_spectra(self):
+        """Spectra of the unit-spacing K1 and K2 tables; the kernel and its
+        fold are homogeneous of degree -1, so they scale by h afterwards."""
+
+        def build():
+            _, _, cells, fold = _near_tables()
+            K2 = _table(self.grid.M, lambda d1, r2: d1 / r2, cells, fold)
+            return self.forward(-K2.T), self.forward(K2)
+
+        return _SPECTRA.get(("inv", self.grid.M), build)
 
 
 def _check_density(rho: GridField) -> np.ndarray:
@@ -254,65 +246,54 @@ def _check_density(rho: GridField) -> np.ndarray:
     return v
 
 
+def _log_conv(g: Grid, values: np.ndarray):
+    """(log-table convolution of values, log(|y|+1) weight) on grid g."""
+    plan = KernelPlan(g)
+    spec, weight = plan.log_spectrum()
+    return plan.inverse(plan.forward(values) * spec) * g.h**2, weight
+
+
 def superpotential(rho: GridField) -> GridField:
     """Phi[rho](x) = int (log|x-y| - log(|y|+1)) rho(y) dy on the grid."""
     v = _check_density(rho)
-    g = rho.grid
-    conv = _conv(_log_table(g.M, g.h), v, g.h) + _log_moment_correction(v, g)
-    X, Y = g.mesh()
-    norm = float(np.sum(np.log(np.hypot(X, Y) + 1.0) * v) * g.h * g.h)
-    return GridField(g, conv - norm)
+    conv, weight = _log_conv(rho.grid, v)
+    return GridField(rho.grid, conv - float(np.sum(weight * v) * rho.grid.h**2))
 
 
 def log_convolution(f: GridField) -> GridField:
     """int log|x-y| f(y) dy for a (possibly signed) real field; no
     -log(|y|+1) renormalization."""
-    g = f.grid
-    v = f.values.real
-    return GridField(g, _conv(_log_table(g.M, g.h), v, g.h)
-                     + _log_moment_correction(v, g))
+    return GridField(f.grid, _log_conv(f.grid, f.values.real)[0])
 
 
 def vector_potential(rho: GridField):
     """A[rho](x) = PV int (x-y)^perp/|x-y|^2 rho(y) dy, componentwise.
 
-    The near-zone cells carry first-moment corrections: the cell-averaged
-    kernel value times the midpoint density misses the covariance of the
-    kernel with the density slope across the cell, which is O(h^2) only
-    near the singularity; it is added back from precomputed moment tables.
+    One forward transform of rho, one inverse per component; the near-zone
+    first-moment corrections are folded into the tables.
     """
-    from .grid import deriv
-
     v = _check_density(rho)
     g = rho.grid
-    K1, K2 = _inv_tables(g.M, g.h)
-    rf = GridField(g, v)
-    d1 = deriv(rf, 0).values
-    d2 = deriv(rf, 1).values
-    return (
-        GridField(g, _conv(K1, v, g.h) + _moment_correction(d1, d2, 1, g.M, g.h)),
-        GridField(g, _conv(K2, v, g.h) + _moment_correction(d1, d2, 2, g.M, g.h)),
-    )
+    plan = KernelPlan(g)
+    S1, S2 = plan.a_spectra()
+    spec = plan.forward(v)
+    return (GridField(g, plan.inverse(spec * S1) * g.h),
+            GridField(g, plan.inverse(spec * S2) * g.h))
 
 
 def a_star(F1: GridField, F2: GridField) -> GridField:
     """A*[F](x) = PV int (x-y)^perp/|x-y|^2 . F(y) dy (scalar output).
 
-    Same near-zone first-moment corrections as vector_potential, one per
-    kernel component.
+    The two products are summed in frequency space: one inverse transform.
     """
-    from .grid import deriv
-
     g = F1.grid
     if F2.grid != g:
         raise ValueError("component grids differ")
-    K1, K2 = _inv_tables(g.M, g.h)
-    v1 = np.asarray(F1.values, dtype=float)
-    v2 = np.asarray(F2.values, dtype=float)
-    out = _conv(K1, v1, g.h) + _conv(K2, v2, g.h)
-    out += _moment_correction(deriv(F1, 0).values, deriv(F1, 1).values, 1, g.M, g.h)
-    out += _moment_correction(deriv(F2, 0).values, deriv(F2, 1).values, 2, g.M, g.h)
-    return GridField(g, out)
+    plan = KernelPlan(g)
+    S1, S2 = plan.a_spectra()
+    spec = (plan.forward(np.asarray(F1.values, dtype=float)) * S1
+            + plan.forward(np.asarray(F2.values, dtype=float)) * S2)
+    return GridField(g, plan.inverse(spec) * g.h)
 
 
 def newton_check(rho: GridField, radii) -> list[tuple[float, float]]:

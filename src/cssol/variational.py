@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, trapezoid
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.ndimage import gaussian_filter
 
@@ -92,7 +92,7 @@ def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile
     bad = np.where((tau <= 0) | (np.diff(tau, prepend=tau[0] + 1) > 0))[0]
     cut = bad[0] if bad.size else len(r)
     r, tau = r[:cut], tau[:cut]
-    mass = 2.0 * np.pi * np.trapezoid(tau**2 * r, r)
+    mass = 2.0 * np.pi * trapezoid(tau**2 * r, r)
     # exponential tail mass: tau ~ c e^{-r}/sqrt(r)
     c = tau[-1] * np.sqrt(r[-1]) * np.exp(r[-1])
     mass += 2.0 * np.pi * c**2 * 0.5 * np.exp(-2.0 * r[-1])
@@ -343,15 +343,17 @@ class ScanResult:
         return not self.monotonicity_violations
 
 
-def worker_count() -> int:
-    env = os.environ.get("CSS_THREADS", "")
+def worker_count(tasks: int | None = None) -> int:
+    """Scan threads: CSS_THREADS if a positive integer, else min(4, cpus);
+    never more than the cpus, nor than the tasks when they are given."""
+    cpus = os.cpu_count() or 1
     try:
-        n = int(env)
-        if n >= 1:
-            return n
+        n = int(os.environ.get("CSS_THREADS", ""))
     except ValueError:
-        pass
-    return min(4, os.cpu_count() or 1)
+        n = 0
+    if n < 1:
+        n = min(4, cpus)
+    return max(1, min(n, cpus, tasks if tasks is not None else n))
 
 
 def structure_scan(betas, config: DescentConfig | None = None,
@@ -367,7 +369,7 @@ def structure_scan(betas, config: DescentConfig | None = None,
         i, b = i_b
         return estimate_gamma(b, replace(cfg, seed=cfg.seed + i))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
+    with ThreadPoolExecutor(max_workers=worker_count(len(betas))) as ex:
         ests = list(ex.map(run, enumerate(betas)))
     rows = tuple(
         ScanRow(e.beta, e.lower_bound, e.upper_bound, e.gamma_hat,

@@ -26,6 +26,10 @@ from .poly import (
 
 RESIDUAL_RTOL = 1e-9
 DEDUP_TOL = 1e-8
+# R-search hits are accurate to about 1e-7 where f' has a multiple root (the
+# search objective is quadratic there), so their families are deduplicated
+# at this looser tolerance
+SEARCH_DEDUP_TOL = 1e-6
 
 
 class WronskianPair:
@@ -167,7 +171,8 @@ def ode_kernel(
     max_deg: int,
     sv_threshold: float = 1e-9,
 ) -> list[ComplexPolynomial]:
-    """Nullspace basis of the restricted ODE map, unit coefficient norm."""
+    """Nullspace basis of the restricted ODE map in echelon form (distinct
+    degrees), unit coefficient norm."""
     f = poly._coerce(f)
     R = poly._coerce(R)
     if f.is_zero:
@@ -177,14 +182,26 @@ def ode_kernel(
     A = ode_operator_matrix(f, R, max_deg)
     _, s, vh = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
-    null = []
-    ncols = A.shape[1]
-    for i in range(ncols):
-        sv = s[i] if i < s.size else 0.0
-        if sv <= sv_threshold * max(smax, 1.0):
-            v = vh[i].conj()
-            null.append(ComplexPolynomial(v / np.linalg.norm(v)))
-    return null
+    sv = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
+    B = vh[sv <= sv_threshold * max(smax, 1.0)].conj()
+    # echelon form from the top degree down: the basis degrees are distinct
+    # and the terms above each pivot exactly zero (SVD rounding leaves ~1e-16
+    # there, and a spurious top coefficient inflates the degree)
+    row = 0
+    for col in range(B.shape[1] - 1, -1, -1):
+        if row == len(B):
+            break
+        p = row + int(np.argmax(np.abs(B[row:, col])))
+        if abs(B[p, col]) <= 1e-12:
+            B[row:, col] = 0.0
+            continue
+        B[[row, p]] = B[[p, row]]
+        B[row] /= B[row, col]
+        others = np.arange(len(B)) != row
+        B[others] -= np.outer(B[others, col], B[row])
+        B[others, col] = 0.0  # complex x/x need not round to exactly 1
+        row += 1
+    return [ComplexPolynomial(v / np.linalg.norm(v)) for v in B]
 
 
 def canonical_form(pair: WronskianPair) -> WronskianPair:
@@ -328,7 +345,7 @@ def solve_generic(
                 )
                 fam.residual = fam.check(f)
                 if fam.residual <= RESIDUAL_RTOL and not any(
-                    _same_family(rep, g.representative) for g in fams
+                    _same_family(rep, g.representative, SEARCH_DEDUP_TOL) for g in fams
                 ):
                     fams.append(fam)
     return fams

@@ -123,6 +123,27 @@ def test_field_io_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_load_field_rejects_wrong_byte_length(tmp_path):
+    g = Grid(5.0, 32)
+    path = str(tmp_path / "field.f8")
+    save_field(GridField(g, np.ones((32, 32))), path)
+    with open(path, "r+b") as fh:
+        fh.truncate(16 * 32 * 32 - 8)
+    with pytest.raises(ValueError, match="bytes"):
+        load_field(path)
+
+
+def test_load_field_rejects_imaginary_part_in_real_file(tmp_path):
+    g = Grid(5.0, 32)
+    path = str(tmp_path / "field.f8")
+    save_field(GridField(g, np.ones((32, 32))), path)
+    raw = np.fromfile(path, dtype="<f8")
+    raw[1] = 1e-3  # imaginary part of the first node
+    raw.tofile(path)
+    with pytest.raises(ValueError, match="imaginary"):
+        load_field(path)
+
+
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         GridField(Grid(4.0, 16), np.zeros((8, 8)))

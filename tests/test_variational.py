@@ -1,6 +1,8 @@
 """Ground-state shooting, analytic bounds, the descent estimator, scans,
 and the restricted confined energy."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,25 @@ def test_structure_scan_validation():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the count is capped at the cpus
     monkeypatch.setenv("CSS_THREADS", "2")
     assert worker_count() == 2
     monkeypatch.setenv("CSS_THREADS", "bogus")
     assert worker_count() >= 1
+
+
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
+    # only the count is computed: no pool and no thread is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CSS_THREADS", "64")
+    assert worker_count() == 2
+    assert worker_count(1) == 1
+    assert worker_count(3) == 2
+    monkeypatch.setenv("CSS_THREADS", "1")
+    assert worker_count(4) == 1
+    monkeypatch.delenv("CSS_THREADS")
+    assert worker_count(8) == 2
+    assert worker_count(0) == 1
 
 
 def test_nll_energy_zero_at_matched_gamma():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cssol import poly
 from cssol.poly import ComplexPolynomial, PairTransform
 from cssol.wronskian_pairs import (
+    RESIDUAL_RTOL,
     SolutionFamily,
     WronskianPair,
     _same_family,
@@ -108,6 +109,29 @@ def test_solve_generic_cubic_primitive_certified():
     assert all(fam.residual <= 1e-8 for fam in fams)
     w = fams[0].representative.W
     assert (w - f).norm() <= 1e-9 * f.norm()
+
+
+def _span_rank(*polys) -> int:
+    n = max(len(p.coeffs) for p in polys)
+    rows = np.array([np.pad(p.coeffs, (0, n - len(p.coeffs))) / p.norm() for p in polys])
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > 1e-6 * s[0]))
+
+
+def test_solve_generic_cubic_finds_non_primitive_family():
+    # the R-search hit must survive the kernel basis' rounding-level top
+    # coefficients, which used to make deg W != deg f and drop the family;
+    # W(z^3/2 - 1, z) = z^3 + 1 is the family besides the primitive one
+    f = ComplexPolynomial([1.0, 0.0, 0.0, 1.0])
+    fams = solve_generic(f, starts=2)
+    assert len(fams) >= 2
+    assert all(fam.residual <= RESIDUAL_RTOL for fam in fams)
+    reps = [(fam.representative.P, fam.representative.Q) for fam in fams]
+    split = (ComplexPolynomial([-1.0, 0.0, 0.0, 0.5]), ComplexPolynomial([0.0, 1.0]))
+    assert any(_span_rank(*split, *r) == 2 for r in reps)
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            assert _span_rank(*reps[i], *reps[j]) > 2, "duplicate family"
 
 
 # -- ODE kernel ------------------------------------------------------------
