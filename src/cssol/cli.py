@@ -10,18 +10,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import poly
-from .grid import Grid, GridField, integrate, load_field, quadrature, save_field
+from .grid import Grid, integrate, load_field, quadrature, save_field
 from .poly import ComplexPolynomial
 from .soliton import (
     LiouvilleSolution,
     Soliton,
     VortexSpec,
-    radial_ring,
     same_orbit,
     total_vorticity,
     vortex_ring,
@@ -30,20 +29,6 @@ from .wronskian_pairs import WronskianPair, solve_generic
 
 
 # -- report plumbing -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    grid: Grid = field(default_factory=lambda: Grid(40.0, 1024))
-    identity_tol: float = 1e-4
-    mass_tol: float = 1e-2
-    descent_tol: float = 1e-5
-    seed: int = 42
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if min(self.identity_tol, self.mass_tol, self.descent_tol) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -283,8 +268,10 @@ def cmd_energy(args) -> int:
     if args.field:
         if not os.path.exists(args.field):
             raise UsageError(f"missing field file {args.field!r}")
+        if args.beta is None:
+            raise UsageError("--field needs --beta: a saved field carries no flux")
         u = load_field(args.field)
-        beta = args.beta if args.beta is not None else 0.0
+        beta = args.beta
     else:
         pair = _pair_from_args(args)
         sol = Soliton(pair)
@@ -436,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Q")
     sp.add_argument("--field", help="load a saved field: raw <f8 (re, im) "
                     "pairs, plus a PATH.json sidecar")
-    sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--beta", type=float, default=None,
+                    help="flux; required with --field, else the soliton's")
     _add_common(sp)
     sp.set_defaults(fn=cmd_energy)
 

@@ -114,17 +114,6 @@ class ComplexPolynomial:
     def __repr__(self):
         return f"ComplexPolynomial({list(self.coeffs)})"
 
-    # -- serialization (CLI/JSON syntax: [[re, im], ...] low-to-high) ------
-
-    def to_json(self):
-        if self.is_zero:
-            return [[0.0, 0.0]]
-        return [[float(c.real), float(c.imag)] for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([complex(re, im) for re, im in data])
-
 
 def _coerce(p) -> ComplexPolynomial:
     if isinstance(p, ComplexPolynomial):
@@ -136,7 +125,6 @@ def _coerce(p) -> ComplexPolynomial:
 
 ZERO = ComplexPolynomial([])
 ONE = ComplexPolynomial([1.0])
-Z = ComplexPolynomial([0.0, 1.0])
 
 
 def from_roots(roots, leading=1.0) -> ComplexPolynomial:

@@ -10,9 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import poly
-from .poly import ComplexPolynomial, PairTransform, act, evaluate, wronskian
-from .wronskian_pairs import WronskianPair
+from .poly import ComplexPolynomial, PairTransform, act, evaluate
+from .wronskian_pairs import WronskianPair, top_rotation
 from .grid import Grid, GridField
+
+
+def _sum_sq(pair: WronskianPair, z):
+    """|P(z)|^2 + |Q(z)|^2"""
+    return np.abs(evaluate(pair.P, z)) ** 2 + np.abs(evaluate(pair.Q, z)) ** 2
 
 
 class LiouvilleSolution:
@@ -23,23 +28,12 @@ class LiouvilleSolution:
         self.f = pair.W
 
     def psi(self, z):
-        S = (
-            np.abs(evaluate(self.pair.P, z)) ** 2
-            + np.abs(evaluate(self.pair.Q, z)) ** 2
-        )
-        return np.log(8.0) - 2.0 * np.log(S)
+        return np.log(8.0) - 2.0 * np.log(_sum_sq(self.pair, z))
 
     def rhs(self, z):
         """|f|^2 e^psi = 8 |W|^2 / (|P|^2+|Q|^2)^2."""
-        S = (
-            np.abs(evaluate(self.pair.P, z)) ** 2
-            + np.abs(evaluate(self.pair.Q, z)) ** 2
-        )
+        S = _sum_sq(self.pair, z)
         return 8.0 * np.abs(evaluate(self.f, z)) ** 2 / S**2
-
-
-def psi_value(s: LiouvilleSolution, z: complex) -> float:
-    return float(s.psi(z))
 
 
 class Soliton:
@@ -55,10 +49,7 @@ class Soliton:
         self._psi0 = None
 
     def u(self, z):
-        S = (
-            np.abs(evaluate(self.pair.P, z)) ** 2
-            + np.abs(evaluate(self.pair.Q, z)) ** 2
-        )
+        S = _sum_sq(self.pair, z)
         W = evaluate(self.pair.W, z)
         return self.norm_const * np.conj(W) / S
 
@@ -71,10 +62,7 @@ class Soliton:
     # -- superpotential closed form ---------------------------------------
 
     def _log_s(self, z):
-        return np.log(
-            np.abs(evaluate(self.pair.P, z)) ** 2
-            + np.abs(evaluate(self.pair.Q, z)) ** 2
-        )
+        return np.log(_sum_sq(self.pair, z))
 
     def psi0(self, grid: Grid | None = None) -> float:
         """Additive constant of the closed-form superpotential.
@@ -103,14 +91,6 @@ class Soliton:
     def superpotential_closed(self, z, psi0: float | None = None):
         c = self.psi0() if psi0 is None else psi0
         return self._log_s(z) / self.beta + c
-
-
-def u_value(s: Soliton, z: complex) -> complex:
-    return complex(s.u(z))
-
-
-def superpotential_closed(s: Soliton, z: complex) -> float:
-    return float(s.superpotential_closed(z))
 
 
 class VortexSpec:
@@ -194,24 +174,8 @@ def _canonical_rsu2(pair: WronskianPair):
     making P monic with a positive real scale c and unit alpha.
     Returns (canonical pair, transform) with pair_canonical = act(T, pair).
     """
-    P, Q = pair.P, pair.Q
-    m = max(P.degree or 0, Q.degree or 0)
-    a = P.coeff(m)
-    b = Q.coeff(m)
-    n1 = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    T1 = PairTransform(
-        np.array(
-            [[np.conj(a), np.conj(b)], [-b, a]],
-            dtype=complex,
-        )
-        / n1
-    )
-    P1, Q1 = act(T1, (P, Q))
-    # exact degree drop: clear the numerically-zero top coefficient of Q1
-    c1 = Q1.coeffs.copy() if not Q1.is_zero else np.zeros(0, dtype=complex)
-    if c1.size == m + 1:
-        c1[m] = 0.0
-    Q1 = ComplexPolynomial(c1)
+    m = pair.max_degree
+    T1, P1, Q1 = top_rotation(pair)
     lead = P1.coeff(m)
     # scale c * diag(alpha, conj(alpha)) with c = 1/|lead|, alpha = phase
     alpha = np.conj(lead) / abs(lead)

@@ -14,8 +14,8 @@ from scipy.integrate import solve_ivp, trapezoid
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.ndimage import gaussian_filter
 
-from .grid import Grid, GridField, gradient, integrate, quadrature
-from .kernels import a_star, vector_potential
+from .functionals import MagneticState, magnetic_energy, stationarity
+from .grid import Grid, GridField, integrate, quadrature
 from .soliton import Soliton, radial_ring
 from .wronskian_pairs import WronskianPair
 
@@ -146,7 +146,6 @@ class DescentConfig:
     grad_tol: float = 1e-4
     dilation_every: int = 100
     order: int = 4
-    single_start: bool = False
     c_lgn: float | None = None
 
 
@@ -167,43 +166,14 @@ def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
-    """Rayleigh quotient F = E_beta/int|u|^4 at unit mass, and the projected
-    gradient of E_beta - F int|u|^4 (the stationarity operator with gamma
-    equal to the running quotient)."""
-    u = GridField(g, values)
-    rho = np.abs(values) ** 2
-    rho_f = GridField(g, rho)
-    g1, g2 = gradient(u, order)
-    if beta != 0.0:
-        A1, A2 = vector_potential(rho_f)
-        d1 = g1.values + 1j * beta * A1.values * values
-        d2 = g2.values + 1j * beta * A2.values * values
-    else:
-        d1, d2 = g1.values, g2.values
-    energy = np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2) * g.h**2
-    quartic = np.sum(rho**2) * g.h**2
-    quot = energy / quartic
-    # stationarity operator applied to u, gamma = quot / quartic-normalized
-    from .grid import deriv
-
-    D1 = GridField(g, d1)
-    D2 = GridField(g, d2)
-    covlap = deriv(D1, 0, order).values + deriv(D2, 1, order).values
-    if beta != 0.0:
-        covlap = covlap + 1j * beta * (A1.values * d1 + A2.values * d2)
-        J1 = np.imag(np.conj(values) * g1.values)
-        J2 = np.imag(np.conj(values) * g2.values)
-        s1 = a_star(GridField(g, A1.values * rho), GridField(g, A2.values * rho))
-        s2 = a_star(GridField(g, J1), GridField(g, J2))
-        nonlocal_term = 2.0 * beta**2 * s1.values + 2.0 * beta * s2.values
-    else:
-        nonlocal_term = 0.0
-    gamma = quot
-    grad = -covlap - (nonlocal_term + 2.0 * gamma * rho) * values
-    # project out the mass-sphere normal component
+    """Rayleigh quotient F = E_beta/int|u|^4 at unit mass, and the gradient of
+    E_beta - F int|u|^4 (the stationarity operator with gamma equal to the
+    running quotient) with the mass-sphere normal projected out."""
+    st = MagneticState(GridField(g, values), beta, order)
+    quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
+    grad = stationarity(st, quot)
     inner = np.real(np.sum(np.conj(values) * grad)) * g.h**2
-    grad = grad - inner * values
-    return float(quot), grad
+    return float(quot), grad - inner * values
 
 
 def _townes_start(g: Grid) -> np.ndarray:
@@ -298,10 +268,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         envelope = np.exp(-(np.abs(g.zmesh()) / (g.L / 2.0)) ** 2)
         return _norm_mass(v + noise * np.max(np.abs(v)) * envelope, g)
 
-    if cfg.single_start:
-        starts = [with_noise(_townes_start(g) if beta < 1.0 else _ring_start(g, beta))]
-    else:
-        starts = [with_noise(_townes_start(g)), with_noise(_ring_start(g, beta))]
+    starts = [with_noise(_townes_start(g)), with_noise(_ring_start(g, beta))]
 
     best = None
     for v0 in starts:
@@ -437,8 +404,6 @@ def vortex_ring_ratio(n: int, beta: float, grid: Grid | None = None) -> float:
         raise ValueError("n must be >= 1")
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    from .functionals import magnetic_energy
-
     # tighter box than the mass/tail default: the ratio is tail-insensitive
     # and the kernel near-zone error shrinks with the spacing
     g = grid or Grid(24.0, 1024)

@@ -20,7 +20,6 @@ from .poly import (
     antiderivative,
     coprime,
     derivative,
-    gcd,
     wronskian,
 )
 
@@ -110,12 +109,8 @@ def solve_single_root(a: complex, z0: complex, n: int) -> SolutionFamily:
         },
         representative=rep,
     )
-    fam.residual = fam.check(ComplexPolynomial([a]) * base_power(z0, n))
+    fam.residual = fam.check(ComplexPolynomial([a]) * poly.from_roots([z0] * n))
     return fam
-
-
-def base_power(z0: complex, n: int) -> ComplexPolynomial:
-    return poly.from_roots([z0] * n)
 
 
 def solve_degree_two(a: complex, b: complex, c: complex) -> list[SolutionFamily]:
@@ -204,20 +199,27 @@ def ode_kernel(
     return [ComplexPolynomial(v / np.linalg.norm(v)) for v in B]
 
 
+def top_rotation(pair: WronskianPair):
+    """The SU(2) transform U that clears Q's coefficient at the top degree,
+    and the rotated pair (P1, Q1) = act(U, (P, Q)), so deg Q1 < deg P1.
+
+    The rotation cancels that coefficient, and any lower ones the span of
+    (P, Q) lacks, only to rounding: Q1 has them dropped exactly, so that no
+    later step divides by a rounding residue."""
+    P, Q = pair.P, pair.Q
+    a, b = P.coeff(pair.max_degree), Q.coeff(pair.max_degree)
+    U = PairTransform(np.array([[np.conj(a), np.conj(b)], [-b, a]])
+                      / np.sqrt(abs(a) ** 2 + abs(b) ** 2))
+    P1, Q1 = act(U, (P, Q))
+    c1 = Q1.coeffs.copy()
+    c1[np.abs(c1) <= 1e-12 * max(P.norm(), Q.norm())] = 0.0
+    return U, P1, ComplexPolynomial(c1)
+
+
 def canonical_form(pair: WronskianPair) -> WronskianPair:
     """Deduplication normal form: rotate so deg P > deg Q, make P monic,
     and clear P's coefficient at power deg Q by a Q-shear. Idempotent."""
-    P, Q = pair.P, pair.Q
-    m = pair.max_degree
-    a = P.coeff(m)
-    b = Q.coeff(m)
-    n1 = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    U = PairTransform(np.array([[np.conj(a), np.conj(b)], [-b, a]]) / n1)
-    P1, Q1 = act(U, (P, Q))
-    if not Q1.is_zero and Q1.degree == m:
-        c1 = Q1.coeffs.copy()
-        c1[m] = 0.0  # exact drop of the rotated-away top coefficient
-        Q1 = ComplexPolynomial(c1)
+    _, P1, Q1 = top_rotation(pair)
     P1 = P1.monic()
     dq = Q1.degree
     if dq is not None:

@@ -2,9 +2,7 @@
 
 import json
 
-import pytest
-
-from cssol.cli import ReportRow, RunConfig, _fmt, main
+from cssol.cli import ReportRow, _fmt, main
 
 
 def run(argv):
@@ -16,12 +14,6 @@ def test_report_row_pass_rule():
     assert not ReportRow("x", 10.0, 10.2, 0.01).passed
     # small expected values: tolerance is absolute via max(1, |expected|)
     assert ReportRow("x", 0.0, 5e-7, 1e-6).passed
-
-
-def test_run_config_validation():
-    RunConfig()
-    with pytest.raises(ValueError):
-        RunConfig(identity_tol=-1.0)
 
 
 def test_fmt_is_17_sig_digits():
@@ -100,6 +92,17 @@ def test_build_soliton_field_roundtrip(tmp_path, capsys):
     assert run(["energy", "--field", str(field), "--beta", "2"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert abs(rep["mass"] - 1.0) < 2e-2
+
+
+def test_energy_field_requires_beta(tmp_path, capsys):
+    field = tmp_path / "u.f8"
+    assert run(["build-soliton", "--vortex", "n=1", "--grid", "16,64",
+                "--field-out", str(field)]) == 0
+    capsys.readouterr()
+    assert run(["energy", "--field", str(field)]) == 2
+    captured = capsys.readouterr()
+    assert "--beta" in captured.err
+    assert captured.out == ""
 
 
 def test_energy_missing_field_file(capsys):

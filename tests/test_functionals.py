@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from cssol import functionals
 from cssol.functionals import (
+    MagneticState,
     el_residual,
     inequality_battery,
     liouville_residual,
     magnetic_energy,
     menger_melnikov,
+    stationarity,
     susy_rhs,
 )
 from cssol.grid import Grid, GridField, quadrature
 from cssol.sampling import normalized, random_smooth_field
 from cssol.soliton import radial_ring
+from cssol.variational import _quotient_and_grad
 from cssol.wronskian_pairs import WronskianPair
 
 
@@ -78,10 +82,53 @@ def test_el_residual_discriminates():
     u = normalized(radial_ring(1).sample(g))
     res, lam = el_residual(u, 2.0, 4.0 * np.pi)
     assert res < 1e-2
+    assert f"{res:.2e}" == "6.72e-04"  # the figure acceptance 11 prints
     assert abs(lam) < 5e-2
     v = _field(4, Grid(16.0, 256))
     res2, _ = el_residual(v, 2.0, 4.0 * np.pi)
     assert res2 > 0.1
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])
+def test_descent_gradient_matches_finite_differences(beta):
+    """2 Re<grad, v> h^2 / int|u|^4 is the derivative of the quotient along a
+    mass-tangent direction v that vanishes near the boundary ring."""
+    g = Grid(8.0, 64)
+    Z = g.zmesh()
+    u = _field(5, g).values * np.exp(0.4j * Z.real - 0.3j * Z.imag)
+    u = u / np.sqrt(np.sum(np.abs(u) ** 2) * g.h**2)
+    r2 = (np.abs(Z) / (0.6 * g.L)) ** 2
+    chi = np.where(r2 < 1.0, (1.0 - r2) ** 4, 0.0)
+    w = chi * (np.cos(Z.real) + 1j * np.sin(0.7 * Z.imag + 0.2)) * np.max(np.abs(u))
+    v = w - np.real(np.vdot(u, w)) / np.real(np.vdot(u, chi * u)) * chi * u
+    _, grad = _quotient_and_grad(u, g, beta, 4)
+    slope = 2.0 * np.real(np.vdot(grad, v)) / np.sum(np.abs(u) ** 4)
+    eps = 1e-5
+    up, _ = _quotient_and_grad(u + eps * v, g, beta, 4)
+    down, _ = _quotient_and_grad(u - eps * v, g, beta, 4)
+    assert abs((up - down) / (2.0 * eps) - slope) <= 1e-6 * abs(slope)
+
+
+def test_stationarity_kernel_calls(monkeypatch):
+    """One A* per application at beta != 0; no kernel at all at beta = 0."""
+    calls = []
+
+    def counted(name):
+        real = getattr(functionals, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("vector_potential", "a_star"):
+        monkeypatch.setattr(functionals, name, counted(name))
+    u = _field(2, Grid(8.0, 64))
+    stationarity(MagneticState(u, 0.0), 3.0)
+    assert calls == []
+    stationarity(MagneticState(u, 1.0), 3.0)
+    assert calls == ["vector_potential", "a_star"]
 
 
 def test_el_residual_mass_guard():

@@ -180,6 +180,18 @@ def test_same_family_under_sl2():
         assert _same_family(pair, pair.transformed(_sl2(rng)))
 
 
+def test_same_family_under_sl2_with_equal_top_degrees():
+    # the primitive family of z^3 + 1; a generic SL(2) image has deg P =
+    # deg Q = 4 while the span still holds the constant Q, so canonical_form
+    # must clear the rotated Q's rounding residue below the top degree too
+    rng = np.random.default_rng(0)
+    base = WronskianPair([0.0, 1.0, 0.0, 0.0, 0.25], [1.0])
+    for _ in range(40):
+        image = base.transformed(_sl2(rng))
+        assert image.P.degree == image.Q.degree == 4
+        assert _same_family(base, image)
+
+
 def test_different_families_distinguished():
     fams = solve_degree_two(1.0, 0.0, 1.0)
     assert not _same_family(fams[0].representative, fams[1].representative)
