@@ -79,15 +79,19 @@ class MagneticState:
         d1, d2 = self.D
         return np.abs(d1) ** 2 + np.abs(d2) ** 2
 
+    @cached_property
+    def kinetic(self) -> float:
+        """Trapezoid integral of |grad u|^2; needs no A"""
+        g1, g2 = self.grad
+        return float(integrate(GridField(self.u.grid, np.abs(g1) ** 2 + np.abs(g2) ** 2)))
+
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
         their sum with weights 1, 2 beta, beta^2."""
-        (A1, A2), (g1, g2), (J1, J2) = self.A, self.grad, self.current
-        return tuple(float(integrate(GridField(self.u.grid, v))) for v in (
-            np.abs(g1) ** 2 + np.abs(g2) ** 2,
-            A1 * J1 + A2 * J2,
-            (A1**2 + A2**2) * self.rho,
-        ))
+        (A1, A2), (J1, J2) = self.A, self.current
+        return (self.kinetic,) + tuple(
+            float(integrate(GridField(self.u.grid, v)))
+            for v in (A1 * J1 + A2 * J2, (A1**2 + A2**2) * self.rho))
 
 
 def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
@@ -145,7 +149,8 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
         raise ValueError("zero field has no energy quotient")
     st = MagneticState(u, beta, order)
     total = integrate(GridField(u.grid, st.d_sq))
-    kinetic, aj, mm = st.terms()
+    # at beta = 0 the A terms have weight 0: A is not built for them
+    kinetic, aj, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
     quartic = quadrature(u, 4)
@@ -200,7 +205,7 @@ def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
         raise ValueError(f"field must have unit mass (got {mass:.8f})")
     g = u.grid
     st = MagneticState(u, beta, order)
-    kinetic, _, mm = st.terms()
+    kinetic, _, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
     res = stationarity(st, gamma) - lam * u.values
     if margin is None:

@@ -144,9 +144,14 @@ def evaluate(p: ComplexPolynomial, z):
         return np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(
             z, np.ndarray
         ) else 0j
-    acc = np.full_like(np.asarray(z, dtype=complex), p.coeffs[-1]) if isinstance(
-        z, np.ndarray
-    ) else p.coeffs[-1]
+    if isinstance(z, np.ndarray):
+        # in place: one array for the whole recurrence, not two per step
+        acc = np.full_like(np.asarray(z, dtype=complex), p.coeffs[-1])
+        for c in p.coeffs[-2::-1]:
+            acc *= z
+            acc += c
+        return acc
+    acc = p.coeffs[-1]
     for c in p.coeffs[-2::-1]:
         acc = acc * z + c
     return acc

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp, trapezoid
+from scipy.integrate import RK45, solve_ivp, trapezoid
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.ndimage import gaussian_filter
 
@@ -43,8 +43,13 @@ class TownesProfile:
         return out
 
 
-def _shoot(a0: float, r_max: float):
-    """Integrate tau'' + tau'/r - tau + tau^3 = 0, tau(0)=a0, tau'(0)=0."""
+# tolerances and step cap of every Townes shot
+_SHOOT_OPTIONS = dict(rtol=1e-12, atol=1e-12, max_step=0.05)
+
+
+def _shoot_problem(a0: float):
+    """Right-hand side, start radius and start state of
+    tau'' + tau'/r - tau + tau^3 = 0, tau(0)=a0, tau'(0)=0."""
     r0 = 1e-8
 
     def rhs(r, y):
@@ -52,10 +57,33 @@ def _shoot(a0: float, r_max: float):
         return [dtau, tau - tau**3 - dtau / r]
 
     b = (a0 - a0**3) / 4.0
-    y0 = [a0 + b * r0**2, 2.0 * b * r0]
-    sol = solve_ivp(rhs, (r0, r_max), y0, rtol=1e-12, atol=1e-12,
-                    dense_output=True, max_step=0.05)
-    return sol
+    return rhs, r0, [a0 + b * r0**2, 2.0 * b * r0]
+
+
+def _shoot(a0: float, r_max: float):
+    """The Townes shot from tau(0) = a0 to r_max, with dense output."""
+    rhs, r0, y0 = _shoot_problem(a0)
+    return solve_ivp(rhs, (r0, r_max), y0, dense_output=True, **_SHOOT_OPTIONS)
+
+
+def _shot_class(a0: float, r_max: float) -> int:
+    """+1 if the shot from a0 crosses zero before r_max (overshoot), -1 if it
+    stays positive (undershoot), read at the step points of _shoot's RK45.
+
+    The steps stop once the class is decided: at the first step point with
+    tau < 0, or with tau' > 0 and H = tau'^2/2 - tau^2/2 + tau^4/4 < -1e-6.
+    H' = -tau'^2/r <= 0, and H >= 0 wherever tau = 0, so such an orbit is
+    trapped in the tau > 0 well and the full-length shot would undershoot."""
+    rhs, r0, y0 = _shoot_problem(a0)
+    solver = RK45(rhs, r0, y0, float(r_max), **_SHOOT_OPTIONS)
+    while solver.status == "running":
+        solver.step()
+        tau, dtau = solver.y
+        if tau < 0:
+            return 1
+        if dtau > 0 and 0.5 * dtau**2 - 0.5 * tau**2 + 0.25 * tau**4 < -1e-6:
+            return -1
+    return -1
 
 
 def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile:
@@ -68,19 +96,12 @@ def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile
     if not (1e-10 <= tolerance <= 1e-4):
         raise ValueError("tolerance must lie in [1e-10, 1e-4]")
 
-    def classify(a0):
-        sol = _shoot(a0, r_max)
-        tau = sol.y[0]
-        if np.any(tau < 0):
-            return 1  # overshoot: crossed zero
-        return -1  # undershoot: stays positive (turns back up)
-
     lo, hi = 1.0, 10.0
-    if classify(lo) != -1 or classify(hi) != 1:
+    if _shot_class(lo, r_max) != -1 or _shot_class(hi, r_max) != 1:
         raise RuntimeError("shooting bracket not found in [1, 10]")
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if classify(mid) == 1:
+        if _shot_class(mid, r_max) == 1:
             hi = mid
         else:
             lo = mid

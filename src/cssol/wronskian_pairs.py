@@ -250,22 +250,37 @@ def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomi
     return P2, Q
 
 
+def _with_R(A_f: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The ODE matrix A_f + sum_i r_i S_i: a copy of the R-free matrix A_f with
+    R's coefficient r_i added at (i + k, k) in every column k. The sum is
+    ((f y'') + (-f' y')) + R y, as in ode_operator_matrix, so for A_f =
+    ode_operator_matrix(f, ZERO, max_deg) and deg R <= deg f the result equals
+    ode_operator_matrix(f, R, max_deg) exactly."""
+    A = A_f.copy()
+    for k in range(A.shape[1]):
+        A[k:k + r.size, k] += r
+    return A
+
+
 def _search_extra_families(f: ComplexPolynomial, seed: int, starts: int):
     """Multi-start damped search for R with 2-dim ODE kernel (deg f >= 3).
 
     Objective: sum of the two smallest singular values of the restricted ODE
-    matrix, over R with deg R <= deg f - 2. Every hit is certified by the
-    Wronskian residual downstream, so the search itself is heuristic.
+    matrix, over R with deg R <= deg f - 2. The operator is affine in R, so
+    the matrix is built once for R = 0 (A_f, with the 2 deg f + 2 rows every
+    such R needs) and the objective adds R on its shifted diagonals. Every
+    hit is certified by the Wronskian residual downstream, so the search
+    itself is heuristic.
     """
     from scipy.optimize import minimize
 
     df = f.degree
     nR = df - 1  # coefficients R_0 .. R_{deg f - 2}
     scale = f.norm()
+    A_f = ode_operator_matrix(f, poly.ZERO, df + 1)
 
     def objective(x):
-        R = ComplexPolynomial(x[:nR] + 1j * x[nR:])
-        A = ode_operator_matrix(f, R, df + 1)
+        A = _with_R(A_f, x[:nR] + 1j * x[nR:])
         s = np.linalg.svd(A, compute_uv=False)
         s = np.sort(s)
         return float(s[0] + s[1])

@@ -109,8 +109,9 @@ def test_descent_gradient_matches_finite_differences(beta):
     assert abs((up - down) / (2.0 * eps) - slope) <= 1e-6 * abs(slope)
 
 
-def test_stationarity_kernel_calls(monkeypatch):
-    """One A* per application at beta != 0; no kernel at all at beta = 0."""
+def _count_kernel_calls(monkeypatch, *names):
+    """Patch the named kernels as functionals sees them; returns the list
+    each call appends its name to."""
     calls = []
 
     def counted(name):
@@ -122,13 +123,32 @@ def test_stationarity_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("vector_potential", "a_star"):
+    for name in names:
         monkeypatch.setattr(functionals, name, counted(name))
+    return calls
+
+
+def test_stationarity_kernel_calls(monkeypatch):
+    """One A* per application at beta != 0; no kernel at all at beta = 0."""
+    calls = _count_kernel_calls(monkeypatch, "vector_potential", "a_star")
     u = _field(2, Grid(8.0, 64))
     stationarity(MagneticState(u, 0.0), 3.0)
     assert calls == []
     stationarity(MagneticState(u, 1.0), 3.0)
     assert calls == ["vector_potential", "a_star"]
+
+
+def test_beta_zero_reports_build_no_vector_potential(monkeypatch):
+    """At beta = 0 the A terms carry weight 0, so A is never built."""
+    u = _field(2, Grid(8.0, 64))
+    kinetic, _, _ = MagneticState(u, 0.0).terms()
+    calls = _count_kernel_calls(monkeypatch, "vector_potential")
+    rep = magnetic_energy(u, 0.0)
+    _, lam = el_residual(u, 0.0, 3.0)
+    assert calls == []
+    assert rep.cross == 0.0 and rep.curvature == 0.0
+    assert rep.kinetic == kinetic == rep.total_E_beta
+    assert lam == -kinetic
 
 
 def test_el_residual_mass_guard():

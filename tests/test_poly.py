@@ -57,6 +57,26 @@ def test_mul_evaluates_pointwise(p, q):
     assert abs(got - want) <= 1e-8 * (1 + abs(want))
 
 
+def _horner_out_of_place(p, z):
+    acc = np.full_like(np.asarray(z, dtype=complex), p.coeffs[-1]) if isinstance(
+        z, np.ndarray) else p.coeffs[-1]
+    for c in p.coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def test_evaluate_matches_out_of_place_horner():
+    rng = np.random.default_rng(0)
+    p = ComplexPolynomial([1.5, -2j, 0.25 + 3j, -1.0, 0.7j])
+    for z in (0.3 - 1.2j, rng.normal(size=(5, 7)),
+              rng.normal(size=50) + 1j * rng.normal(size=50)):
+        before = np.copy(z)
+        got = np.asarray(poly.evaluate(p, z))
+        want = np.asarray(_horner_out_of_place(p, z))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(z, before) and np.asarray(z).dtype == before.dtype
+
+
 def test_from_roots_vanishes_at_roots():
     rts = [1.0, -2.0 + 1j, 0.5j]
     p = poly.from_roots(rts, leading=2.0)

@@ -10,6 +10,8 @@ from cssol.grid import Grid
 from cssol.soliton import radial_ring
 from cssol.variational import (
     DescentConfig,
+    _shoot,
+    _shot_class,
     bounds,
     estimate_gamma,
     nll_energy,
@@ -43,6 +45,18 @@ def test_townes_tolerance_validation():
         townes_solve(tolerance=1e-12)
     with pytest.raises(ValueError):
         townes_solve(tolerance=1e-2)
+
+
+def test_shot_class_early_exit_matches_full_shot():
+    """The shot stopped once decided has the class of the shot run to r_max,
+    also within 1e-9 of the separatrix, where both classes occur."""
+    a_sep = townes_profile().tau[0]  # tau(1e-8) = a0 to about 1e-16
+    a0s = [1.0, 1.5, 3.0, 10.0] + [a_sep + d for d in (
+        -1e-3, -1e-6, -1e-9, -3e-10, 3e-10, 1e-9, 1e-6, 1e-3)]
+    got = [_shot_class(a0, 18.0) for a0 in a0s]
+    full = [1 if np.any(_shoot(a0, 18.0).y[0] < 0) else -1 for a0 in a0s]
+    assert got == full
+    assert got[4:] == [-1] * 4 + [1] * 4
 
 
 def test_bounds_pinch():

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssol import poly
+from cssol import poly, wronskian_pairs
 from cssol.poly import ComplexPolynomial, PairTransform
 from cssol.wronskian_pairs import (
     RESIDUAL_RTOL,
     SolutionFamily,
     WronskianPair,
     _same_family,
+    _with_R,
     canonical_form,
     ode_kernel,
+    ode_operator_matrix,
     solve_degree_two,
     solve_generic,
     solve_single_root,
@@ -153,6 +155,67 @@ def test_ode_kernel_bounds_degree():
     f = ComplexPolynomial([1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         ode_kernel(f, ComplexPolynomial([1.0]), 5)
+
+
+def _ode_matrix_by_columns(f, R, max_deg):
+    """Reference: column k is the image of z^k under ComplexPolynomial algebra."""
+    fd = poly.derivative(f)
+    rows = max_deg + max(f.degree, R.degree if not R.is_zero else 0) + 1
+    A = np.zeros((rows, max_deg + 1), dtype=complex)
+    for k in range(max_deg + 1):
+        y = ComplexPolynomial([0.0] * k + [1.0])
+        img = f * poly.derivative(poly.derivative(y)) - fd * poly.derivative(y) + R * y
+        A[: img.coeffs.size, k] = img.coeffs
+    return A
+
+
+def _seeded_f_and_r():
+    """Seeded f of degree 3..6 with R coefficient vectors of R's search
+    length deg f - 1: full degree, a zero top coefficient, and R = 0."""
+    rng = np.random.default_rng(7)
+    for df in range(3, 7):
+        for _ in range(4):
+            f = ComplexPolynomial(rng.normal(size=df + 1) + 1j * rng.normal(size=df + 1))
+            r = rng.normal(size=df - 1) + 1j * rng.normal(size=df - 1)
+            short = r.copy()
+            short[-1] = 0.0
+            for rr in (r, short, np.zeros(df - 1, dtype=complex)):
+                yield f, rr
+
+
+def _bits(A):
+    return A.shape, A.tobytes()
+
+
+def test_ode_operator_matrix_matches_column_build():
+    for f, r in _seeded_f_and_r():
+        R = ComplexPolynomial(r)
+        for max_deg in (f.degree - 1, f.degree + 1):
+            got = ode_operator_matrix(f, R, max_deg)
+            assert _bits(got) == _bits(_ode_matrix_by_columns(f, R, max_deg))
+
+
+def test_search_matrix_is_ode_operator_matrix():
+    """A_f plus R on its shifted diagonals is the full build, bit for bit."""
+    for f, r in _seeded_f_and_r():
+        A_f = ode_operator_matrix(f, poly.ZERO, f.degree + 1)
+        want = ode_operator_matrix(f, ComplexPolynomial(r), f.degree + 1)
+        assert _bits(_with_R(A_f, r)) == _bits(want)
+
+
+def test_search_builds_ode_matrix_once_per_f(monkeypatch):
+    """One build for the search, one per hit in ode_kernel."""
+    calls = []
+    real = wronskian_pairs.ode_operator_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wronskian_pairs, "ode_operator_matrix", counted)
+    starts = 2
+    solve_generic(ComplexPolynomial([1.0, 0.0, 0.0, 1.0]), starts=starts)
+    assert 1 <= len(calls) <= starts + 2
 
 
 # -- canonical form --------------------------------------------------------
