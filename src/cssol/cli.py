@@ -309,6 +309,7 @@ def cmd_estimate_gamma(args) -> int:
         "upper_bound": est.upper_bound,
         "iterations": est.iterations,
         "final_gradient_norm": est.final_gradient_norm,
+        "stop_reason": est.stop_reason,
     }
     _emit(json.dumps(payload, indent=2), args.out)
     sandwiched = (est.lower_bound * 0.97 <= est.gamma_hat

@@ -155,7 +155,7 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     curvature = beta**2 * mm
     quartic = quadrature(u, 4)
     gap = total - 2.0 * np.pi * beta * quartic
-    srhs = susy_rhs(u, beta, -1, order=order)
+    srhs = _weighted_square(st, -1)
     quotient = (kinetic + cross / mass + curvature / mass**2) * mass / quartic
     return EnergyReport(
         beta=float(beta),
@@ -181,13 +181,24 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    st = MagneticState(u, beta, order)
-    w = st.beta * st.phi
-    if np.max(np.abs(2.0 * w)) > 700.0:
-        raise OverflowError("superpotential weight exponent exceeds 700")
-    g1, g2 = gradient(GridField(u.grid, np.exp(-sign * w) * u.values), order)
-    integrand = np.abs(g1.values + sign * 1j * g2.values) ** 2 * np.exp(2.0 * sign * w)
-    return float(integrate(GridField(u.grid, integrand)))
+    return _weighted_square(MagneticState(u, beta, order), sign)
+
+
+def _weighted_square(st: MagneticState, sign: int) -> float:
+    """susy_rhs read from a state. At beta = 0 both weights are exactly 1,
+    so Phi is not built and grad u is the state's own."""
+    g = st.u.grid
+    if st.beta == 0.0:
+        g1, g2 = st.grad
+        weight = 1.0
+    else:
+        w = st.beta * st.phi
+        if np.max(np.abs(2.0 * w)) > 700.0:
+            raise OverflowError("superpotential weight exponent exceeds 700")
+        g1, g2 = (d.values for d in gradient(
+            GridField(g, np.exp(-sign * w) * st.u.values), st.order))
+        weight = np.exp(2.0 * sign * w)
+    return float(integrate(GridField(g, np.abs(g1 + sign * 1j * g2) ** 2 * weight)))
 
 
 def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,

@@ -178,6 +178,7 @@ class GammaEstimate:
     upper_bound: float
     iterations: int
     final_gradient_norm: float
+    stop_reason: str  # of the winning start's descent; see _descend
     minimizer: GridField
 
 
@@ -186,15 +187,28 @@ def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
     return values / np.sqrt(m)
 
 
-def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
-    """Rayleigh quotient F = E_beta/int|u|^4 at unit mass, and the gradient of
-    E_beta - F int|u|^4 (the stationarity operator with gamma equal to the
-    running quotient) with the mass-sphere normal projected out."""
+def _quotient(values: np.ndarray, g: Grid, beta: float, order: int):
+    """Rayleigh quotient F = sum |D|^2 / sum rho^2 at unit mass, with the
+    MagneticState it was read from (at beta > 0: one A and two derivatives)."""
     st = MagneticState(GridField(g, values), beta, order)
     quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
-    grad = stationarity(st, quot)
+    return float(quot), st
+
+
+def _projected_grad(state: MagneticState, quot: float) -> np.ndarray:
+    """Gradient of E_beta - quot int |u|^4 at the state's u (the
+    stationarity operator with gamma equal to the quotient), with the
+    mass-sphere normal projected out."""
+    values, g = state.u.values, state.u.grid
+    grad = stationarity(state, quot)
     inner = np.real(np.sum(np.conj(values) * grad)) * g.h**2
-    return float(quot), grad - inner * values
+    return grad - inner * values
+
+
+def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
+    """The quotient and its projected gradient at values."""
+    quot, st = _quotient(values, g, beta, order)
+    return quot, _projected_grad(st, quot)
 
 
 def _townes_start(g: Grid) -> np.ndarray:
@@ -222,54 +236,68 @@ def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
 
 def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
              upper: float):
+    """Projected descent from values: (values, quotient, gradient norm,
+    iterations, stop_reason). Line-search trials and dilation candidates
+    read only the quotient; the gradient is built from the state of the
+    accepted trial or winning candidate. stop_reason is "grad_tol",
+    "plateau" (a relative fall below plateau_tol over plateau_window
+    steps), "line_search" (30 step halvings found no lower quotient) or
+    "max_iter"."""
     quot, grad = _quotient_and_grad(values, g, beta, cfg.order)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
-    it = 0
+    it, stop = 0, "max_iter"
     for it in range(1, cfg.max_iter + 1):
         if quot > 10.0 * upper:
             raise RuntimeError("descent diverged")
-        accepted = False
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
-            tq, tgrad = _quotient_and_grad(trial, g, beta, cfg.order)
+            tq, state = _quotient(trial, g, beta, cfg.order)
             if tq < quot:
-                values, quot, grad = trial, tq, tgrad
-                step *= 1.3
-                accepted = True
                 break
+            del state  # a rejected trial's state dies with the trial
             step *= 0.5
-        if not accepted:
+        else:
+            stop = "line_search"
             break
+        values, quot, grad = trial, tq, _projected_grad(state, tq)
+        del state
+        step *= 1.3
         if cfg.dilation_every and it % cfg.dilation_every == 0:
-            best = (quot, values, grad)
+            winner = None
             for t in np.linspace(-1.0, 1.0, 9):
                 lam = 2.0**t
                 if lam == 1.0:
                     continue
-                cand = _dilate(values, g, lam)
-                cq, cg = _quotient_and_grad(cand, g, beta, cfg.order)
-                if cq < best[0]:
-                    best = (cq, cand, cg)
-            quot, values, grad = best
+                cq, cand = _quotient(_dilate(values, g, lam), g, beta, cfg.order)
+                if cq < quot:
+                    quot, winner = cq, cand
+                del cand
+            if winner is not None:
+                values, grad = winner.u.values, _projected_grad(winner, quot)
+                del winner
         gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
         history.append(quot)
         if gnorm < cfg.grad_tol:
+            stop = "grad_tol"
             break
         if (len(history) > cfg.plateau_window
                 and history[-cfg.plateau_window - 1] - quot
                 < cfg.plateau_tol * abs(quot)):
+            stop = "plateau"
             break
-    return values, quot, gnorm, it
+    return values, quot, gnorm, it, stop
 
 
 def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEstimate:
     """Projected gradient descent estimate of gamma*(beta).
 
     The quotient is dilation invariant; an explicit dilation line search
-    recenters the support scale periodically. The result is an upper
-    estimate of the infimum.
+    recenters the support scale periodically. Line-search trials evaluate
+    only the quotient. The result is an upper estimate of the infimum, from
+    the better of two starts; stop_reason ("grad_tol", "plateau",
+    "line_search" or "max_iter") says why that start's descent stopped.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -293,10 +321,10 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
     best = None
     for v0 in starts:
-        v, q, gn, it = _descend(v0, g, beta, cfg, upper)
-        if best is None or q < best[1]:
-            best = (v, q, gn, it)
-    v, q, gn, it = best
+        out = _descend(v0, g, beta, cfg, upper)
+        if best is None or out[1] < best[1]:
+            best = out
+    v, q, gn, it, stop = best
     return GammaEstimate(
         beta=float(beta),
         gamma_hat=float(q),
@@ -304,6 +332,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         upper_bound=upper,
         iterations=int(it),
         final_gradient_norm=float(gn),
+        stop_reason=stop,
         minimizer=GridField(g, v),
     )
 

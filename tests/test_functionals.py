@@ -151,6 +151,19 @@ def test_beta_zero_reports_build_no_vector_potential(monkeypatch):
     assert lam == -kinetic
 
 
+def test_superpotential_built_only_at_nonzero_beta(monkeypatch):
+    """At beta = 0 the weights e^{-+ 2 beta Phi} are 1, so Phi is not built;
+    at beta != 0 magnetic_energy builds it once, in its own state."""
+    u = _field(2, Grid(8.0, 64))
+    calls = _count_kernel_calls(monkeypatch, "superpotential")
+    magnetic_energy(u, 0.0)
+    susy_rhs(u, 0.0, 1)
+    susy_rhs(u, 0.0, -1)
+    assert calls == []
+    magnetic_energy(u, 1.0)
+    assert calls == ["superpotential"]
+
+
 def test_el_residual_mass_guard():
     u = radial_ring(1).sample(Grid(16.0, 256))  # truncated: mass < 1 - 1e-6
     with pytest.raises(ValueError, match="unit mass"):

@@ -6,10 +6,16 @@ import os
 import numpy as np
 import pytest
 
+from cssol import variational
 from cssol.grid import Grid
 from cssol.soliton import radial_ring
 from cssol.variational import (
     DescentConfig,
+    _descend,
+    _dilate,
+    _norm_mass,
+    _quotient_and_grad,
+    _ring_start,
     _shoot,
     _shot_class,
     bounds,
@@ -103,6 +109,102 @@ def test_estimate_gamma_beta0_small_grid():
     est = estimate_gamma(0.0, cfg)
     assert est.gamma_hat == pytest.approx(townes_constant(), rel=2e-2)
     assert est.lower_bound * 0.97 <= est.gamma_hat
+
+
+def _descend_every_trial_gradient(values, g, beta, cfg, upper):
+    """Reference descent that builds the gradient of every line-search trial
+    and every dilation candidate. Returns
+    (values, quotient, gradient norm, iterations, accepted steps, dilations
+    won by a candidate)."""
+    quot, grad = _quotient_and_grad(values, g, beta, cfg.order)
+    step = 1e-2 * g.h**2
+    history = [quot]
+    gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
+    it = accepted_steps = wins = 0
+    for it in range(1, cfg.max_iter + 1):
+        if quot > 10.0 * upper:
+            raise RuntimeError("descent diverged")
+        accepted = False
+        for _ in range(30):
+            trial = _norm_mass(values - step * grad, g)
+            tq, tgrad = _quotient_and_grad(trial, g, beta, cfg.order)
+            if tq < quot:
+                values, quot, grad = trial, tq, tgrad
+                step *= 1.3
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        accepted_steps += 1
+        if cfg.dilation_every and it % cfg.dilation_every == 0:
+            best = (quot, values, grad)
+            for t in np.linspace(-1.0, 1.0, 9):
+                lam = 2.0**t
+                if lam == 1.0:
+                    continue
+                cand = _dilate(values, g, lam)
+                cq, cg = _quotient_and_grad(cand, g, beta, cfg.order)
+                if cq < best[0]:
+                    best = (cq, cand, cg)
+            wins += best[1] is not values
+            quot, values, grad = best
+        gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
+        history.append(quot)
+        if gnorm < cfg.grad_tol:
+            break
+        if (len(history) > cfg.plateau_window
+                and history[-cfg.plateau_window - 1] - quot
+                < cfg.plateau_tol * abs(quot)):
+            break
+    return values, quot, gnorm, it, accepted_steps, wins
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("dilation_every", [100, 2])
+def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta, dilation_every):
+    """Trials that read only the quotient give the same descent, bit for bit,
+    and build the gradient once per accepted step, once at the start and
+    once per dilation won by a candidate."""
+    g = Grid(12.0, 64)
+    cfg = DescentConfig(grid=g, dilation_every=dilation_every)
+    upper = bounds(beta)[1]
+    Z = g.zmesh()
+    v0 = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
+    values, quot, gnorm, it, accepted, wins = _descend_every_trial_gradient(
+        v0, g, beta, cfg, upper)
+    assert accepted in (it - 1, it)
+    if dilation_every == 2:
+        assert wins > 0  # the dilation branch is exercised
+
+    calls = []
+    real = variational.stationarity
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(variational, "stationarity", counted)
+    got = _descend(v0, g, beta, cfg, upper)
+    assert np.array_equal(got[0], values)
+    assert got[1:4] == (quot, gnorm, it)
+    assert len(calls) == accepted + 1 + wins
+
+
+def test_descent_stop_reasons():
+    """line_search is why every descent stops today; a huge grad_tol stops
+    on the gradient, a huge plateau_tol on the plateau, max_iter=1 on the
+    iteration cap."""
+    g = Grid(12.0, 64)
+    cfg = DescentConfig(grid=g, seed=1)
+    assert estimate_gamma(0.0, cfg).stop_reason == "line_search"
+    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, grad_tol=1e9))
+    assert (est.stop_reason, est.iterations) == ("grad_tol", 1)
+    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, plateau_tol=1e9,
+                                            plateau_window=1))
+    assert (est.stop_reason, est.iterations) == ("plateau", 1)
+    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, max_iter=1))
+    assert (est.stop_reason, est.iterations) == ("max_iter", 1)
 
 
 def test_structure_scan_validation():
