@@ -185,20 +185,13 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
 
 
 def _weighted_square(st: MagneticState, sign: int) -> float:
-    """susy_rhs read from a state. At beta = 0 both weights are exactly 1,
-    so Phi is not built and grad u is the state's own."""
-    g = st.u.grid
-    if st.beta == 0.0:
-        g1, g2 = st.grad
-        weight = 1.0
-    else:
-        w = st.beta * st.phi
-        if np.max(np.abs(2.0 * w)) > 700.0:
-            raise OverflowError("superpotential weight exponent exceeds 700")
-        g1, g2 = (d.values for d in gradient(
-            GridField(g, np.exp(-sign * w) * st.u.values), st.order))
-        weight = np.exp(2.0 * sign * w)
-    return float(integrate(GridField(g, np.abs(g1 + sign * 1j * g2) ** 2 * weight)))
+    """susy_rhs read from a state; Phi is not built at beta = 0."""
+    w = st.beta * st.phi if st.beta else 0.0
+    if np.max(np.abs(2.0 * w)) > 700.0:
+        raise OverflowError("superpotential weight exponent exceeds 700")
+    g1, g2 = gradient(GridField(st.u.grid, np.exp(-sign * w) * st.u.values), st.order)
+    integrand = np.abs(g1.values + sign * 1j * g2.values) ** 2 * np.exp(2.0 * sign * w)
+    return float(integrate(GridField(st.u.grid, integrand)))
 
 
 def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,

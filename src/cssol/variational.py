@@ -188,21 +188,16 @@ def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _quotient(values: np.ndarray, g: Grid, beta: float, order: int):
-    """Rayleigh quotient F = sum |D|^2 / sum rho^2 at unit mass, with the
-    MagneticState it was read from (at beta > 0: one A and two derivatives)."""
+    """Quotient F = sum |D|^2 / sum rho^2 at unit mass, and the state it was read from."""
     st = MagneticState(GridField(g, values), beta, order)
     quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
     return float(quot), st
 
 
 def _projected_grad(state: MagneticState, quot: float) -> np.ndarray:
-    """Gradient of E_beta - quot int |u|^4 at the state's u (the
-    stationarity operator with gamma equal to the quotient), with the
-    mass-sphere normal projected out."""
-    values, g = state.u.values, state.u.grid
-    grad = stationarity(state, quot)
-    inner = np.real(np.sum(np.conj(values) * grad)) * g.h**2
-    return grad - inner * values
+    """Gradient of E_beta - quot int |u|^4 at state.u, mass-sphere normal projected out."""
+    u, grad = state.u, stationarity(state, quot)
+    return grad - np.real(np.sum(np.conj(u.values) * grad)) * u.grid.h**2 * u.values
 
 
 def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
@@ -236,13 +231,8 @@ def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
 
 def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
              upper: float):
-    """Projected descent from values: (values, quotient, gradient norm,
-    iterations, stop_reason). Line-search trials and dilation candidates
-    read only the quotient; the gradient is built from the state of the
-    accepted trial or winning candidate. stop_reason is "grad_tol",
-    "plateau" (a relative fall below plateau_tol over plateau_window
-    steps), "line_search" (30 step halvings found no lower quotient) or
-    "max_iter"."""
+    """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
+    Trials read only the quotient; stop_reason: grad_tol, plateau, line_search, max_iter."""
     quot, grad = _quotient_and_grad(values, g, beta, cfg.order)
     step = 1e-2 * g.h**2
     history = [quot]
@@ -294,10 +284,8 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     """Projected gradient descent estimate of gamma*(beta).
 
     The quotient is dilation invariant; an explicit dilation line search
-    recenters the support scale periodically. Line-search trials evaluate
-    only the quotient. The result is an upper estimate of the infimum, from
-    the better of two starts; stop_reason ("grad_tol", "plateau",
-    "line_search" or "max_iter") says why that start's descent stopped.
+    recenters the support scale periodically; line-search trials evaluate
+    only the quotient. The result is an upper estimate of the infimum.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
