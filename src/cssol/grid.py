@@ -1,5 +1,9 @@
 """Uniform square grids on [-L,L]^2: sampling, finite differences, quadrature,
-and flat-binary field I/O."""
+and flat-binary field I/O.
+
+A central stencil runs in one pass as antisymmetric (first derivative) or
+symmetric (second derivative) pairs c_j (v[i+j] -+ v[i-j]) / h^k summed in
+place, with 2nd-order one-sided stencils on the boundary ring of width r."""
 
 from __future__ import annotations
 
@@ -39,8 +43,8 @@ class Grid:
             raise ValueError("grid size M must be >= 16")
         if M % 2 != 0:
             raise ValueError("grid size M must be even")
-        if L <= 0:
-            raise ValueError("extent L must be positive")
+        if not 0.0 < L < np.inf:
+            raise ValueError("extent L must be positive and finite")
         object.__setattr__(self, "L", float(L))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "h", 2.0 * L / (M - 1))
@@ -81,12 +85,20 @@ class GridField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
-        v = np.asarray(values)
+        self._freeze(grid, np.array(values, order="C"))
+
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray) -> "GridField":
+        """Wrap a fresh array that nothing else references: checked, not copied."""
+        field = cls.__new__(cls)
+        field._freeze(grid, values)
+        return field
+
+    def _freeze(self, grid: Grid, v: np.ndarray) -> None:
         if v.shape != (grid.M, grid.M):
             raise ValueError(f"values shape {v.shape} does not match grid {grid}")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite field values")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
@@ -108,49 +120,34 @@ class GridField:
 # -- finite differences ----------------------------------------------------
 
 
-def _apply_1d(values: np.ndarray, coeffs: np.ndarray, radius: int, axis: int):
-    """Apply a centered stencil along an axis; boundary ring left at zero."""
-    out = np.zeros_like(values, dtype=complex if np.iscomplexobj(values) else float)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    n = v.shape[0]
-    for k, ck in enumerate(coeffs):
-        s = k - radius
-        if ck != 0.0:
-            o[radius : n - radius] += ck * v[radius + s : n - radius + s]
-    return out
+def _cut(axis: int, a: int, b: int):
+    """Index of the slab a:b along axis of a 2-D array."""
+    return (slice(a, b),) if axis == 0 else (slice(None), slice(a, b))
 
 
-def _one_sided_d1(values: np.ndarray, h: float, axis: int, out: np.ndarray, radius: int):
-    """2nd-order one-sided first derivative on the boundary ring."""
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    n = v.shape[0]
-    for i in list(range(radius)) + list(range(n - radius, n)):
-        if i < radius:
-            o[i] = (-1.5 * v[i] + 2.0 * v[i + 1] - 0.5 * v[i + 2]) / h
-        else:
-            o[i] = (1.5 * v[i] - 2.0 * v[i - 1] + 0.5 * v[i - 2]) / h
-
-
-def _one_sided_d2(values: np.ndarray, h: float, axis: int, out: np.ndarray, radius: int):
-    """2nd-order one-sided second derivative on the boundary ring."""
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    n = v.shape[0]
-    for i in list(range(radius)) + list(range(n - radius, n)):
-        if i < radius:
-            o[i] = (2.0 * v[i] - 5.0 * v[i + 1] + 4.0 * v[i + 2] - v[i + 3]) / h**2
-        else:
-            o[i] = (2.0 * v[i] - 5.0 * v[i - 1] + 4.0 * v[i - 2] - v[i - 3]) / h**2
+def _ring(v: np.ndarray, axis: int, r: int, k: int, h: float):
+    """(low, high) 2nd-order one-sided k-th derivative on the r end nodes of axis."""
+    n, w = v.shape[axis], (-1.5, 2.0, -0.5) if k == 1 else (2.0, -5.0, 4.0, -1.0)
+    lo = sum(c * v[_cut(axis, i, i + r)] for i, c in enumerate(w))
+    hi = sum((-1) ** k * c * v[_cut(axis, n - r - i, n - i)] for i, c in enumerate(w))
+    return lo / h**k, hi / h**k
 
 
 def deriv(field: GridField, axis: int, order: int = 4) -> GridField:
     """Partial derivative along axis (0 = x, 1 = y)."""
     coeffs, r = _D1[order]
-    out = _apply_1d(field.values, coeffs, r, axis) / field.grid.h
-    _one_sided_d1(field.values, field.grid.h, axis, out, r)
-    return GridField(field.grid, out)
+    v, h, n = field.values, field.grid.h, field.grid.M
+    out = np.empty(v.shape, np.result_type(v, np.float64))
+    o = out[_cut(axis, r, n - r)]
+    tmp = np.empty_like(o)
+    for j in range(1, r + 1):
+        pair = np.subtract(v[_cut(axis, r + j, n - r + j)], v[_cut(axis, r - j, n - r - j)],
+                           out=o if j == 1 else tmp)
+        pair *= coeffs[r + j] / h
+        if j > 1:
+            o += pair
+    out[_cut(axis, 0, r)], out[_cut(axis, n - r, n)] = _ring(v, axis, r, 1, h)
+    return GridField._own(field.grid, out)
 
 
 def gradient(field: GridField, order: int = 4):
@@ -159,30 +156,33 @@ def gradient(field: GridField, order: int = 4):
 
 def laplacian(field: GridField, order: int = 4) -> GridField:
     coeffs, r = _D2[order]
-    out = _apply_1d(field.values, coeffs, r, 0) + _apply_1d(field.values, coeffs, r, 1)
-    out /= field.grid.h ** 2
-    # boundary ring: 2nd-order one-sided in each direction
-    bx = np.zeros_like(out)
-    by = np.zeros_like(out)
-    _one_sided_d2(field.values, field.grid.h, 0, bx, r)
-    _one_sided_d2(field.values, field.grid.h, 1, by, r)
-    ring = np.zeros((field.grid.M, field.grid.M), dtype=bool)
-    ring[:r, :] = ring[-r:, :] = ring[:, :r] = ring[:, -r:] = True
-    out[ring] = (bx + by)[ring]
-    return GridField(field.grid, out)
+    v, h, n = field.values, field.grid.h, field.grid.M
+    out = np.empty(v.shape, np.result_type(v, np.float64))
+    c = slice(r, n - r)
+    o = np.multiply(v[c, c], 2.0 * coeffs[r] / h**2, out=out[c, c])
+    tmp = np.empty_like(o)
+    for j in range(1, r + 1):
+        np.add(v[r + j : n - r + j, c], v[r - j : n - r - j, c], out=tmp)
+        tmp += v[c, r + j : n - r + j]
+        tmp += v[c, r - j : n - r - j]
+        tmp *= coeffs[r + j] / h**2
+        o += tmp
+    # a ring node sums the one-sided terms of the axes on whose ring it lies
+    out[:, :r], out[:, n - r :] = _ring(v, 1, r, 2, h)
+    out[:r, c] = out[n - r :, c] = 0.0
+    lo, hi = _ring(v, 0, r, 2, h)
+    out[:r] += lo
+    out[n - r :] += hi
+    return GridField._own(field.grid, out)
 
 
 def curl(F1: GridField, F2: GridField, order: int = 4) -> GridField:
     """Scalar curl of a planar vector field: d1 F2 - d2 F1."""
-    return GridField(
-        F1.grid, deriv(F2, 0, order).values - deriv(F1, 1, order).values
-    )
+    return GridField._own(F1.grid, deriv(F2, 0, order).values - deriv(F1, 1, order).values)
 
 
 def divergence(F1: GridField, F2: GridField, order: int = 4) -> GridField:
-    return GridField(
-        F1.grid, deriv(F1, 0, order).values + deriv(F2, 1, order).values
-    )
+    return GridField._own(F1.grid, deriv(F1, 0, order).values + deriv(F2, 1, order).values)
 
 
 def interior_mask(grid: Grid, margin: int = 3) -> np.ndarray:

@@ -257,13 +257,13 @@ def superpotential(rho: GridField) -> GridField:
     """Phi[rho](x) = int (log|x-y| - log(|y|+1)) rho(y) dy on the grid."""
     v = _check_density(rho)
     conv, weight = _log_conv(rho.grid, v)
-    return GridField(rho.grid, conv - float(np.sum(weight * v) * rho.grid.h**2))
+    return GridField._own(rho.grid, conv - float(np.sum(weight * v) * rho.grid.h**2))
 
 
 def log_convolution(f: GridField) -> GridField:
     """int log|x-y| f(y) dy for a (possibly signed) real field; no
     -log(|y|+1) renormalization."""
-    return GridField(f.grid, _log_conv(f.grid, f.values.real)[0])
+    return GridField._own(f.grid, _log_conv(f.grid, f.values.real)[0])
 
 
 def vector_potential(rho: GridField):
@@ -277,8 +277,8 @@ def vector_potential(rho: GridField):
     plan = KernelPlan(g)
     S1, S2 = plan.a_spectra()
     spec = plan.forward(v)
-    return (GridField(g, plan.inverse(spec * S1) * g.h),
-            GridField(g, plan.inverse(spec * S2) * g.h))
+    return (GridField._own(g, plan.inverse(spec * S1) * g.h),
+            GridField._own(g, plan.inverse(spec * S2) * g.h))
 
 
 def a_star(F1: GridField, F2: GridField) -> GridField:
@@ -293,7 +293,7 @@ def a_star(F1: GridField, F2: GridField) -> GridField:
     S1, S2 = plan.a_spectra()
     spec = (plan.forward(np.asarray(F1.values, dtype=float)) * S1
             + plan.forward(np.asarray(F2.values, dtype=float)) * S2)
-    return GridField(g, plan.inverse(spec) * g.h)
+    return GridField._own(g, plan.inverse(spec) * g.h)
 
 
 def newton_check(rho: GridField, radii) -> list[tuple[float, float]]:

@@ -1,9 +1,14 @@
 """Desk grids: stencil accuracy, quadrature, masks, and field file I/O."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssol.grid import (
+    _D1,
+    _D2,
     Grid,
     GridField,
     curl,
@@ -18,6 +23,7 @@ from cssol.grid import (
     quadrature,
     save_field,
 )
+from cssol.kernels import a_star, superpotential, vector_potential
 
 
 def test_grid_geometry():
@@ -35,6 +41,12 @@ def test_grid_validation():
         Grid(-1.0, 64)
     with pytest.raises(ValueError):
         Grid(8.0, 0)
+
+
+@pytest.mark.parametrize("L", [float("nan"), float("inf")])
+def test_grid_rejects_non_finite_extent(L):
+    with pytest.raises(ValueError, match="extent"):
+        Grid(L, 64)
 
 
 def test_grid_equality_hash():
@@ -144,6 +156,15 @@ def test_load_field_rejects_imaginary_part_in_real_file(tmp_path):
         load_field(path)
 
 
+def test_load_field_rejects_non_finite_extent(tmp_path):
+    path = str(tmp_path / "field.f8")
+    save_field(GridField(Grid(5.0, 32), np.ones((32, 32))), path)
+    with open(path + ".json", "w") as fh:
+        json.dump({"L": float("nan"), "M": 32, "kind": "real"}, fh)
+    with pytest.raises(ValueError, match="extent"):
+        load_field(path)
+
+
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         GridField(Grid(4.0, 16), np.zeros((8, 8)))
@@ -154,3 +175,173 @@ def test_one_sided_boundary_not_nan():
     f = _gaussian(g)
     for order in (2, 4, 6, 8):
         assert np.all(np.isfinite(deriv(f, 1, order).values))
+
+
+def test_field_copies_and_freezes_its_input():
+    g = Grid(4.0, 16)
+    raw = np.ones((16, 16))
+    f = GridField(g, raw)
+    raw[0, 0] = 5.0
+    assert f.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 2.0
+    raw[1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite field values"):
+        GridField(g, raw)
+
+
+def test_computed_fields_are_read_only_and_do_not_alias_inputs():
+    g = Grid(6.0, 64)
+    f = _gaussian(g)
+    outs = [deriv(f, 0), laplacian(f), divergence(f, f), superpotential(f),
+            *vector_potential(f), a_star(f, f)]
+    for out in outs:
+        assert out.grid == g and out.values.shape == (64, 64)
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, f.values)
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 1.0
+
+
+def test_stencil_overflow_is_rejected():
+    # alternating +-1e308: the interior pairs cancel, the one-sided ring
+    # stencil overflows to -inf
+    g = Grid(4.0, 16)
+    f = GridField(g, 1e308 * (-1.0) ** np.add.outer(np.arange(16), np.arange(16)))
+    with np.errstate(over="ignore"):
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match="non-finite field values"):
+                deriv(f, axis)
+        with pytest.raises(ValueError, match="non-finite field values"):
+            laplacian(f)
+
+
+# -- the stencils as applied term by term, kept as the reference -------------
+
+
+def _ref_apply_1d(values, coeffs, radius, axis):
+    """Apply a centered stencil along an axis; boundary ring left at zero."""
+    out = np.zeros_like(values, dtype=complex if np.iscomplexobj(values) else float)
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    n = v.shape[0]
+    for k, ck in enumerate(coeffs):
+        s = k - radius
+        if ck != 0.0:
+            o[radius : n - radius] += ck * v[radius + s : n - radius + s]
+    return out
+
+
+def _ref_one_sided_d1(values, h, axis, out, radius):
+    """2nd-order one-sided first derivative on the boundary ring."""
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    n = v.shape[0]
+    for i in list(range(radius)) + list(range(n - radius, n)):
+        if i < radius:
+            o[i] = (-1.5 * v[i] + 2.0 * v[i + 1] - 0.5 * v[i + 2]) / h
+        else:
+            o[i] = (1.5 * v[i] - 2.0 * v[i - 1] + 0.5 * v[i - 2]) / h
+
+
+def _ref_one_sided_d2(values, h, axis, out, radius):
+    """2nd-order one-sided second derivative on the boundary ring."""
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    n = v.shape[0]
+    for i in list(range(radius)) + list(range(n - radius, n)):
+        if i < radius:
+            o[i] = (2.0 * v[i] - 5.0 * v[i + 1] + 4.0 * v[i + 2] - v[i + 3]) / h**2
+        else:
+            o[i] = (2.0 * v[i] - 5.0 * v[i - 1] + 4.0 * v[i - 2] - v[i - 3]) / h**2
+
+
+def _ref_deriv(field, axis, order):
+    coeffs, r = _D1[order]
+    out = _ref_apply_1d(field.values, coeffs, r, axis) / field.grid.h
+    _ref_one_sided_d1(field.values, field.grid.h, axis, out, r)
+    return out
+
+
+def _ref_laplacian(field, order):
+    coeffs, r = _D2[order]
+    out = _ref_apply_1d(field.values, coeffs, r, 0) + _ref_apply_1d(field.values, coeffs, r, 1)
+    out /= field.grid.h ** 2
+    bx = np.zeros_like(out)
+    by = np.zeros_like(out)
+    _ref_one_sided_d2(field.values, field.grid.h, 0, bx, r)
+    _ref_one_sided_d2(field.values, field.grid.h, 1, by, r)
+    ring = _ring_mask(field.grid.M, r, (0, 1))
+    out[ring] = (bx + by)[ring]
+    return out
+
+
+def _ring_mask(M, r, axes):
+    """Nodes within r of either end of any of the axes."""
+    ring = np.zeros((M, M), dtype=bool)
+    for axis in axes:
+        band = np.zeros(M, dtype=bool)
+        band[:r] = band[M - r :] = True
+        ring |= band[:, None] if axis == 0 else band[None, :]
+    return ring
+
+
+STENCIL_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def stencil_cases(draw):
+    """(grid, order, axis, random field) with M in [16, 64]."""
+    M = 2 * draw(st.integers(8, 32))
+    g = Grid(draw(st.floats(1.0, 20.0)), M)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(M, M)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=(M, M))
+    return g, draw(st.sampled_from([2, 4, 6, 8])), draw(st.sampled_from([0, 1])), values
+
+
+@STENCIL_SETTINGS
+@given(stencil_cases())
+def test_stencils_match_term_by_term_reference(case):
+    """Interior nodes agree to rounding, the one-sided ring exactly."""
+    g, order, axis, values = case
+    f = GridField(g, values)
+    scale = np.max(np.abs(values))
+    r = _D1[order][1]
+    for got, want, ring, k in (
+        (deriv(f, axis, order), _ref_deriv(f, axis, order), _ring_mask(g.M, r, (axis,)), 1),
+        (laplacian(f, order), _ref_laplacian(f, order), _ring_mask(g.M, r, (0, 1)), 2),
+    ):
+        assert got.values.dtype == want.dtype
+        assert np.array_equal(got.values[ring], want[ring])
+        assert np.max(np.abs(got.values - want)[~ring]) <= 1e-14 * scale / g.h**k
+
+
+COEFFICIENTS = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
+
+
+@STENCIL_SETTINGS
+@given(stencil_cases(), COEFFICIENTS, COEFFICIENTS)
+def test_stencils_are_linear(case, a, b):
+    g, order, axis, values = case
+    f, w = GridField(g, values), GridField(g, np.roll(values, 3, axis=axis) ** 2)
+    both = GridField(g, a * f.values + b * w.values)
+    scale = abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(w.values))
+    for op, k in ((lambda u: deriv(u, axis, order), 1), (lambda u: laplacian(u, order), 2)):
+        combo = a * op(f).values + b * op(w).values
+        assert np.max(np.abs(op(both).values - combo)) <= 1e-13 * scale / g.h**k
+
+
+@STENCIL_SETTINGS
+@given(stencil_cases())
+def test_central_first_derivative_sums_by_parts(case):
+    """sum f D1 g = -sum g D1 f for f, g vanishing on a border of width 2r."""
+    g, order, axis, values = case
+    r = _D1[order][1]
+    inner = ~_ring_mask(g.M, 2 * r, (0, 1))
+    f = GridField(g, np.where(inner, values, 0.0))
+    w = GridField(g, np.where(inner, np.roll(values, 5, axis=1 - axis) ** 2, 0.0))
+    df, dw = deriv(f, axis, order).values, deriv(w, axis, order).values
+    scale = np.sum(np.abs(f.values * dw)) + np.sum(np.abs(w.values * df))
+    assert abs(np.sum(f.values * dw) + np.sum(w.values * df)) <= 1e-14 * scale
