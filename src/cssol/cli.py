@@ -6,17 +6,18 @@ JSON or CSV reports; exit code 0 = all checks pass, 1 = a check failed,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import poly
 from .grid import Grid, integrate, load_field, quadrature, save_field
-from .poly import ComplexPolynomial
+from .poly import ComplexPolynomial, PairTransform
 from .soliton import (
     LiouvilleSolution,
     Soliton,
@@ -44,52 +45,47 @@ class ReportRow:
                 <= self.tolerance * max(1.0, abs(self.expected)))
 
 
+ROW_COLUMNS = ("name", "expected", "computed", "tolerance", "pass")
+
+
 def _fmt(x) -> str:
     """17-significant-digit, locale-free numeric format."""
     return f"{float(x):.17g}"
 
 
-def _rows_csv(rows: list[ReportRow]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "expected", "computed", "tolerance", "pass"])
-    for r in rows:
-        w.writerow([r.name, _fmt(r.expected), _fmt(r.computed),
-                    _fmt(r.tolerance), str(r.passed).lower()])
-    return buf.getvalue()
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return str(x).lower()
+    return _fmt(x)
 
 
-def _rows_json(rows: list[ReportRow]) -> str:
-    return json.dumps(
-        [
-            {
-                "name": r.name,
-                "expected": r.expected,
-                "computed": r.computed,
-                "tolerance": r.tolerance,
-                "pass": r.passed,
-            }
-            for r in rows
-        ],
-        indent=2,
-    )
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _report(args, payload, ok: bool = True) -> int:
+    """Write payload to --out, else stdout, and return the exit code (0 if
+    ok, else 1).  In the CSV format the payload is a list of flat records
+    with the same keys (a single dict is one record), written one line each
+    under a header; otherwise it is written as indented JSON."""
+    if getattr(args, "format", "json") == "csv":
+        records = [payload] if isinstance(payload, dict) else payload
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(list(records[0]) if records else ROW_COLUMNS)  # --count 0: no rows
+        w.writerows([_cell(v) for v in r.values()] for r in records)
+        text = buf.getvalue()
     else:
-        print(text)
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if ok else 1
 
 
-def _finish(rows: list[ReportRow], args) -> int:
-    text = _rows_csv(rows) if getattr(args, "csv", False) else _rows_json(rows)
-    _emit(text, getattr(args, "out", None))
-    return 0 if all(r.passed for r in rows) else 1
+def _check_report(args, rows: list[ReportRow]) -> int:
+    records = [asdict(r) | {"pass": r.passed} for r in rows]
+    return _report(args, records, all(r.passed for r in rows))
 
 
 def _parse_grid(text: str) -> Grid:
@@ -118,10 +114,9 @@ def _parse_poly(text: str) -> ComplexPolynomial:
 
 
 def _pair_from_args(args) -> WronskianPair:
-    if getattr(args, "vortex", None):
-        spec = _parse_vortex(args.vortex)
-        return vortex_ring(spec).pair
-    if getattr(args, "P", None) and getattr(args, "Q", None):
+    if args.vortex:
+        return vortex_ring(_parse_vortex(args.vortex)).pair
+    if args.P and args.Q:
         try:
             return WronskianPair(_parse_poly(args.P), _parse_poly(args.Q))
         except ValueError as exc:
@@ -159,22 +154,18 @@ def _poly_json(p: ComplexPolynomial):
 def cmd_solve_wronskian(args) -> int:
     f = _parse_poly(args.f)
     families = solve_generic(f, seed=args.seed)
-    payload = []
-    ok = True
-    for fam in families:
-        ok = ok and fam.residual <= 1e-10
-        payload.append(
-            {
-                "kind": fam.kind,
-                "parameters": {k: str(v) for k, v in fam.parameters.items()},
-                "P": _poly_json(fam.representative.P),
-                "Q": _poly_json(fam.representative.Q),
-                "residual": fam.residual,
-            }
-        )
-    _emit(json.dumps({"f": _poly_json(f), "families": payload}, indent=2),
-          args.out)
-    return 0 if ok else 1
+    payload = [
+        {
+            "kind": fam.kind,
+            "parameters": {k: str(v) for k, v in fam.parameters.items()},
+            "P": _poly_json(fam.representative.P),
+            "Q": _poly_json(fam.representative.Q),
+            "residual": fam.residual,
+        }
+        for fam in families
+    ]
+    ok = all(fam.residual <= 1e-10 for fam in families)
+    return _report(args, {"f": _poly_json(f), "families": payload}, ok)
 
 
 def cmd_build_soliton(args) -> int:
@@ -184,20 +175,19 @@ def cmd_build_soliton(args) -> int:
     u = sol.sample(g)
     if args.field_out:
         save_field(u, args.field_out)
-    report = {
+    return _report(args, {
         "beta": sol.beta,
         "max_degree": pair.max_degree,
         "mass": quadrature(u, 2),
         "quartic": quadrature(u, 4),
         "total_vorticity": total_vorticity(sol),
         "grid": {"L": g.L, "M": g.M},
-    }
-    _emit(json.dumps(report, indent=2), args.out)
-    return 0
+    })
 
 
 def cmd_verify_soliton(args) -> int:
     from .functionals import liouville_residual, magnetic_energy
+    from .sampling import haar_su2
 
     pair = _pair_from_args(args)
     sol = Soliton(pair)
@@ -220,20 +210,16 @@ def cmd_verify_soliton(args) -> int:
                           abs(rep.bogomolnyi_gap - rep.susy_rhs)
                           / max(rep.total_E_beta, 1e-300), args.identity_tol))
     rng = np.random.default_rng(args.seed)
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    lam = float(np.exp(rng.uniform(-0.5, 0.5)))
-    t = poly.PairTransform(lam * np.array(
-        [[q[0] + 1j * q[1], q[2] + 1j * q[3]],
-         [-(q[2] - 1j * q[3]), q[0] - 1j * q[1]]]))
-    ok, _ = same_orbit(pair, pair.transformed(t))
+    su2 = haar_su2(rng).entries
+    lam = float(np.exp(rng.uniform(-0.5, 0.5)))  # drawn after the matrix
+    ok, _ = same_orbit(pair, pair.transformed(PairTransform(lam * su2)))
     rows.append(ReportRow("symmetry_orbit", 1.0, 1.0 if ok else 0.0, 1e-12))
     # vorticity range [n-1, 2n-2]: pass iff the count lies in the window
     v = total_vorticity(sol)
     rows.append(ReportRow(
         "total_vorticity",
         float(min(max(v, n - 1), max(2 * n - 2, n - 1))), float(v), 1e-12))
-    return _finish(rows, args)
+    return _check_report(args, rows)
 
 
 def cmd_verify_identities(args) -> int:
@@ -259,7 +245,7 @@ def cmd_verify_identities(args) -> int:
             f"field{i}_factorization_plus", 0.0,
             (erep.total_E_beta + 2 * np.pi * args.beta * erep.quartic - plus)
             / scale, args.identity_tol))
-    return _finish(rows, args)
+    return _check_report(args, rows)
 
 
 def cmd_energy(args) -> int:
@@ -273,22 +259,14 @@ def cmd_energy(args) -> int:
         u = load_field(args.field)
         beta = args.beta
     else:
-        pair = _pair_from_args(args)
-        sol = Soliton(pair)
+        sol = Soliton(_pair_from_args(args))
         u = sol.sample(_parse_grid(args.grid))
         beta = args.beta if args.beta is not None else sol.beta
     rep = magnetic_energy(u, beta)
     payload = {k: getattr(rep, k) for k in (
         "beta", "kinetic", "cross", "curvature", "quartic", "mass",
         "total_E_beta", "susy_rhs", "bogomolnyi_gap", "quotient")}
-    if args.csv:
-        keys = list(payload)
-        text = (",".join(keys) + "\n"
-                + ",".join(_fmt(payload[k]) for k in keys))
-    else:
-        text = json.dumps(payload, indent=2)
-    _emit(text, args.out)
-    return 0
+    return _report(args, payload)
 
 
 def cmd_estimate_gamma(args) -> int:
@@ -302,26 +280,20 @@ def cmd_estimate_gamma(args) -> int:
         return 1
     if args.field_out:
         save_field(est.minimizer, args.field_out)
-    payload = {
-        "beta": est.beta,
-        "gamma_hat": est.gamma_hat,
-        "lower_bound": est.lower_bound,
-        "upper_bound": est.upper_bound,
-        "iterations": est.iterations,
-        "final_gradient_norm": est.final_gradient_norm,
-        "stop_reason": est.stop_reason,
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
+    payload = {k: getattr(est, k) for k in (
+        "beta", "gamma_hat", "lower_bound", "upper_bound", "iterations",
+        "final_gradient_norm", "stop_reason")}
     sandwiched = (est.lower_bound * 0.97 <= est.gamma_hat
                   <= est.upper_bound * 1.03)
-    return 0 if sandwiched else 1
+    return _report(args, payload, sandwiched)
 
 
 def _parse_betas(text: str) -> list[float]:
     try:
         if ":" in text:
-            parts = [float(x) for x in text.split(":")]
-            start, stop, step = parts
+            start, stop, step = (float(x) for x in text.split(":"))
+            if not step > 0:
+                raise UsageError(f"bad --betas {text!r}: step must be positive")
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
             return [start + i * step for i in range(n)]
         return [float(x) for x in text.split(",")]
@@ -337,30 +309,16 @@ def cmd_scan(args) -> int:
         raise UsageError("no positive beta values in --betas")
     cfg = DescentConfig(grid=_parse_grid(args.grid), seed=args.seed)
     res = structure_scan(betas, cfg)
-    if args.json:
-        text = json.dumps(
-            {
-                "rows": [
-                    {"beta": r.beta, "lower": r.lower, "upper": r.upper,
-                     "gamma_hat": r.gamma_hat,
-                     "gamma_over_beta": r.gamma_over_beta}
-                    for r in res.rows
-                ],
-                "lipschitz": list(res.lipschitz),
-                "monotone": res.gamma_over_beta_monotone,
-            },
-            indent=2,
-        )
+    rows = [asdict(r) for r in res.rows]
+    if args.format == "csv":  # the bounds table; JSON adds gamma/beta and checks
+        payload = [{k: row[k] for k in ("beta", "lower", "upper", "gamma_hat")}
+                   for row in rows]
     else:
-        lines = ["beta,lower,upper,gamma_hat"]
-        for r in res.rows:
-            lines.append(",".join(
-                _fmt(x) for x in (r.beta, r.lower, r.upper, r.gamma_hat)))
-        text = "\n".join(lines)
-    _emit(text, args.out)
+        payload = {"rows": rows, "lipschitz": list(res.lipschitz),
+                   "monotone": res.gamma_over_beta_monotone}
     sandwiched = all(r.lower * 0.97 <= r.gamma_hat <= r.upper * 1.03
                      for r in res.rows)
-    return 0 if (sandwiched and res.gamma_over_beta_monotone) else 1
+    return _report(args, payload, sandwiched and res.gamma_over_beta_monotone)
 
 
 def cmd_townes(args) -> int:
@@ -369,19 +327,33 @@ def cmd_townes(args) -> int:
     prof = townes_profile()
     rows = [ReportRow("c_lgn", 0.931 * 2.0 * np.pi, prof.c_lgn, 5e-3),
             ReportRow("peak_amplitude", 2.2062, float(prof.tau[0]), 1e-3)]
-    return _finish(rows, args)
+    return _check_report(args, rows)
 
 
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(sp, grid_default="40,1024"):
-    sp.add_argument("--grid", default=grid_default, help="L,M")
-    sp.add_argument("--seed", type=int, default=42)
+def _subcommand(sub, name, fn, grid=None, seed=False, pair=False,
+                formats=False, help=None):
+    """Register a subcommand with --out and, where it reads them, --grid
+    (default `grid`), --seed, --vortex/--P/--Q and --json/--csv (JSON)."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(fn=fn)
+    if pair:
+        sp.add_argument("--vortex", help="n=2[,a=..,b=..,c=..,z0=..]")
+        sp.add_argument("--P", help="[[re,im],...]")
+        sp.add_argument("--Q", help="[[re,im],...]")
+    if grid:
+        sp.add_argument("--grid", default=grid, help="L,M")
+    if seed:
+        sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--out", default=None, help="write the report here")
-    fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=False)
-    fmt.add_argument("--csv", action="store_true", default=False)
+    if formats:
+        fmt = sp.add_mutually_exclusive_group()
+        for choice in ("json", "csv"):
+            fmt.add_argument(f"--{choice}", dest="format", action="store_const",
+                             const=choice, default="json")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,59 +363,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "interpolation-constant estimator.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve-wronskian", help="families with W(P,Q) = f")
+    sp = _subcommand(sub, "solve-wronskian", cmd_solve_wronskian, seed=True,
+                     help="families with W(P,Q) = f")
     sp.add_argument("--f", required=True, help="[[re,im],...] ascending")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_solve_wronskian)
 
-    for name, fn in (("build-soliton", cmd_build_soliton),
-                     ("verify-soliton", cmd_verify_soliton)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--vortex", help="n=2[,a=..,b=..,c=..,z0=..]")
-        sp.add_argument("--P", help="[[re,im],...]")
-        sp.add_argument("--Q", help="[[re,im],...]")
-        sp.add_argument("--field-out", default=None,
-                        help="save the sampled field: raw <f8 (re, im) "
-                             "pairs, plus a PATH.json sidecar")
-        sp.add_argument("--mass-tol", type=float, default=1e-2)
-        sp.add_argument("--identity-tol", type=float, default=1e-4)
-        _add_common(sp)
-        sp.set_defaults(fn=fn)
+    sp = _subcommand(sub, "build-soliton", cmd_build_soliton, grid="40,1024",
+                     pair=True)
+    sp.add_argument("--field-out", default=None,
+                    help="save the sampled field: raw <f8 (re, im) pairs, "
+                         "plus a PATH.json sidecar")
 
-    sp = sub.add_parser("verify-identities",
-                        help="factorization + inequality battery on random fields")
+    sp = _subcommand(sub, "verify-soliton", cmd_verify_soliton,
+                     grid="40,1024", seed=True, pair=True, formats=True)
+    sp.add_argument("--mass-tol", type=float, default=1e-2)
+    sp.add_argument("--identity-tol", type=float, default=1e-4)
+
+    sp = _subcommand(sub, "verify-identities", cmd_verify_identities,
+                     grid="16,256", seed=True, formats=True,
+                     help="factorization + inequality battery on random fields")
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--identity-tol", type=float, default=1e-4)
-    _add_common(sp, grid_default="16,256")
-    sp.set_defaults(fn=cmd_verify_identities)
 
-    sp = sub.add_parser("energy", help="energy decomposition of a field")
-    sp.add_argument("--vortex")
-    sp.add_argument("--P")
-    sp.add_argument("--Q")
+    sp = _subcommand(sub, "energy", cmd_energy, grid="40,1024", pair=True,
+                     formats=True, help="energy decomposition of a field")
     sp.add_argument("--field", help="load a saved field: raw <f8 (re, im) "
                     "pairs, plus a PATH.json sidecar")
     sp.add_argument("--beta", type=float, default=None,
                     help="flux; required with --field, else the soliton's")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_energy)
 
-    sp = sub.add_parser("estimate-gamma")
+    sp = _subcommand(sub, "estimate-gamma", cmd_estimate_gamma,
+                     grid="12,128", seed=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--field-out", default=None)
-    _add_common(sp, grid_default="12,128")
-    sp.set_defaults(fn=cmd_estimate_gamma)
 
-    sp = sub.add_parser("scan")
+    sp = _subcommand(sub, "scan", cmd_scan, grid="12,128", seed=True,
+                     formats=True)
     sp.add_argument("--betas", required=True,
                     help="comma list or start:stop:step")
-    _add_common(sp, grid_default="12,128")
-    sp.set_defaults(fn=cmd_scan)
+    sp.set_defaults(format="csv")
 
-    sp = sub.add_parser("townes", help="ground-state shooting constant")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_townes)
+    _subcommand(sub, "townes", cmd_townes, formats=True,
+                help="ground-state shooting constant")
     return ap
 
 
@@ -455,10 +416,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,13 +105,13 @@ def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     g, order, beta = state.u.grid, state.order, state.beta
     D1, D2 = state.D
     # covariant Laplacian: sum_j (d_j + i beta A_j) D_j
-    covlap = divergence(GridField(g, D1), GridField(g, D2), order).values
+    covlap = divergence(GridField._own(g, D1), GridField._own(g, D2), order).values
     potential = 2.0 * gamma * state.rho
     if beta != 0.0:
         (A1, A2), (J1, J2), rho = state.A, state.current, state.rho
         covlap = covlap + 1j * beta * (A1 * D1 + A2 * D2)
-        s = a_star(GridField(g, 2.0 * beta**2 * A1 * rho + 2.0 * beta * J1),
-                   GridField(g, 2.0 * beta**2 * A2 * rho + 2.0 * beta * J2))
+        s = a_star(GridField._own(g, 2.0 * beta**2 * A1 * rho + 2.0 * beta * J1),
+                   GridField._own(g, 2.0 * beta**2 * A2 * rho + 2.0 * beta * J2))
         potential = s.values + potential
     return -covlap - potential * state.u.values
 

@@ -89,7 +89,7 @@ class GridField:
 
     @classmethod
     def _own(cls, grid: Grid, values: np.ndarray) -> "GridField":
-        """Wrap a fresh array that nothing else references: checked, not copied."""
+        """Wrap an array that nothing writes afterwards: checked and frozen, not copied."""
         field = cls.__new__(cls)
         field._freeze(grid, values)
         return field

@@ -1,8 +1,12 @@
 """Command-line front end: exit codes, report formats, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
-from cssol.cli import ReportRow, _fmt, main
+import pytest
+
+from cssol.cli import ReportRow, _fmt, build_parser, main
 
 
 def run(argv):
@@ -113,3 +117,110 @@ def test_energy_missing_field_file(capsys):
 def test_bad_grid_flag(capsys):
     assert run(["energy", "--vortex", "n=1", "--grid", "banana"]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run(["solve-wronskian", "--f", "[[1,0]]", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_energy_field_is_a_directory(tmp_path, capsys):
+    assert run(["energy", "--field", str(tmp_path), "--beta", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("betas", ["0:1:0", "1:0:-1"])
+def test_scan_nonpositive_step_exits_2(betas, capsys):
+    assert run(["scan", "--betas", betas]) == 2
+    assert "step" in capsys.readouterr().err
+
+
+ROW_KEYS = ["name", "expected", "computed", "tolerance", "pass"]
+ROWS = {"": ROW_KEYS, "--json": ROW_KEYS, "--csv": ",".join(ROW_KEYS)}
+ENERGY_KEYS = ["beta", "kinetic", "cross", "curvature", "quartic", "mass",
+               "total_E_beta", "susy_rhs", "bogomolnyi_gap", "quotient"]
+SCAN_HEADER = "beta,lower,upper,gamma_hat"
+
+# Each subcommand on a small grid: its arguments, its exit code, and for the
+# default format ("") and each format flag it takes, the report's shape: the
+# JSON top-level keys (a row table's record keys) or the CSV header.
+MATRIX = {
+    "solve-wronskian": (["--f", "[[1,0],[0,0],[1,0]]"], 0,
+                        {"": ["f", "families"]}),
+    "build-soliton": (["--vortex", "n=1", "--grid", "16,64"], 0,
+                      {"": ["beta", "max_degree", "mass", "quartic",
+                            "total_vorticity", "grid"]}),
+    "verify-soliton": (["--vortex", "n=1", "--grid", "16,256"], 0, ROWS),
+    "verify-identities": (["--grid", "16,128", "--count", "1"], 0, ROWS),
+    "energy": (["--vortex", "n=1", "--grid", "16,64"], 0,
+               {"": ENERGY_KEYS, "--json": ENERGY_KEYS,
+                "--csv": ",".join(ENERGY_KEYS)}),
+    "estimate-gamma": (["--beta", "0", "--grid", "12,128"], 0,
+                       {"": ["beta", "gamma_hat", "lower_bound",
+                             "upper_bound", "iterations",
+                             "final_gradient_norm", "stop_reason"]}),
+    "scan": (["--betas", "1", "--grid", "12,128"], 0,
+             {"": SCAN_HEADER, "--json": ["rows", "lipschitz", "monotone"],
+              "--csv": SCAN_HEADER}),
+    "townes": ([], 0, ROWS),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, _, shapes) in MATRIX.items()
+    for flag in shapes])
+def test_report_formats(command, flag, tmp_path, capsys):
+    extra, code, shapes = MATRIX[command]
+    argv = [command, *extra] + ([flag] if flag else [])
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if isinstance(shapes[flag], str):
+        lines = out.splitlines()
+        assert lines[0] == shapes[flag]
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
+    else:
+        report = json.loads(out)
+        keys = list(report[0] if isinstance(report, list) else report)
+        assert keys == shapes[flag]
+    path = tmp_path / "report"
+    assert run(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-wronskian", "--f", "[[1,0]]", "--grid", "8,32"],
+    ["solve-wronskian", "--f", "[[1,0]]", "--json"],
+    ["solve-wronskian", "--f", "[[1,0]]", "--csv"],
+    ["build-soliton", "--vortex", "n=1", "--mass-tol", "0.1"],
+    ["build-soliton", "--vortex", "n=1", "--identity-tol", "0.1"],
+    ["build-soliton", "--vortex", "n=1", "--seed", "1"],
+    ["build-soliton", "--vortex", "n=1", "--json"],
+    ["build-soliton", "--vortex", "n=1", "--csv"],
+    ["verify-soliton", "--vortex", "n=1", "--field-out", "u.f8"],
+    ["energy", "--vortex", "n=1", "--seed", "1"],
+    ["estimate-gamma", "--beta", "0", "--json"],
+    ["estimate-gamma", "--beta", "0", "--csv"],
+    ["townes", "--grid", "8,32"],
+    ["townes", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]} {[a for a in argv if a[:2] == '--'][-1]}")
+def test_unread_flags_are_rejected(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cssol ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
