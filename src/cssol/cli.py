@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -45,9 +44,6 @@ class ReportRow:
                 <= self.tolerance * max(1.0, abs(self.expected)))
 
 
-ROW_COLUMNS = ("name", "expected", "computed", "tolerance", "pass")
-
-
 def _fmt(x) -> str:
     """17-significant-digit, locale-free numeric format."""
     return f"{float(x):.17g}"
@@ -70,7 +66,7 @@ def _report(args, payload, ok: bool = True) -> int:
         records = [payload] if isinstance(payload, dict) else payload
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(list(records[0]) if records else ROW_COLUMNS)  # --count 0: no rows
+        w.writerow(list(records[0]))
         w.writerows([_cell(v) for v in r.values()] for r in records)
         text = buf.getvalue()
     else:
@@ -186,7 +182,7 @@ def cmd_build_soliton(args) -> int:
 
 
 def cmd_verify_soliton(args) -> int:
-    from .functionals import liouville_residual, magnetic_energy
+    from .functionals import liouville_residual, magnetic_energy, susy_rhs
     from .sampling import haar_su2
 
     pair = _pair_from_args(args)
@@ -207,7 +203,7 @@ def cmd_verify_soliton(args) -> int:
     rows.append(ReportRow("bogomolnyi_gap_rel", 0.0,
                           rep.bogomolnyi_gap / rep.total_E_beta, 1e-3))
     rows.append(ReportRow("susy_residual_rel", 0.0,
-                          abs(rep.bogomolnyi_gap - rep.susy_rhs)
+                          abs(rep.bogomolnyi_gap - susy_rhs(u, beta, -1))
                           / max(rep.total_E_beta, 1e-300), args.identity_tol))
     rng = np.random.default_rng(args.seed)
     su2 = haar_su2(rng).entries
@@ -223,9 +219,11 @@ def cmd_verify_soliton(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    from .functionals import inequality_battery, susy_rhs, magnetic_energy
+    from .functionals import inequality_battery, magnetic_energy, susy_rhs
     from .sampling import normalized, random_smooth_field
 
+    if args.count < 1:
+        raise UsageError(f"--count {args.count}: need at least one field")
     g = _parse_grid(args.grid)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -236,11 +234,12 @@ def cmd_verify_identities(args) -> int:
         rows.append(ReportRow(f"field{i}_worst_margin", max(worst, 0.0),
                               worst, 1e-6))
         erep = magnetic_energy(u, args.beta, order=6)
+        minus = susy_rhs(u, args.beta, -1, order=6)
         plus = susy_rhs(u, args.beta, +1, order=6)
         scale = max(abs(erep.total_E_beta), 1.0)
         rows.append(ReportRow(
             f"field{i}_factorization_minus", 0.0,
-            (erep.bogomolnyi_gap - erep.susy_rhs) / scale, args.identity_tol))
+            (erep.bogomolnyi_gap - minus) / scale, args.identity_tol))
         rows.append(ReportRow(
             f"field{i}_factorization_plus", 0.0,
             (erep.total_E_beta + 2 * np.pi * args.beta * erep.quartic - plus)
@@ -249,21 +248,19 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    from .functionals import magnetic_energy
+    from .functionals import magnetic_energy, susy_rhs
 
     if args.field:
-        if not os.path.exists(args.field):
-            raise UsageError(f"missing field file {args.field!r}")
+        u = load_field(args.field)
         if args.beta is None:
             raise UsageError("--field needs --beta: a saved field carries no flux")
-        u = load_field(args.field)
         beta = args.beta
     else:
         sol = Soliton(_pair_from_args(args))
         u = sol.sample(_parse_grid(args.grid))
         beta = args.beta if args.beta is not None else sol.beta
-    rep = magnetic_energy(u, beta)
-    payload = {k: getattr(rep, k) for k in (
+    rep = asdict(magnetic_energy(u, beta)) | {"susy_rhs": susy_rhs(u, beta, -1)}
+    payload = {k: rep[k] for k in (
         "beta", "kinetic", "cross", "curvature", "quartic", "mass",
         "total_E_beta", "susy_rhs", "bogomolnyi_gap", "quotient")}
     return _report(args, payload)

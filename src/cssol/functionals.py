@@ -3,10 +3,11 @@ densities. MagneticState(u, beta, order) builds, on first use and once, what
 these read: rho = |u|^2, grad u, the current J, A[rho], the covariant
 gradient D = (grad + i beta A) u and Phi[rho]; stationarity(state, gamma)
 applies the Euler-Lagrange operator shared by the EL residual and the
-descent gradient. On these sit the magnetic energy and its decomposition,
-the weighted-square (factorized) form of E_beta -+ 2 pi beta int |u|^4, the
-stationarity residual, the Menger-Melnikov curvature, the Liouville residual
-and a battery of inequalities."""
+descent gradient. On these sit the magnetic energy and its decomposition
+(no Phi), the weighted-square (factorized) form of
+E_beta -+ 2 pi beta int |u|^4 (the one reader of Phi), the stationarity
+residual, the Menger-Melnikov curvature, the Liouville residual and a
+battery of inequalities."""
 
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ class MagneticState:
 
     @cached_property
     def A(self):
-        return tuple(a.values for a in vector_potential(GridField(self.u.grid, self.rho)))
+        return tuple(a.values for a in vector_potential(GridField._own(self.u.grid, self.rho)))
 
     @cached_property
     def D(self):
@@ -71,7 +72,7 @@ class MagneticState:
 
     @cached_property
     def phi(self):
-        return superpotential(GridField(self.u.grid, self.rho)).values
+        return superpotential(GridField._own(self.u.grid, self.rho)).values
 
     @cached_property
     def d_sq(self):
@@ -132,7 +133,6 @@ class EnergyReport:
     quartic: float
     mass: float
     total_E_beta: float
-    susy_rhs: float
     bogomolnyi_gap: float
     quotient: float
 
@@ -142,7 +142,8 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
 
     total is the quadrature of the covariant-gradient square; the three
     decomposition terms sum to it identically (pointwise algebra), so the
-    decomposition invariant holds to rounding.
+    decomposition invariant holds to rounding. No Phi is built: the
+    weighted-square form is susy_rhs.
     """
     mass = quadrature(u, 2)
     if mass <= 0:
@@ -155,7 +156,6 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     curvature = beta**2 * mm
     quartic = quadrature(u, 4)
     gap = total - 2.0 * np.pi * beta * quartic
-    srhs = _weighted_square(st, -1)
     quotient = (kinetic + cross / mass + curvature / mass**2) * mass / quartic
     return EnergyReport(
         beta=float(beta),
@@ -165,7 +165,6 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
         quartic=float(quartic),
         mass=float(mass),
         total_E_beta=float(total),
-        susy_rhs=float(srhs),
         bogomolnyi_gap=float(gap),
         quotient=float(quotient),
     )
@@ -181,17 +180,14 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _weighted_square(MagneticState(u, beta, order), sign)
-
-
-def _weighted_square(st: MagneticState, sign: int) -> float:
-    """susy_rhs read from a state; Phi is not built at beta = 0."""
+    st = MagneticState(u, beta, order)
+    # at beta = 0 both weights are exactly 1: Phi is not built
     w = st.beta * st.phi if st.beta else 0.0
     if np.max(np.abs(2.0 * w)) > 700.0:
         raise OverflowError("superpotential weight exponent exceeds 700")
-    g1, g2 = gradient(GridField(st.u.grid, np.exp(-sign * w) * st.u.values), st.order)
+    g1, g2 = gradient(GridField(u.grid, np.exp(-sign * w) * u.values), order)
     integrand = np.abs(g1.values + sign * 1j * g2.values) ** 2 * np.exp(2.0 * sign * w)
-    return float(integrate(GridField(st.u.grid, integrand)))
+    return float(integrate(GridField(u.grid, integrand)))
 
 
 def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,

@@ -240,6 +240,8 @@ def save_field(field: GridField, path: str) -> None:
 def load_field(path: str) -> GridField:
     """Read a field written by save_field; ValueError unless the file holds
     16*M^2 bytes and, if marked "real", a zero imaginary part."""
+    if not os.path.isfile(path):  # checked first, so the error names PATH, not PATH.json
+        raise FileNotFoundError(f"{path}: no such field data file")
     with open(path + ".json") as fh:
         meta = json.load(fh)
     M = int(meta["M"])

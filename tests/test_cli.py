@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from cssol.cli import ReportRow, _fmt, build_parser, main
+from cssol.functionals import susy_rhs
+from cssol.grid import load_field
 
 
 def run(argv):
@@ -111,7 +113,7 @@ def test_energy_field_requires_beta(tmp_path, capsys):
 
 def test_energy_missing_field_file(capsys):
     assert run(["energy", "--field", "/nonexistent.npz"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: /nonexistent.npz: no such field data file\n"
 
 
 def test_bad_grid_flag(capsys):
@@ -127,7 +129,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 def test_energy_field_is_a_directory(tmp_path, capsys):
     assert run(["energy", "--field", str(tmp_path), "--beta", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {tmp_path}: no such field data file\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_identities_needs_a_field(count, capsys):
+    assert run(["verify-identities", "--grid", "16,64", "--count", count, "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --count") and captured.out == ""
+
+
+def test_energy_susy_rhs_is_the_weighted_square(tmp_path, capsys):
+    """The report's susy_rhs key is susy_rhs(u, beta, -1) itself."""
+    field = tmp_path / "u.f8"
+    assert run(["build-soliton", "--vortex", "n=1", "--grid", "16,64",
+                "--field-out", str(field)]) == 0
+    capsys.readouterr()
+    assert run(["energy", "--field", str(field), "--beta", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["susy_rhs"] == susy_rhs(load_field(str(field)), 2.0, -1)
 
 
 @pytest.mark.parametrize("betas", ["0:1:0", "1:0:-1"])

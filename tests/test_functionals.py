@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from cssol import functionals
+from cssol import functionals, kernels
 from cssol.functionals import (
     MagneticState,
     el_residual,
@@ -74,7 +74,7 @@ def test_soliton_saturates_minus_branch():
     u = radial_ring(1).sample(Grid(40.0, 1024))
     rep = magnetic_energy(u, 2.0)
     assert abs(rep.bogomolnyi_gap) < 1e-3 * rep.total_E_beta
-    assert rep.susy_rhs < 1e-3 * rep.total_E_beta
+    assert susy_rhs(u, 2.0, -1) < 1e-3 * rep.total_E_beta
 
 
 def test_el_residual_discriminates():
@@ -152,16 +152,23 @@ def test_beta_zero_reports_build_no_vector_potential(monkeypatch):
 
 
 def test_superpotential_built_only_at_nonzero_beta(monkeypatch):
-    """At beta = 0 the weights e^{-+ 2 beta Phi} are 1, so Phi is not built;
-    at beta != 0 magnetic_energy builds it once, in its own state."""
+    """magnetic_energy never builds Phi, nor caches a log spectrum; susy_rhs
+    builds Phi once at beta != 0 and not at beta = 0, where the weights
+    e^{-+ 2 beta Phi} are 1."""
     u = _field(2, Grid(8.0, 64))
     calls = _count_kernel_calls(monkeypatch, "superpotential")
     magnetic_energy(u, 0.0)
+    magnetic_energy(u, 1.0)
     susy_rhs(u, 0.0, 1)
     susy_rhs(u, 0.0, -1)
     assert calls == []
-    magnetic_energy(u, 1.0)
+    susy_rhs(u, 1.0, -1)
     assert calls == ["superpotential"]
+    g = Grid(7.25, 48)  # a spacing no other test uses
+    key = ("log", g.M, g.h)
+    assert key not in kernels._SPECTRA._items
+    magnetic_energy(_field(2, g), 1.0)
+    assert key not in kernels._SPECTRA._items
 
 
 def test_el_residual_mass_guard():
