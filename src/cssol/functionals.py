@@ -260,8 +260,7 @@ def _entry(name: str, small: float, large: float) -> InequalityEntry:
                            float((large - small) / scale))
 
 
-def inequality_battery(u: GridField, beta: float, c_lgn: float | None = None,
-                       order: int = 4) -> InequalityReport:
+def inequality_battery(u: GridField, beta: float, order: int = 4) -> InequalityReport:
     """Two-sided evaluation of the standing inequalities.
 
     diamagnetic:      int |grad|u||^2          <= E_beta[u]
@@ -270,10 +269,8 @@ def inequality_battery(u: GridField, beta: float, c_lgn: float | None = None,
     bogomolnyi:       2 pi beta int |u|^4      <= E_beta[u]          (beta>=0)
     mm_interpolation: pi int|u|^4 + |int A.J|  <= sqrt(kin) sqrt(MM)
     """
-    if c_lgn is None:
-        from .variational import townes_constant
+    from .variational import townes_constant
 
-        c_lgn = townes_constant()
     mass = quadrature(u, 2)
     quartic = quadrature(u, 4)
     kinetic, aj, mm = MagneticState(u, beta, order).terms()
@@ -286,7 +283,7 @@ def inequality_battery(u: GridField, beta: float, c_lgn: float | None = None,
     entries = [
         _entry("diamagnetic", grad_mod, total),
         _entry("hardy", mm, HARDY_CONSTANT * mass**2 * grad_mod),
-        _entry("gn4", c_lgn * quartic, mass * kinetic),
+        _entry("gn4", townes_constant() * quartic, mass * kinetic),
         _entry("mm_interpolation",
                np.pi * quartic + abs(aj), np.sqrt(kinetic) * np.sqrt(mm)),
     ]

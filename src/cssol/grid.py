@@ -3,7 +3,8 @@ and flat-binary field I/O.
 
 A central stencil runs in one pass as antisymmetric (first derivative) or
 symmetric (second derivative) pairs c_j (v[i+j] -+ v[i-j]) / h^k summed in
-place, with 2nd-order one-sided stencils on the boundary ring of width r."""
+place, with 2nd-order one-sided stencils on the boundary ring of width r; the
+Laplacian is the sum of one such second derivative per axis."""
 
 from __future__ import annotations
 
@@ -133,21 +134,29 @@ def _ring(v: np.ndarray, axis: int, r: int, k: int, h: float):
     return lo / h**k, hi / h**k
 
 
-def deriv(field: GridField, axis: int, order: int = 4) -> GridField:
-    """Partial derivative along axis (0 = x, 1 = y)."""
-    coeffs, r = _D1[order]
-    v, h, n = field.values, field.grid.h, field.grid.M
+def _axis_deriv(v: np.ndarray, axis: int, k: int, order: int, h: float) -> np.ndarray:
+    """k-th derivative (k = 1, 2) along axis: the central stencil in one pass of
+    (anti)symmetric pairs, the 2nd-order one-sided one on the ring of that axis."""
+    coeffs, r = (_D1 if k == 1 else _D2)[order]
+    n, combine = v.shape[axis], np.subtract if k == 1 else np.add
     out = np.empty(v.shape, np.result_type(v, np.float64))
     o = out[_cut(axis, r, n - r)]
     tmp = np.empty_like(o)
     for j in range(1, r + 1):
-        pair = np.subtract(v[_cut(axis, r + j, n - r + j)], v[_cut(axis, r - j, n - r - j)],
-                           out=o if j == 1 else tmp)
-        pair *= coeffs[r + j] / h
+        pair = combine(v[_cut(axis, r + j, n - r + j)], v[_cut(axis, r - j, n - r - j)],
+                       out=o if j == 1 else tmp)
+        pair *= coeffs[r + j] / h**k
         if j > 1:
             o += pair
-    out[_cut(axis, 0, r)], out[_cut(axis, n - r, n)] = _ring(v, axis, r, 1, h)
-    return GridField._own(field.grid, out)
+    if k == 2:  # the centre term
+        o += np.multiply(v[_cut(axis, r, n - r)], coeffs[r] / h**2, out=tmp)
+    out[_cut(axis, 0, r)], out[_cut(axis, n - r, n)] = _ring(v, axis, r, k, h)
+    return out
+
+
+def deriv(field: GridField, axis: int, order: int = 4) -> GridField:
+    """Partial derivative along axis (0 = x, 1 = y)."""
+    return GridField._own(field.grid, _axis_deriv(field.values, axis, 1, order, field.grid.h))
 
 
 def gradient(field: GridField, order: int = 4):
@@ -155,24 +164,11 @@ def gradient(field: GridField, order: int = 4):
 
 
 def laplacian(field: GridField, order: int = 4) -> GridField:
-    coeffs, r = _D2[order]
-    v, h, n = field.values, field.grid.h, field.grid.M
-    out = np.empty(v.shape, np.result_type(v, np.float64))
-    c = slice(r, n - r)
-    o = np.multiply(v[c, c], 2.0 * coeffs[r] / h**2, out=out[c, c])
-    tmp = np.empty_like(o)
-    for j in range(1, r + 1):
-        np.add(v[r + j : n - r + j, c], v[r - j : n - r - j, c], out=tmp)
-        tmp += v[c, r + j : n - r + j]
-        tmp += v[c, r - j : n - r - j]
-        tmp *= coeffs[r + j] / h**2
-        o += tmp
-    # a ring node sums the one-sided terms of the axes on whose ring it lies
-    out[:, :r], out[:, n - r :] = _ring(v, 1, r, 2, h)
-    out[:r, c] = out[n - r :, c] = 0.0
-    lo, hi = _ring(v, 0, r, 2, h)
-    out[:r] += lo
-    out[n - r :] += hi
+    """Sum of the second derivatives along x and y, each with its own
+    one-sided ring, so an edge node keeps the central term along the edge."""
+    v, h = field.values, field.grid.h
+    out = _axis_deriv(v, 0, 2, order, h)
+    out += _axis_deriv(v, 1, 2, order, h)
     return GridField._own(field.grid, out)
 
 
@@ -237,22 +233,48 @@ def save_field(field: GridField, path: str) -> None:
         json.dump({"L": field.grid.L, "M": field.grid.M, "kind": kind}, fh)
 
 
+def _read_sidecar(path: str) -> tuple[Grid, bool]:
+    """The grid and the real flag of PATH.json; ValueError naming the file
+    unless it is a JSON object with a finite number L, an integral M that
+    makes a valid grid, and kind "real" or "complex"."""
+    side = path + ".json"
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    try:
+        with open(side) as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("sidecar is not a JSON object")
+        L, M, kind = meta.get("L"), meta.get("M"), meta.get("kind")
+        if not (number(L) and np.isfinite(L)):
+            raise ValueError(f"extent L must be a finite number, got {L!r}")
+        if not (number(M) and float(M).is_integer()):
+            raise ValueError(f"grid size M must be an integer, got {M!r}")
+        if kind not in ("real", "complex"):
+            raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
+        return Grid(L, int(M)), kind == "real"
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"{side}: {exc}") from None
+
+
 def load_field(path: str) -> GridField:
-    """Read a field written by save_field; ValueError unless the file holds
-    16*M^2 bytes and, if marked "real", a zero imaginary part."""
+    """Read a field written by save_field; ValueError unless the sidecar is
+    valid (see _read_sidecar), the file holds 16*M^2 bytes and, if marked
+    "real", a zero imaginary part."""
     if not os.path.isfile(path):  # checked first, so the error names PATH, not PATH.json
         raise FileNotFoundError(f"{path}: no such field data file")
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    M = int(meta["M"])
+    grid, real = _read_sidecar(path)
+    M = grid.M
     size = os.path.getsize(path)
     if size != 16 * M * M:
         raise ValueError(f"{path}: {size} bytes, expected 16*M^2 = {16 * M * M} for M = {M}")
     raw = np.fromfile(path, dtype="<f8").reshape(M, M, 2)
-    if meta.get("kind") == "real":
+    if real:
         if np.any(raw[..., 1] != 0.0):
             raise ValueError(f"{path}: field marked real has a nonzero imaginary part")
         values = raw[..., 0]
     else:
         values = raw[..., 0] + 1j * raw[..., 1]
-    return GridField(Grid(float(meta["L"]), M), values)
+    return GridField(grid, values)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# gcd truncation threshold, relative to the running remainder norm.
-# Floating-point polynomial gcd is numerically fragile; this knob is exposed
-# on purpose so callers can tighten or loosen it.
+# gcd truncation threshold, relative to the running remainder norm, and the
+# coprimality threshold on the smallest relative singular value of the
+# Sylvester matrix.
 GCD_EPS = 1e-9
 
 # Root clustering radius for multiplicity detection: 1e-6 * (1 + |root|).
@@ -219,7 +219,21 @@ def gcd(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS):
 
 
 def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) -> bool:
-    return gcd(p, q, eps).degree == 0
+    """Whether p and q have no common root: the Sylvester matrix of their
+    unit-norm coefficient vectors has smallest singular value above eps times
+    its largest. Unlike Euclidean remainders, this rank test also sees a
+    common factor whose roots rounding has pulled apart."""
+    p, q = _coerce(p), _coerce(q)
+    if p.is_zero or q.is_zero:
+        return gcd(p, q).degree == 0
+    m, n = p.degree, q.degree
+    S = np.zeros((m + n, m + n), dtype=complex)
+    for i in range(n):
+        S[i, i : i + m + 1] = p.coeffs / p.norm()
+    for i in range(m):
+        S[n + i, i : i + n + 1] = q.coeffs / q.norm()
+    s = np.linalg.svd(S, compute_uv=False)
+    return bool(s.size == 0 or s[-1] > eps * s[0])
 
 
 def roots(p: ComplexPolynomial, cluster_eps: float = ROOT_CLUSTER_EPS):

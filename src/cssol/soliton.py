@@ -40,11 +40,8 @@ class Soliton:
     """u_{P,Q} at flux beta = 2 max(deg P, deg Q)."""
 
     def __init__(self, pair: WronskianPair):
-        m = max(pair.P.degree or 0, pair.Q.degree or 0)
-        if m < 1:
-            raise ValueError("soliton needs max degree >= 1")
         self.pair = pair
-        self.beta = 2.0 * m
+        self.beta = 2.0 * pair.max_degree
         self.norm_const = float(np.sqrt(2.0 / (np.pi * self.beta)))
         self._psi0 = None
 
@@ -190,9 +187,7 @@ def same_orbit(p1: WronskianPair, p2: WronskianPair, tol: float = 1e-8):
 
     Returns (bool, witness): the witness transform maps p1 to p2 when true.
     """
-    m1 = max(p1.P.degree or 0, p1.Q.degree or 0)
-    m2 = max(p2.P.degree or 0, p2.Q.degree or 0)
-    if m1 != m2:
+    if p1.max_degree != p2.max_degree:
         return False, None
     (c1P, c1Q), T1 = _canonical_rsu2(p1)
     (c2P, c2Q), T2 = _canonical_rsu2(p2)

@@ -136,16 +136,17 @@ def townes_constant() -> float:
 # -- analytic bounds -------------------------------------------------------
 
 
-def bounds(beta: float, c_lgn: float | None = None) -> tuple[float, float]:
+def bounds(beta: float) -> tuple[float, float]:
     """Refined lower/upper bounds for gamma*(beta).
 
     lower = max{(c + sqrt(c^2 + 4 pi^2 beta^2))/2, 2 pi beta}; the first
     entry solves gamma = c + pi^2 beta^2 / gamma.
     upper = min{c (1 + 3/2 beta^2), 2 pi beta + (pi/2)(2-beta)_+^2}.
+    c is the shooting constant C_LGN.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    c = townes_constant() if c_lgn is None else float(c_lgn)
+    c = townes_constant()
     lower = max(0.5 * (c + np.sqrt(c * c + 4.0 * np.pi**2 * beta**2)),
                 2.0 * np.pi * beta)
     upper = min(c * (1.0 + 1.5 * beta**2),
@@ -155,19 +156,19 @@ def bounds(beta: float, c_lgn: float | None = None) -> tuple[float, float]:
 
 # -- descent estimator -----------------------------------------------------
 
+ORDER = 4  # finite-difference order of the descent's quotient and gradient
+START_NOISE = 0.05  # smoothed start perturbation, relative to max |start|
+
 
 @dataclass(frozen=True)
 class DescentConfig:
     grid: Grid = field(default_factory=lambda: Grid(12.0, 128))
     seed: int = 42
-    noise: float = 0.05
     max_iter: int = 20_000
     plateau_tol: float = 1e-5
     plateau_window: int = 50
     grad_tol: float = 1e-4
     dilation_every: int = 100
-    order: int = 4
-    c_lgn: float | None = None
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
              upper: float):
     """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
     Trials read only the quotient; stop_reason: grad_tol, plateau, line_search, max_iter."""
-    quot, grad = _quotient_and_grad(values, g, beta, cfg.order)
+    quot, grad = _quotient_and_grad(values, g, beta, ORDER)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
@@ -243,7 +244,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
             raise RuntimeError("descent diverged")
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
-            tq, state = _quotient(trial, g, beta, cfg.order)
+            tq, state = _quotient(trial, g, beta, ORDER)
             if tq < quot:
                 break
             del state  # a rejected trial's state dies with the trial
@@ -260,7 +261,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
                 lam = 2.0**t
                 if lam == 1.0:
                     continue
-                cq, cand = _quotient(_dilate(values, g, lam), g, beta, cfg.order)
+                cq, cand = _quotient(_dilate(values, g, lam), g, beta, ORDER)
                 if cq < quot:
                     quot, winner = cq, cand
                 del cand
@@ -291,12 +292,12 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         raise ValueError("beta must be >= 0")
     cfg = config or DescentConfig()
     g = cfg.grid
-    lower, upper = bounds(beta, cfg.c_lgn)
+    lower, upper = bounds(beta)
     rng = np.random.default_rng(cfg.seed)
 
     def with_noise(v):
-        noise = cfg.noise * (rng.standard_normal(v.shape)
-                             + 1j * rng.standard_normal(v.shape))
+        noise = START_NOISE * (rng.standard_normal(v.shape)
+                               + 1j * rng.standard_normal(v.shape))
         # band-limit the perturbation: grid-scale roughness makes the
         # discrete quotient gradient unreliable (one-sided boundary stencils
         # are not exactly self-adjoint at the Nyquist scale)
@@ -363,11 +364,12 @@ def worker_count(tasks: int | None = None) -> int:
 
 def structure_scan(betas, config: DescentConfig | None = None,
                    slack: float = 0.03) -> ScanResult:
-    """Estimate gamma over a sorted list of flux values and report the
-    gamma/beta monotonicity and discrete Lipschitz data."""
+    """Estimate gamma over a strictly increasing list of positive flux
+    values and report the gamma/beta monotonicity and discrete Lipschitz data."""
     betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or sorted(betas) != betas:
-        raise ValueError("betas must be sorted and positive")
+    if any(b <= 0 for b in betas) or any(
+            b1 <= b0 for b0, b1 in zip(betas, betas[1:])):
+        raise ValueError("betas must be positive and strictly increasing")
     cfg = config or DescentConfig()
 
     def run(i_b):
@@ -415,7 +417,7 @@ def nll_energy(pair: WronskianPair, gamma: float, V=None,
     if V is None:
         return float(first)
     # density tail decay power: |u|^2 ~ r^{-2(2m - deg W)}
-    m = max(pair.P.degree or 0, pair.Q.degree or 0)
+    m = pair.max_degree
     w = pair.W.degree or 0
     decay = 2 * (2 * m - w)
     if isinstance(V, str):

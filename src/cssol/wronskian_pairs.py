@@ -1,9 +1,10 @@
 """Coprime Wronskian pairs and the inverse problem W(P,Q) = f.
 
-Closed forms exist for deg f <= 2 (single-root and degree-two families); for
-higher degree a bounded numerical search over the auxiliary polynomial R of
-the second-order ODE  f y'' - f' y' + R y = 0  finds additional families,
-every hit being certified a posteriori by the Wronskian residual.
+solve_generic returns three kinds of family, each the SL(2) orbit of one
+validated pair: the primitive family (int f, 1) at every degree, the
+closed-form split family at deg f = 2, and, for deg f >= 3, hits of a bounded
+numerical search over the auxiliary polynomial R of the second-order ODE
+f y'' - f' y' + R y = 0, every hit certified by its Wronskian residual.
 """
 
 from __future__ import annotations
@@ -26,32 +27,29 @@ from .poly import (
 RESIDUAL_RTOL = 1e-9
 DEDUP_TOL = 1e-8
 # R-search hits are accurate to about 1e-7 where f' has a multiple root (the
-# search objective is quadratic there), so their families are deduplicated
-# at this looser tolerance
+# search objective is quadratic there), so solve_generic deduplicates its
+# families at this looser tolerance
 SEARCH_DEDUP_TOL = 1e-6
 
 
 class WronskianPair:
-    """A validated pair (P, Q): coprime, linearly independent, cached W."""
+    """A pair (P, Q) with W(P, Q) != 0 and no common root, W cached.
 
-    __slots__ = ("P", "Q", "W", "coprime", "independent")
+    The constructor raises ValueError on any other pair."""
 
-    def __init__(self, P, Q, validate: bool = True):
+    __slots__ = ("P", "Q", "W")
+
+    def __init__(self, P, Q):
         P = poly._coerce(P)
         Q = poly._coerce(Q)
         W = wronskian(P, Q)
-        independent = not W.is_zero
-        is_coprime = (not (P.is_zero and Q.is_zero)) and coprime(P, Q)
-        if validate:
-            if not independent:
-                raise ValueError("pair is linearly dependent (W = 0)")
-            if not is_coprime:
-                raise ValueError("pair is not coprime")
+        if W.is_zero:
+            raise ValueError("pair is linearly dependent (W = 0)")
+        if not coprime(P, Q):
+            raise ValueError("pair is not coprime")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "coprime", is_coprime)
-        object.__setattr__(self, "independent", independent)
 
     def __setattr__(self, name, value):
         raise AttributeError("WronskianPair is immutable")
@@ -70,9 +68,9 @@ class WronskianPair:
 
 @dataclass
 class SolutionFamily:
-    """One family of solutions of W(P,Q) = f."""
+    """One family of solutions of W(P,Q) = f: the SL(2) orbit of representative."""
 
-    kind: str  # SingleRoot | DegreeTwoPrimitive | DegreeTwoSplit | Generic
+    kind: str  # Primitive | Split | Search
     parameters: dict = field(default_factory=dict)
     representative: WronskianPair | None = None
     residual: float = 0.0
@@ -83,81 +81,37 @@ class SolutionFamily:
         return r / scale
 
 
-def solve_single_root(a: complex, z0: complex, n: int) -> SolutionFamily:
-    """Family for f = a (z - z0)^n:
-    P = alpha1 (z-z0)^{n+1} + beta1, Q = alpha2 (z-z0)^{n+1} + beta2 under
-    the constraint alpha1*beta2 - alpha2*beta1 = a/(n+1)."""
-    if a == 0:
-        raise ValueError("zero Wronskian target")
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
-    base = poly.from_roots([z0] * (n + 1))
-    P = base  # alpha1 = 1, beta1 = 0
-    Q = ComplexPolynomial([a / (n + 1)])  # alpha2 = 0, beta2 = a/(n+1)
-    rep = WronskianPair(P, Q)
-    fam = SolutionFamily(
-        kind="SingleRoot",
-        parameters={
-            "a": a,
-            "z0": z0,
-            "n": n,
-            "constraint": "alpha1*beta2 - alpha2*beta1 = a/(n+1)",
-            "alpha1": 1.0,
-            "beta1": 0.0,
-            "alpha2": 0.0,
-            "beta2": a / (n + 1),
-        },
-        representative=rep,
-    )
-    fam.residual = fam.check(ComplexPolynomial([a]) * poly.from_roots([z0] * n))
+def _family(kind: str, P, Q, f: ComplexPolynomial, **parameters):
+    """The family of the pair (P, Q) with its residual against f, or None
+    when the pair is dependent or not coprime."""
+    try:
+        rep = WronskianPair(P, Q)
+    except ValueError:
+        return None
+    fam = SolutionFamily(kind, {**parameters, "orbit": "SL(2)"}, rep)
+    fam.residual = fam.check(f)
     return fam
 
 
-def solve_degree_two(a: complex, b: complex, c: complex) -> list[SolutionFamily]:
-    """Families for f = a z^2 + b z + c.
-
-    The primitive family (int f, 1) always exists; the split family
-    (z^2 - c/a, a z + b/2) exists iff c != b^2/(4a).
-    """
-    if a == 0:
-        raise ValueError("degree below two")
-    f = ComplexPolynomial([c, b, a])
-    fams = []
-    P0 = ComplexPolynomial([0.0, c, b / 2.0, a / 3.0])
-    prim = SolutionFamily(
-        kind="DegreeTwoPrimitive",
-        parameters={"a": a, "b": b, "c": c, "orbit": "SL(2)"},
-        representative=WronskianPair(P0, poly.ONE),
-    )
-    prim.residual = prim.check(f)
-    fams.append(prim)
-    if abs(c - b * b / (4.0 * a)) > 1e-12 * max(abs(c), abs(b * b / (4 * a)), 1.0):
-        Ps = ComplexPolynomial([-c / a, 0.0, 1.0])
-        Qs = ComplexPolynomial([b / 2.0, a])
-        split = SolutionFamily(
-            kind="DegreeTwoSplit",
-            parameters={"a": a, "b": b, "c": c, "orbit": "SL(2)"},
-            representative=WronskianPair(Ps, Qs),
-        )
-        split.residual = split.check(f)
-        fams.append(split)
-    return fams
+def primitive_family(f: ComplexPolynomial) -> SolutionFamily:
+    """The family of (int f, 1), which solves W = f for every nonzero f
+    (R = 0 in the ODE)."""
+    return _family("Primitive", antiderivative(f), poly.ONE, f, R="0")
 
 
 def ode_operator_matrix(
     f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
 ) -> np.ndarray:
-    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}."""
+    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}:
+    the R-free columns, with R added by _with_R."""
     fd = derivative(f)
     out_deg = max_deg + max(f.degree or 0, R.degree if not R.is_zero else 0)
-    rows = out_deg + 1
-    A = np.zeros((rows, max_deg + 1), dtype=complex)
+    A = np.zeros((out_deg + 1, max_deg + 1), dtype=complex)
     for k in range(max_deg + 1):
         y = ComplexPolynomial([0.0] * k + [1.0])
-        img = f * derivative(derivative(y)) - fd * derivative(y) + R * y
-        for i, ci in enumerate(img.coeffs):
-            A[i, k] = ci
-    return A
+        img = f * derivative(derivative(y)) - fd * derivative(y)
+        A[: img.coeffs.size, k] = img.coeffs
+    return _with_R(A, R.coeffs)
 
 
 def ode_kernel(
@@ -252,10 +206,8 @@ def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomi
 
 def _with_R(A_f: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The ODE matrix A_f + sum_i r_i S_i: a copy of the R-free matrix A_f with
-    R's coefficient r_i added at (i + k, k) in every column k. The sum is
-    ((f y'') + (-f' y')) + R y, as in ode_operator_matrix, so for A_f =
-    ode_operator_matrix(f, ZERO, max_deg) and deg R <= deg f the result equals
-    ode_operator_matrix(f, R, max_deg) exactly."""
+    R's coefficient r_i added at (i + k, k) in every column k. This is the one
+    place R enters the matrix, for ode_operator_matrix and for the search."""
     A = A_f.copy()
     for k in range(A.shape[1]):
         A[k:k + r.size, k] += r
@@ -298,71 +250,44 @@ def _search_extra_families(f: ComplexPolynomial, seed: int, starts: int):
     return hits
 
 
-def solve_generic(
-    f: ComplexPolynomial, cap: int = 6, seed: int = 42, starts: int = 8
-) -> list[SolutionFamily]:
-    """All families found for W(P,Q) = f, deduplicated modulo SL(2).
-
-    Closed forms for deg f <= 2; for higher degrees the primitive family
-    (int f, 1) plus certified hits of the R-search.
-    """
-    f = poly._coerce(f)
-    if f.is_zero:
-        raise ValueError("zero polynomial has no Wronskian pair")
+def _candidates(f: ComplexPolynomial, seed: int, starts: int):
+    """(kind, P, Q, parameters) with W(P, Q) = f up to rounding, beyond the
+    primitive pair: the closed-form split pair (z^2 - c/a, a z + b/2) at
+    deg f = 2, the rescaled ODE-kernel pairs of the R-search hits above."""
     df = f.degree
-    if df > cap:
-        raise ValueError(f"degree {df} exceeds the configured cap {cap}")
-    if df == 0:
-        return [solve_single_root(complex(f.coeffs[0]), 0.0, 0)]
-    if df == 1:
-        a = complex(f.coeffs[1])
-        z0 = -complex(f.coeffs[0]) / a
-        return [solve_single_root(a, z0, 1)]
     if df == 2:
-        fams = solve_degree_two(
-            complex(f.coeffs[2]), complex(f.coeffs[1]), complex(f.coeffs[0])
-        )
-        return fams
-
-    fams: list[SolutionFamily] = []
-    # the primitive family always exists: W(int f, 1) = f
-    prim = SolutionFamily(
-        kind="Generic",
-        parameters={"R": "0", "orbit": "SL(2)"},
-        representative=WronskianPair(antiderivative(f), poly.ONE),
-    )
-    prim.residual = prim.check(f)
-    fams.append(prim)
-    # single clustered root => the closed-form family applies
-    rts = poly.roots(f)
-    if len(rts) == 1:
-        z0, n = rts[0]
-        fam = solve_single_root(f.leading, z0, n)
-        fam.residual = fam.check(f)
-        if not any(_same_family(fam.representative, g.representative) for g in fams):
-            fams.append(fam)
+        c, b, a = (complex(x) for x in f.coeffs)
+        yield "Split", [-c / a, 0.0, 1.0], [b / 2.0, a], {"a": a, "b": b, "c": c}
+    if df < 3:
+        return
     for R in _search_extra_families(f, seed, starts):
         basis = ode_kernel(f, R, df + 1, sv_threshold=1e-7)
-        if len(basis) < 2:
-            continue
         basis.sort(key=lambda p: p.degree or 0, reverse=True)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 got = _abel_rescale(basis[i], basis[j], f)
-                if got is None:
-                    continue
-                P, Q = got
-                if not coprime(P, Q):
-                    continue
-                rep = WronskianPair(P, Q, validate=False)
-                fam = SolutionFamily(
-                    kind="Generic",
-                    parameters={"R": [complex(c) for c in R.coeffs], "orbit": "SL(2)"},
-                    representative=rep,
-                )
-                fam.residual = fam.check(f)
-                if fam.residual <= RESIDUAL_RTOL and not any(
-                    _same_family(rep, g.representative, SEARCH_DEDUP_TOL) for g in fams
-                ):
-                    fams.append(fam)
+                if got is not None:
+                    yield "Search", *got, {"R": [complex(c) for c in R.coeffs]}
+
+
+def solve_generic(
+    f: ComplexPolynomial, seed: int = 42, starts: int = 8
+) -> list[SolutionFamily]:
+    """All families found for W(P,Q) = f, deduplicated modulo SL(2).
+
+    The primitive family at every degree, the split family at deg f = 2 when
+    f is not a perfect square, certified R-search hits at deg f >= 3. A
+    candidate joins only as a validated (coprime, independent) pair.
+    """
+    f = poly._coerce(f)
+    if f.is_zero:
+        raise ValueError("zero polynomial has no Wronskian pair")
+    fams = [primitive_family(f)]
+    for kind, P, Q, parameters in _candidates(f, seed, starts):
+        fam = _family(kind, P, Q, f, **parameters)
+        if fam is not None and fam.residual <= RESIDUAL_RTOL and not any(
+            _same_family(fam.representative, g.representative, SEARCH_DEDUP_TOL)
+            for g in fams
+        ):
+            fams.append(fam)
     return fams

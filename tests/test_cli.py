@@ -156,6 +156,12 @@ def test_scan_nonpositive_step_exits_2(betas, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("betas", ["1,1", "2,1"])
+def test_scan_not_strictly_increasing_exits_2(betas, capsys):
+    assert run(["scan", "--betas", betas, "--grid", "12,16"]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 ROW_KEYS = ["name", "expected", "computed", "tolerance", "pass"]
 ROWS = {"": ROW_KEYS, "--json": ROW_KEYS, "--csv": ",".join(ROW_KEYS)}
 ENERGY_KEYS = ["beta", "kinetic", "cross", "curvature", "quartic", "mass",

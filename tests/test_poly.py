@@ -170,6 +170,27 @@ def test_coprime_detection():
     shared = poly.from_roots([0.5])
     assert not poly.coprime(shared * poly.from_roots([1.0]),
                             shared * poly.from_roots([2.0]))
+    assert poly.coprime(poly.ONE, poly.ZERO)
+    assert poly.coprime(poly.ONE, ComplexPolynomial([2.0]))
+    assert not poly.coprime(poly.from_roots([1.0]), poly.ZERO)
+    with pytest.raises(ValueError):
+        poly.coprime(poly.ZERO, poly.ZERO)
+
+
+def test_coprime_sees_a_shared_double_root_split_by_rounding():
+    # an R-search hit for f = 2 (z - 2)^4: P ~ (z - 2)^2 (z + 4), Q ~ (z - 2)^2
+    # up to perturbations of 1e-7, which Euclidean remainders at GCD_EPS
+    # reduce to a constant gcd; the Sylvester matrix is singular to rounding
+    P = ComplexPolynomial([183.8260015635197 - 2.4464139268405905e-10j,
+                           -137.86950600874988 - 3.1971718440393795e-05j,
+                           0.0, 11.489125097697285])
+    Q = ComplexPolynomial([0.6963106112405048 - 1.6147518477918816e-07j,
+                           -0.6963106356649876 + 7.0388159545086988e-13j,
+                           0.17407765891598234])
+    assert not poly.coprime(P, Q)
+    # roots 1e-3 apart are distinct
+    assert poly.coprime(poly.from_roots([2.001, 1.999, -4.0]),
+                        poly.from_roots([2.0, 2.5]))
 
 
 def test_roots_with_multiplicity():

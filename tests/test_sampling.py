@@ -24,7 +24,7 @@ def test_random_pair_structure():
     for _ in range(10):
         pair = random_pair(rng, max_degree=4)
         assert 1 <= pair.max_degree <= 4
-        assert pair.coprime and pair.independent
+        assert poly.coprime(pair.P, pair.Q) and not pair.W.is_zero
 
 
 def test_random_pair_reproducible():

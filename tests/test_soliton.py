@@ -63,10 +63,10 @@ def test_quartic_closed_form_all_n():
 
 
 def test_soliton_needs_degree():
-    # a degree-0 pair can only be built unvalidated (it is dependent)
-    with pytest.raises(ValueError):
-        Soliton(WronskianPair([1.0], [2.0], validate=False))
-    Soliton(_pair_z_one())
+    # a degree-0 pair is dependent, so no pair and no soliton exists for it
+    with pytest.raises(ValueError, match="dependent"):
+        Soliton(WronskianPair([1.0], [2.0]))
+    assert Soliton(_pair_z_one()).beta == 2.0
 
 
 def test_vortex_spec_validation():

@@ -10,6 +10,7 @@ from cssol import variational
 from cssol.grid import Grid
 from cssol.soliton import radial_ring
 from cssol.variational import (
+    ORDER,
     DescentConfig,
     _descend,
     _dilate,
@@ -116,7 +117,7 @@ def _descend_every_trial_gradient(values, g, beta, cfg, upper):
     and every dilation candidate. Returns
     (values, quotient, gradient norm, iterations, accepted steps, dilations
     won by a candidate)."""
-    quot, grad = _quotient_and_grad(values, g, beta, cfg.order)
+    quot, grad = _quotient_and_grad(values, g, beta, ORDER)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
@@ -127,7 +128,7 @@ def _descend_every_trial_gradient(values, g, beta, cfg, upper):
         accepted = False
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
-            tq, tgrad = _quotient_and_grad(trial, g, beta, cfg.order)
+            tq, tgrad = _quotient_and_grad(trial, g, beta, ORDER)
             if tq < quot:
                 values, quot, grad = trial, tq, tgrad
                 step *= 1.3
@@ -144,7 +145,7 @@ def _descend_every_trial_gradient(values, g, beta, cfg, upper):
                 if lam == 1.0:
                     continue
                 cand = _dilate(values, g, lam)
-                cq, cg = _quotient_and_grad(cand, g, beta, cfg.order)
+                cq, cg = _quotient_and_grad(cand, g, beta, ORDER)
                 if cq < best[0]:
                     best = (cq, cand, cg)
             wins += best[1] is not values
@@ -212,6 +213,16 @@ def test_structure_scan_validation():
         structure_scan([1.0, 0.5])
     with pytest.raises(ValueError):
         structure_scan([-1.0, 1.0])
+
+
+def test_structure_scan_rejects_repeated_beta_before_any_descent(monkeypatch):
+    # a repeated beta would divide by zero in the Lipschitz quotient
+    def no_descent(*args):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(variational, "estimate_gamma", no_descent)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        structure_scan([0.5, 1.0, 1.0])
 
 
 def test_worker_count_env(monkeypatch):

@@ -16,9 +16,8 @@ from cssol.wronskian_pairs import (
     canonical_form,
     ode_kernel,
     ode_operator_matrix,
-    solve_degree_two,
+    primitive_family,
     solve_generic,
-    solve_single_root,
 )
 
 
@@ -54,11 +53,6 @@ def test_pair_immutable_and_cached_w():
         p.P = ComplexPolynomial([1.0])
 
 
-def test_unvalidated_constructor_records_flags():
-    p = WronskianPair([0, 1], [0, 2], validate=False)
-    assert not p.independent
-
-
 # -- closed-form families --------------------------------------------------
 
 
@@ -68,27 +62,29 @@ def test_unvalidated_constructor_records_flags():
        st.complex_numbers(max_magnitude=1.5,
                           allow_nan=False, allow_infinity=False))
 @settings(max_examples=40, deadline=None)
-def test_single_root_family_residual(n, a, z0):
-    fam = solve_single_root(a, z0, n)
+def test_primitive_family_residual(n, a, z0):
+    # f = a (z - z0)^n: the primitive family is the closed-form single-root
+    # family ((z - z0)^(n+1), a/(n+1)) modulo SL(2)
+    f = ComplexPolynomial([a]) * poly.from_roots([z0] * n)
+    fam = primitive_family(f)
+    assert fam.kind == "Primitive"
     assert fam.residual <= 1e-10
     assert fam.representative.max_degree == n + 1
-
-
-def test_single_root_rejects_zero_target():
-    with pytest.raises(ValueError):
-        solve_single_root(0.0, 0.0, 1)
+    closed = WronskianPair(poly.from_roots([z0] * (n + 1)), [a / (n + 1)])
+    assert _same_family(fam.representative, closed)
 
 
 def test_degree_two_split_plus_primitive():
-    fams = solve_degree_two(1.0, 0.0, 1.0)  # z^2 + 1
-    assert len(fams) == 2
-    assert {f.kind for f in fams} == {"DegreeTwoPrimitive", "DegreeTwoSplit"}
+    fams = solve_generic(ComplexPolynomial([1.0, 0.0, 1.0]))  # z^2 + 1
+    assert [f.kind for f in fams] == ["Primitive", "Split"]
     assert all(f.residual <= 1e-10 for f in fams)
 
 
 def test_degree_two_perfect_square_has_no_split():
-    fams = solve_degree_two(1.0, 2.0, 1.0)  # (z+1)^2
-    assert [f.kind for f in fams] == ["DegreeTwoPrimitive"]
+    # the split pair (z^2 - 1, z + 1) shares the root -1: the pair
+    # constructor rejects it
+    fams = solve_generic(ComplexPolynomial([1.0, 2.0, 1.0]))  # (z+1)^2
+    assert [f.kind for f in fams] == ["Primitive"]
 
 
 def test_solve_generic_degree_dispatch():
@@ -97,11 +93,19 @@ def test_solve_generic_degree_dispatch():
     assert len(solve_generic(ComplexPolynomial([1.0, 0.0, 1.0]))) == 2
 
 
-def test_solve_generic_rejects_zero_and_cap():
+def test_solve_generic_rejects_zero():
     with pytest.raises(ValueError):
         solve_generic(ComplexPolynomial([0.0]))
-    with pytest.raises(ValueError):
-        solve_generic(poly.from_roots([0.0] * 9), cap=6)
+
+
+@pytest.mark.parametrize("z0", [0.0, 2.0, 0.3 + 0.7j, -1.0, 1j])
+def test_solve_generic_single_root_quartic_is_one_family(z0):
+    # the R-search also hits pairs such as ((z-2)^2 (z+4), c (z-2)^2) with a
+    # Wronskian residual of 1e-12; they share a root, so only the primitive
+    # family is returned, for every z0
+    f = ComplexPolynomial([2.0]) * poly.from_roots([z0] * 4)
+    fams = solve_generic(f, starts=2)
+    assert [fam.kind for fam in fams] == ["Primitive"]
 
 
 def test_solve_generic_cubic_primitive_certified():
@@ -256,12 +260,12 @@ def test_same_family_under_sl2_with_equal_top_degrees():
 
 
 def test_different_families_distinguished():
-    fams = solve_degree_two(1.0, 0.0, 1.0)
+    fams = solve_generic(ComplexPolynomial([1.0, 0.0, 1.0]))
     assert not _same_family(fams[0].representative, fams[1].representative)
 
 
 def test_family_check_measures_residual():
-    fam = SolutionFamily(kind="Generic",
+    fam = SolutionFamily(kind="Search",
                          representative=WronskianPair([0, 0, 1.0], [1.0]))
     # W(z^2, 1) = 2z; residual against f = 2z is 0, against f = z is 1
     assert fam.check(ComplexPolynomial([0.0, 2.0])) <= 1e-15
