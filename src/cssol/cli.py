@@ -149,7 +149,7 @@ def _poly_json(p: ComplexPolynomial):
 
 def cmd_solve_wronskian(args) -> int:
     f = _parse_poly(args.f)
-    families = solve_generic(f, seed=args.seed)
+    families = solve_generic(f)
     payload = [
         {
             "kind": fam.kind,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "interpolation-constant estimator.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = _subcommand(sub, "solve-wronskian", cmd_solve_wronskian, seed=True,
+    sp = _subcommand(sub, "solve-wronskian", cmd_solve_wronskian,
                      help="families with W(P,Q) = f")
     sp.add_argument("--f", required=True, help="[[re,im],...] ascending")
 

@@ -10,12 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 # gcd truncation threshold, relative to the running remainder norm, and the
-# coprimality threshold on the smallest relative singular value of the
-# Sylvester matrix.
+# rank threshold on the relative singular values of the Sylvester matrix.
 GCD_EPS = 1e-9
-
-# Root clustering radius for multiplicity detection: 1e-6 * (1 + |root|).
-ROOT_CLUSTER_EPS = 1e-6
 
 
 class ComplexPolynomial:
@@ -218,14 +214,11 @@ def gcd(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS):
     return a.monic()
 
 
-def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) -> bool:
-    """Whether p and q have no common root: the Sylvester matrix of their
-    unit-norm coefficient vectors has smallest singular value above eps times
-    its largest. Unlike Euclidean remainders, this rank test also sees a
-    common factor whose roots rounding has pulled apart."""
-    p, q = _coerce(p), _coerce(q)
-    if p.is_zero or q.is_zero:
-        return gcd(p, q).degree == 0
+def _common_degree(p: ComplexPolynomial, q: ComplexPolynomial, eps: float) -> int:
+    """deg gcd(p, q) of two nonzero polynomials: the nullity of the Sylvester
+    matrix of their unit-norm coefficient vectors at relative rank threshold
+    eps. Unlike Euclidean remainders, this also sees a common factor whose
+    roots rounding has pulled apart."""
     m, n = p.degree, q.degree
     S = np.zeros((m + n, m + n), dtype=complex)
     for i in range(n):
@@ -233,15 +226,26 @@ def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) ->
     for i in range(m):
         S[n + i, i : i + n + 1] = q.coeffs / q.norm()
     s = np.linalg.svd(S, compute_uv=False)
-    return bool(s.size == 0 or s[-1] > eps * s[0])
+    return int(np.sum(s <= eps * s[0])) if s.size else 0
 
 
-def roots(p: ComplexPolynomial, cluster_eps: float = ROOT_CLUSTER_EPS):
-    """Roots with multiplicities via companion-matrix eigenvalues.
+def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) -> bool:
+    """Whether p and q have no common root (deg gcd = 0 by _common_degree)."""
+    p, q = _coerce(p), _coerce(q)
+    if p.is_zero or q.is_zero:
+        return gcd(p, q).degree == 0
+    return _common_degree(p, q, eps) == 0
 
-    Eigenvalues within radius cluster_eps*(1+|root|) of each other are merged
-    into one root with the cluster's multiplicity and centroid location.
-    Returns a list of (root, multiplicity), sorted by (re, im).
+
+def roots(p: ComplexPolynomial):
+    """Distinct roots as (root, multiplicity), sorted by (re, im).
+
+    p has d - deg gcd(p, p') distinct roots, the gcd degree taken from
+    _common_degree at GCD_EPS with z scaled so that the median root modulus
+    is 1 (a rank test on coefficients needs them on one scale). The
+    companion-matrix eigenvalues are merged into exactly that many clusters,
+    the two closest first; a cluster is one root at its centroid, with the
+    cluster's size as multiplicity.
     """
     p = _coerce(p)
     if p.is_zero:
@@ -254,16 +258,17 @@ def roots(p: ComplexPolynomial, cluster_eps: float = ROOT_CLUSTER_EPS):
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -c[:-1]
     vals = np.linalg.eigvals(comp)
-    clusters: list[list[complex]] = []
-    for v in sorted(vals, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(v - center) <= cluster_eps * (1 + abs(center)):
-                cl.append(v)
-                break
-        else:
-            clusters.append([v])
-    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+    scale = float(np.median(np.abs(vals))) or 1.0
+    unit = ComplexPolynomial(c * scale ** np.arange(n + 1))
+    distinct = n - _common_degree(unit, derivative(unit), GCD_EPS)
+    clusters = [[v] for v in vals]
+    while len(clusters) > distinct:
+        centers = [np.mean(cl) for cl in clusters]
+        _, i, j = min((abs(centers[i] - centers[j]), i, j)
+                      for i in range(len(clusters))
+                      for j in range(i + 1, len(clusters)))
+        clusters[i] += clusters.pop(j)
+    out = [(complex(np.mean(cl)), len(cl)) for cl in clusters]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 

@@ -14,6 +14,10 @@ from .poly import ComplexPolynomial, PairTransform, act, evaluate
 from .wronskian_pairs import WronskianPair, top_rotation
 from .grid import Grid, GridField
 
+# (L, M) of the grid on which Soliton.psi0 is matched: wide enough that the
+# truncated density tail shifts the constant by well under 1e-3
+PSI0_GRID = (60.0, 1024)
+
 
 def _sum_sq(pair: WronskianPair, z):
     """|P(z)|^2 + |Q(z)|^2"""
@@ -61,17 +65,13 @@ class Soliton:
     def _log_s(self, z):
         return np.log(_sum_sq(self.pair, z))
 
-    def psi0(self, grid: Grid | None = None) -> float:
-        """Additive constant of the closed-form superpotential.
-
-        Pinned by matching the grid-based Phi[|u|^2] at z = 0; the default
-        matching grid is wide enough that the truncated density tail shifts
-        the constant by well under 1e-3.
-        """
+    def psi0(self) -> float:
+        """Additive constant of the closed-form superpotential, pinned by
+        matching the grid-based Phi[|u|^2] at z = 0 on PSI0_GRID."""
         if self._psi0 is None:
             from .kernels import superpotential
 
-            g = grid or Grid(60.0, 1024)
+            g = Grid(*PSI0_GRID)
             phi = superpotential(self.sample(g).map(lambda v: np.abs(v) ** 2))
             center = g.M // 2  # grid has even M; average the 4 center nodes
             idx = [center - 1, center]
@@ -85,9 +85,8 @@ class Soliton:
             self._psi0 = float(phi_at_0 - s_at_0 / self.beta) / 4.0
         return self._psi0
 
-    def superpotential_closed(self, z, psi0: float | None = None):
-        c = self.psi0() if psi0 is None else psi0
-        return self._log_s(z) / self.beta + c
+    def superpotential_closed(self, z):
+        return self._log_s(z) / self.beta + self.psi0()
 
 
 class VortexSpec:

@@ -1,14 +1,19 @@
 """Coprime Wronskian pairs and the inverse problem W(P,Q) = f.
 
-solve_generic returns three kinds of family, each the SL(2) orbit of one
-validated pair: the primitive family (int f, 1) at every degree, the
-closed-form split family at deg f = 2, and, for deg f >= 3, hits of a bounded
-numerical search over the auxiliary polynomial R of the second-order ODE
-f y'' - f' y' + R y = 0, every hit certified by its Wronskian residual.
+A family is the SL(2) orbit of one validated pair (P, Q); in canonical form
+deg Q = k < deg P. Its span is the kernel of the second-order ODE
+f y'' - f' y' + R y = 0 for one polynomial R, and Q's roots solve the sl2
+Bethe equations with the roots of f as sites. solve_generic returns every
+family: the primitive family (int f, 1) at k = 0 and, for k = 1..deg f // 2,
+one candidate R per joint eigenvector of the sl2 Gaudin Hamiltonians
+(Scherbak & Varchenko, Moscow Math. J. 3, 2003; Mukhin, Tarasov &
+Varchenko, Ann. of Math. 170, 2009), each turned into a pair by the ODE
+kernel and certified by its Wronskian residual.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +31,11 @@ from .poly import (
 
 RESIDUAL_RTOL = 1e-9
 DEDUP_TOL = 1e-8
-# R-search hits are accurate to about 1e-7 where f' has a multiple root (the
-# search objective is quadratic there), so solve_generic deduplicates its
-# families at this looser tolerance
-SEARCH_DEDUP_TOL = 1e-6
+# a family with a multiple Bethe root is a defective eigenvalue of the
+# Gaudin Hamiltonians, determined only to about sqrt(machine eps): z^3 + 1
+# at k = 1 gives two copies of (z^3 - 2, z) 1.3e-7 apart, so solve_generic
+# deduplicates its families at this looser tolerance
+SOLVE_DEDUP_TOL = 1e-6
 
 
 class WronskianPair:
@@ -70,7 +76,7 @@ class WronskianPair:
 class SolutionFamily:
     """One family of solutions of W(P,Q) = f: the SL(2) orbit of representative."""
 
-    kind: str  # Primitive | Split | Search
+    kind: str  # Primitive (k = 0) | Bethe (k >= 1)
     parameters: dict = field(default_factory=dict)
     representative: WronskianPair | None = None
     residual: float = 0.0
@@ -96,29 +102,25 @@ def _family(kind: str, P, Q, f: ComplexPolynomial, **parameters):
 def primitive_family(f: ComplexPolynomial) -> SolutionFamily:
     """The family of (int f, 1), which solves W = f for every nonzero f
     (R = 0 in the ODE)."""
-    return _family("Primitive", antiderivative(f), poly.ONE, f, R="0")
+    return _family("Primitive", antiderivative(f), poly.ONE, f, k=0, R=[])
 
 
 def ode_operator_matrix(
     f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
 ) -> np.ndarray:
-    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}:
-    the R-free columns, with R added by _with_R."""
+    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}."""
     fd = derivative(f)
     out_deg = max_deg + max(f.degree or 0, R.degree if not R.is_zero else 0)
     A = np.zeros((out_deg + 1, max_deg + 1), dtype=complex)
     for k in range(max_deg + 1):
         y = ComplexPolynomial([0.0] * k + [1.0])
-        img = f * derivative(derivative(y)) - fd * derivative(y)
+        img = f * derivative(derivative(y)) - fd * derivative(y) + R * y
         A[: img.coeffs.size, k] = img.coeffs
-    return _with_R(A, R.coeffs)
+    return A
 
 
 def ode_kernel(
-    f: ComplexPolynomial,
-    R: ComplexPolynomial,
-    max_deg: int,
-    sv_threshold: float = 1e-9,
+    f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
 ) -> list[ComplexPolynomial]:
     """Nullspace basis of the restricted ODE map in echelon form (distinct
     degrees), unit coefficient norm."""
@@ -132,16 +134,17 @@ def ode_kernel(
     _, s, vh = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
     sv = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
-    B = vh[sv <= sv_threshold * max(smax, 1.0)].conj()
+    B = vh[sv <= 1e-9 * max(smax, 1.0)].conj()
     # echelon form from the top degree down: the basis degrees are distinct
-    # and the terms above each pivot exactly zero (SVD rounding leaves ~1e-16
-    # there, and a spurious top coefficient inflates the degree)
+    # and the terms above each pivot exactly zero (SVD rounding leaves up to
+    # ~3e-12 there at deg f = 10, and a spurious top coefficient inflates
+    # the degree)
     row = 0
     for col in range(B.shape[1] - 1, -1, -1):
         if row == len(B):
             break
         p = row + int(np.argmax(np.abs(B[row:, col])))
-        if abs(B[p, col]) <= 1e-12:
+        if abs(B[p, col]) <= 1e-10:
             B[row:, col] = 0.0
             continue
         B[[row, p]] = B[[p, row]]
@@ -192,102 +195,93 @@ def _same_family(p1: WronskianPair, p2: WronskianPair, tol: float = DEDUP_TOL) -
 
 
 def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomial):
-    """Rescale (P,Q) -> (CP, Q) so that W = f exactly (when W proportional)."""
-    W = wronskian(P, Q)
-    if W.is_zero or W.degree != f.degree:
-        return None
-    C = f.leading / W.leading
-    P2 = C * P
-    W2 = wronskian(P2, Q)
-    if (W2 - f).norm() > 1e-6 * max(f.norm(), 1.0):
-        return None
-    return P2, Q
+    """(CP, Q) with W(CP, Q) and f sharing their leading coefficient, so
+    W = f when W(P, Q) is proportional to f (the residual certificate of the
+    caller decides whether it is)."""
+    return f.leading / wronskian(P, Q).leading * P, Q
 
 
-def _with_R(A_f: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The ODE matrix A_f + sum_i r_i S_i: a copy of the R-free matrix A_f with
-    R's coefficient r_i added at (i + k, k) in every column k. This is the one
-    place R enters the matrix, for ode_operator_matrix and for the search."""
-    A = A_f.copy()
-    for k in range(A.shape[1]):
-        A[k:k + r.size, k] += r
-    return A
+def bethe_coefficients(f: ComplexPolynomial, k: int) -> list[ComplexPolynomial]:
+    """The candidate ODE coefficients R of the families with deg Q = k
+    (1 <= k <= deg f / 2), one per eigenvector of the sl2 Gaudin
+    Hamiltonians on the singular vectors of weight deg f - 2k.
 
-
-def _search_extra_families(f: ComplexPolynomial, seed: int, starts: int):
-    """Multi-start damped search for R with 2-dim ODE kernel (deg f >= 3).
-
-    Objective: sum of the two smallest singular values of the restricted ODE
-    matrix, over R with deg R <= deg f - 2. The operator is affine in R, so
-    the matrix is built once for R = 0 (A_f, with the 2 deg f + 2 rows every
-    such R needs) and the objective adds R on its shifted diagonals. Every
-    hit is certified by the Wronskian residual downstream, so the search
-    itself is heuristic.
+    Site j is the spin V_{m_j} of the root z_j of f of multiplicity m_j, with
+    the occupation basis v_0..v_{m_j}: f v_i = (i+1) v_{i+1},
+    e v_{i+1} = (m_j - i) v_i, h v_i = (m_j - 2i) v_i. The Hamiltonians
+    H_j = sum_{l != j} (e_j f_l + f_j e_l + h_j h_l / 2) / (z_j - z_l) commute
+    and keep the singular vectors (the null space of sum_j e_j), so the fixed
+    combination sum_j H_j / (j + pi) has their joint eigenvectors. One with
+    H_j-eigenvalues E_j gives R = sum_j rho_j f / (z - z_j), where
+    rho_j = sum_{l != j} m_j m_l / (2 (z_j - z_l)) - E_j = m_j Q'(z_j)/Q(z_j).
     """
-    from scipy.optimize import minimize
-
-    df = f.degree
-    nR = df - 1  # coefficients R_0 .. R_{deg f - 2}
-    scale = f.norm()
-    A_f = ode_operator_matrix(f, poly.ZERO, df + 1)
-
-    def objective(x):
-        A = _with_R(A_f, x[:nR] + 1j * x[nR:])
-        s = np.linalg.svd(A, compute_uv=False)
-        s = np.sort(s)
-        return float(s[0] + s[1])
-
-    rng = np.random.default_rng(seed)
-    hits = []
-    x0s = [np.zeros(2 * nR)]
-    for _ in range(starts):
-        x0s.append(rng.normal(scale=scale, size=2 * nR))
-    for x0 in x0s:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        if res.fun <= 1e-8 * max(scale, 1.0):
-            hits.append(ComplexPolynomial(res.x[:nR] + 1j * res.x[nR:]))
-    return hits
-
-
-def _candidates(f: ComplexPolynomial, seed: int, starts: int):
-    """(kind, P, Q, parameters) with W(P, Q) = f up to rounding, beyond the
-    primitive pair: the closed-form split pair (z^2 - c/a, a z + b/2) at
-    deg f = 2, the rescaled ODE-kernel pairs of the R-search hits above."""
-    df = f.degree
-    if df == 2:
-        c, b, a = (complex(x) for x in f.coeffs)
-        yield "Split", [-c / a, 0.0, 1.0], [b / 2.0, a], {"a": a, "b": b, "c": c}
-    if df < 3:
-        return
-    for R in _search_extra_families(f, seed, starts):
-        basis = ode_kernel(f, R, df + 1, sv_threshold=1e-7)
-        basis.sort(key=lambda p: p.degree or 0, reverse=True)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                got = _abel_rescale(basis[i], basis[j], f)
-                if got is not None:
-                    yield "Search", *got, {"R": [complex(c) for c in R.coeffs]}
+    z, m = zip(*poly.roots(f))
+    n = len(z)
+    w = np.zeros((n, n), dtype=complex)
+    off = ~np.eye(n, dtype=bool)
+    w[off] = 1.0 / np.subtract.outer(z, z)[off]
+    # occupations a in prod_j [0, m_j]: the states with sum a = k span the
+    # weight deg f - 2k space of the tensor product of the spins
+    occupations = list(itertools.product(*(range(mj + 1) for mj in m)))
+    states = [a for a in occupations if sum(a) == k]
+    index = {a: i for i, a in enumerate(states)}
+    lower = {a: i for i, a in enumerate(a for a in occupations if sum(a) == k - 1)}
+    E = np.zeros((len(lower), len(states)))  # sum_j e_j, weight k -> k - 1
+    H = np.zeros((n, len(states), len(states)), dtype=complex)
+    for col, a in enumerate(states):
+        h = np.array(m) - 2 * np.array(a)
+        H[:, col, col] = 0.5 * h * (w @ h)
+        for j in range(n):
+            if a[j] == 0:
+                continue
+            down = a[:j] + (a[j] - 1,) + a[j + 1:]
+            E[lower[down], col] = m[j] - a[j] + 1
+            for l in range(n):
+                if l == j or a[l] == m[l]:
+                    continue
+                # e_j f_l moves one quantum from site j to site l; it is a
+                # term of H_j with weight w[j, l] and of H_l with w[l, j]
+                b = down[:l] + (down[l] + 1,) + down[l + 1:]
+                c = (a[l] + 1) * (m[j] - a[j] + 1)
+                H[j, index[b], col] += c * w[j, l]
+                H[l, index[b], col] += c * w[l, j]
+    # sum_j e_j is onto weight k - 1 for k <= deg f / 2, so its null space
+    # has exactly len(states) - len(lower) dimensions
+    N = np.linalg.svd(E)[2][len(lower):].T
+    Hs = N.T @ H @ N
+    _, vecs = np.linalg.eig(np.tensordot(1.0 / (np.arange(n) + np.pi), Hs, 1))
+    energies = np.einsum("is,jit,ts->sj", vecs.conj(), Hs, vecs)
+    rho = 0.5 * np.array(m) * (w @ np.array(m)) - energies
+    quotients = np.array([poly.divmod_poly(f, poly.from_roots([zj]))[0].coeffs
+                          for zj in z])
+    return [ComplexPolynomial(r @ quotients) for r in rho]
 
 
-def solve_generic(
-    f: ComplexPolynomial, seed: int = 42, starts: int = 8
-) -> list[SolutionFamily]:
-    """All families found for W(P,Q) = f, deduplicated modulo SL(2).
+def solve_generic(f: ComplexPolynomial) -> list[SolutionFamily]:
+    """Every family of W(P,Q) = f, deduplicated modulo SL(2).
 
-    The primitive family at every degree, the split family at deg f = 2 when
-    f is not a perfect square, certified R-search hits at deg f >= 3. A
-    candidate joins only as a validated (coprime, independent) pair.
+    The primitive family, then for each k = 1..deg f // 2 the families with
+    deg Q = k: each candidate R of bethe_coefficients gives the pair spanning
+    the ODE kernel, rescaled so that W = f. A candidate joins only as a
+    validated (coprime, independent) pair within RESIDUAL_RTOL of f.
     """
     f = poly._coerce(f)
     if f.is_zero:
         raise ValueError("zero polynomial has no Wronskian pair")
     fams = [primitive_family(f)]
-    for kind, P, Q, parameters in _candidates(f, seed, starts):
-        fam = _family(kind, P, Q, f, **parameters)
-        if fam is not None and fam.residual <= RESIDUAL_RTOL and not any(
-            _same_family(fam.representative, g.representative, SEARCH_DEDUP_TOL)
-            for g in fams
-        ):
-            fams.append(fam)
+    for k in range(1, f.degree // 2 + 1):
+        level: list[SolutionFamily] = []  # families differ in k modulo SL(2)
+        for R in bethe_coefficients(f, k):
+            basis = ode_kernel(f, R, f.degree + 1)
+            if len(basis) != 2:
+                continue
+            fam = _family("Bethe", *_abel_rescale(*basis, f), f, k=k,
+                          R=[complex(c) for c in R.coeffs])
+            if fam is not None and fam.residual <= RESIDUAL_RTOL and not any(
+                _same_family(fam.representative, g.representative,
+                             SOLVE_DEDUP_TOL)
+                for g in level
+            ):
+                level.append(fam)
+        fams += level
     return fams

@@ -40,6 +40,8 @@ def test_solve_wronskian_families(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["families"]) == 2
     assert all(f["residual"] <= 1e-10 for f in payload["families"])
+    assert [f["parameters"]["k"] for f in payload["families"]] == ["0", "1"]
+    assert all("R" in f["parameters"] for f in payload["families"])
 
 
 def test_solve_wronskian_affine(capsys):
@@ -220,6 +222,7 @@ def test_report_formats(command, flag, tmp_path, capsys):
     ["solve-wronskian", "--f", "[[1,0]]", "--grid", "8,32"],
     ["solve-wronskian", "--f", "[[1,0]]", "--json"],
     ["solve-wronskian", "--f", "[[1,0]]", "--csv"],
+    ["solve-wronskian", "--f", "[[1,0]]", "--seed", "1"],
     ["build-soliton", "--vortex", "n=1", "--mass-tol", "0.1"],
     ["build-soliton", "--vortex", "n=1", "--identity-tol", "0.1"],
     ["build-soliton", "--vortex", "n=1", "--seed", "1"],

@@ -201,6 +201,23 @@ def test_roots_with_multiplicity():
     assert mult == {1: 2, -2: 1}
 
 
+@pytest.mark.parametrize("rts, leading, want", [
+    ([0.5, 0.5, 0.5, 2.0, -1.0], 1.0, {0.5: 3, 2.0: 1, -1.0: 1}),
+    ([2.0] * 4, 2.0, {2.0: 4}),
+    ([0.1, 0.1, -0.1, 0.1j, 0.05 + 0.05j, -0.07j], 1.0,
+     {0.1: 2, -0.1: 1, 0.1j: 1, 0.05 + 0.05j: 1, -0.07j: 1}),
+])
+def test_roots_merge_a_multiple_root_that_rounding_splits(rts, leading, want):
+    # the eigenvalues of a triple root spread by ~1e-5 and those of a
+    # quadruple root by ~4e-4; the distinct count d - deg gcd(p, p') says
+    # how many clusters to keep, and it holds for roots of size 0.1 too
+    got = poly.roots(poly.from_roots(rts, leading=leading))
+    assert len(got) == len(want)
+    for z, m in got:
+        (w,) = [w for w in want if abs(z - w) <= 1e-8 * (1 + abs(w))]
+        assert m == want[w]
+
+
 def test_roots_of_constant_empty():
     assert poly.roots(ComplexPolynomial([3.0])) == []
 

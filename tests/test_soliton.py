@@ -93,6 +93,10 @@ def test_zeros_and_vorticity():
     assert abs(z0) < 1e-8 and m == 2
     assert total_vorticity(s) == 2
     assert total_vorticity(radial_ring(1)) == 0
+    # W = 4 (z - 1)^3: a triple zero, though its companion eigenvalues are
+    # spread by 3e-5
+    (z1, m1), = zeros_and_vorticity(vortex_ring(VortexSpec(4, z0=1, c=0.5)))
+    assert abs(z1 - 1) < 1e-8 and m1 == 3
 
 
 def test_psi0_matches_radial_oracle():

@@ -1,5 +1,7 @@
-"""Validated pairs, closed-form inverse families, the restricted ODE
-kernel, and the canonical deduplication form."""
+"""Validated pairs, closed-form inverse families, the Bethe-ansatz
+families, the restricted ODE kernel, and the canonical deduplication form."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from cssol.wronskian_pairs import (
     SolutionFamily,
     WronskianPair,
     _same_family,
-    _with_R,
+    bethe_coefficients,
     canonical_form,
     ode_kernel,
     ode_operator_matrix,
@@ -76,13 +78,13 @@ def test_primitive_family_residual(n, a, z0):
 
 def test_degree_two_split_plus_primitive():
     fams = solve_generic(ComplexPolynomial([1.0, 0.0, 1.0]))  # z^2 + 1
-    assert [f.kind for f in fams] == ["Primitive", "Split"]
+    assert [f.kind for f in fams] == ["Primitive", "Bethe"]
     assert all(f.residual <= 1e-10 for f in fams)
 
 
 def test_degree_two_perfect_square_has_no_split():
-    # the split pair (z^2 - 1, z + 1) shares the root -1: the pair
-    # constructor rejects it
+    # a double root is one spin V_2, which has no singular vector of
+    # weight 0: no k = 1 candidate
     fams = solve_generic(ComplexPolynomial([1.0, 2.0, 1.0]))  # (z+1)^2
     assert [f.kind for f in fams] == ["Primitive"]
 
@@ -100,17 +102,17 @@ def test_solve_generic_rejects_zero():
 
 @pytest.mark.parametrize("z0", [0.0, 2.0, 0.3 + 0.7j, -1.0, 1j])
 def test_solve_generic_single_root_quartic_is_one_family(z0):
-    # the R-search also hits pairs such as ((z-2)^2 (z+4), c (z-2)^2) with a
-    # Wronskian residual of 1e-12; they share a root, so only the primitive
-    # family is returned, for every z0
+    # pairs such as ((z-2)^2 (z+4), c (z-2)^2) solve W = f with a residual
+    # of 1e-12 but share a root; only the primitive family is returned, for
+    # every z0
     f = ComplexPolynomial([2.0]) * poly.from_roots([z0] * 4)
-    fams = solve_generic(f, starts=2)
+    fams = solve_generic(f)
     assert [fam.kind for fam in fams] == ["Primitive"]
 
 
 def test_solve_generic_cubic_primitive_certified():
     f = ComplexPolynomial([1.0, 0.0, 0.0, 1.0])  # z^3 + 1
-    fams = solve_generic(f, starts=2)
+    fams = solve_generic(f)
     assert fams, "primitive family must always be found"
     assert all(fam.residual <= 1e-8 for fam in fams)
     w = fams[0].representative.W
@@ -125,11 +127,11 @@ def _span_rank(*polys) -> int:
 
 
 def test_solve_generic_cubic_finds_non_primitive_family():
-    # the R-search hit must survive the kernel basis' rounding-level top
+    # the family must survive the kernel basis' rounding-level top
     # coefficients, which used to make deg W != deg f and drop the family;
     # W(z^3/2 - 1, z) = z^3 + 1 is the family besides the primitive one
     f = ComplexPolynomial([1.0, 0.0, 0.0, 1.0])
-    fams = solve_generic(f, starts=2)
+    fams = solve_generic(f)
     assert len(fams) >= 2
     assert all(fam.residual <= RESIDUAL_RTOL for fam in fams)
     reps = [(fam.representative.P, fam.representative.Q) for fam in fams]
@@ -138,6 +140,68 @@ def test_solve_generic_cubic_finds_non_primitive_family():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert _span_rank(*reps[i], *reps[j]) > 2, "duplicate family"
+
+
+# -- Bethe-ansatz families ---------------------------------------------------
+
+
+def _check_complete(f, counts):
+    """solve_generic(f) returns counts[k] families with canonical deg Q = k,
+    pairwise distinct, each within 1e-10 of f."""
+    fams = solve_generic(f)
+    reps = [fam.representative for fam in fams]
+    assert all(fam.residual <= 1e-10 for fam in fams)
+    got = [0] * len(counts)
+    for rep in reps:
+        got[canonical_form(rep).Q.degree or 0] += 1
+    assert got == counts
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            assert not _same_family(reps[i], reps[j])
+
+
+def test_solve_generic_is_complete_on_distinct_roots():
+    # generic f with distinct roots: C(d, k) - C(d, k - 1) families with
+    # deg Q = k, C(d, d // 2) in all
+    rng = np.random.default_rng(11)
+    for d in range(2, 7):
+        for _ in range(4):
+            roots = rng.normal(size=d) + 1j * rng.normal(size=d)
+            lead = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+            counts = [math.comb(d, k) - math.comb(d, k - 1) if k else 1
+                      for k in range(d // 2 + 1)]
+            _check_complete(poly.from_roots(roots, leading=lead), counts)
+
+
+@pytest.mark.parametrize("f, counts", [
+    (poly.from_roots([1.0, 1.0, -1.0, 2.0]), [1, 2, 1]),
+    (poly.from_roots([1.0, 1.0, -1j, -1j]), [1, 1, 1]),
+    (poly.from_roots([0.5, 0.5, 0.5, 2.0, -1.0]), [1, 2, 1]),
+    (ComplexPolynomial([1.0, 0, 0, 0, 0, 1.0]), [1, 4, 5]),     # z^5 + 1
+    (ComplexPolynomial([1.0, 0, 0, 1.0]), [1, 1]),              # z^3 + 1
+], ids=["(z-1)^2(z+1)(z-2)", "(z-1)^2(z+i)^2", "(z-1/2)^3(z-2)(z+1)",
+        "z^5+1", "z^3+1"])
+def test_solve_generic_is_complete_on_repeated_roots(f, counts):
+    # counts: the multiplicity of V_{d-2k} in the tensor product of the
+    # spins V_{m_j}; z^3 + 1 has a double Bethe root at k = 1, so its two
+    # singular vectors give one family
+    _check_complete(f, counts)
+
+
+def test_solve_generic_is_deterministic():
+    def coefficient_bytes(fams):
+        return [(fam.representative.P.coeffs.tobytes(),
+                 fam.representative.Q.coeffs.tobytes()) for fam in fams]
+
+    f = poly.from_roots([0.3 + 1j, -1.2, 0.7 - 0.4j, 2.0, -0.5j])
+    assert coefficient_bytes(solve_generic(f)) == coefficient_bytes(solve_generic(f))
+
+
+def test_bethe_coefficients_of_z_squared_plus_one():
+    # the one k = 1 family of z^2 + 1 is (z^2 - 1, z), and f y'' - f' y' + R y
+    # annihilates y = z for R = 2z / z = 2
+    (R,) = bethe_coefficients(ComplexPolynomial([1.0, 0.0, 1.0]), 1)
+    assert R.close_to(ComplexPolynomial([2.0]), rtol=1e-12)
 
 
 # -- ODE kernel ------------------------------------------------------------
@@ -161,6 +225,16 @@ def test_ode_kernel_bounds_degree():
         ode_kernel(f, ComplexPolynomial([1.0]), 5)
 
 
+def test_ode_kernel_degrees_at_degree_ten():
+    # the kernel of a k = 3 family of a deg-10 f is spanned by P (deg 8) and
+    # Q (deg 3); elimination leaves ~1e-12 in Q above degree 3, which must
+    # not become a pivot
+    rng = np.random.default_rng(0)
+    f = poly.from_roots(rng.normal(size=10) + 1j * rng.normal(size=10))
+    for R in bethe_coefficients(f, 3):
+        assert [b.degree for b in ode_kernel(f, R, 11)] == [8, 3]
+
+
 def _ode_matrix_by_columns(f, R, max_deg):
     """Reference: column k is the image of z^k under ComplexPolynomial algebra."""
     fd = poly.derivative(f)
@@ -174,8 +248,8 @@ def _ode_matrix_by_columns(f, R, max_deg):
 
 
 def _seeded_f_and_r():
-    """Seeded f of degree 3..6 with R coefficient vectors of R's search
-    length deg f - 1: full degree, a zero top coefficient, and R = 0."""
+    """Seeded f of degree 3..6 with R coefficient vectors of length
+    deg f - 1: full degree, a zero top coefficient, and R = 0."""
     rng = np.random.default_rng(7)
     for df in range(3, 7):
         for _ in range(4):
@@ -199,16 +273,9 @@ def test_ode_operator_matrix_matches_column_build():
             assert _bits(got) == _bits(_ode_matrix_by_columns(f, R, max_deg))
 
 
-def test_search_matrix_is_ode_operator_matrix():
-    """A_f plus R on its shifted diagonals is the full build, bit for bit."""
-    for f, r in _seeded_f_and_r():
-        A_f = ode_operator_matrix(f, poly.ZERO, f.degree + 1)
-        want = ode_operator_matrix(f, ComplexPolynomial(r), f.degree + 1)
-        assert _bits(_with_R(A_f, r)) == _bits(want)
-
-
-def test_search_builds_ode_matrix_once_per_f(monkeypatch):
-    """One build for the search, one per hit in ode_kernel."""
+def test_solve_builds_ode_matrix_once_per_candidate(monkeypatch):
+    """One build per candidate R, in ode_kernel: C(d, d // 2) - 1 of them
+    for f with distinct roots."""
     calls = []
     real = wronskian_pairs.ode_operator_matrix
 
@@ -217,9 +284,12 @@ def test_search_builds_ode_matrix_once_per_f(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(wronskian_pairs, "ode_operator_matrix", counted)
-    starts = 2
-    solve_generic(ComplexPolynomial([1.0, 0.0, 0.0, 1.0]), starts=starts)
-    assert 1 <= len(calls) <= starts + 2
+    f = poly.from_roots([1.0, -1.0, 2j, 0.5 - 1j])
+    solve_generic(f)
+    assert len(calls) == math.comb(4, 2) - 1
+    Rs = [R for (_, R, _) in calls]
+    assert all(not Rs[i].close_to(Rs[j]) for i in range(len(Rs))
+               for j in range(i + 1, len(Rs)))
 
 
 # -- canonical form --------------------------------------------------------
@@ -265,7 +335,7 @@ def test_different_families_distinguished():
 
 
 def test_family_check_measures_residual():
-    fam = SolutionFamily(kind="Search",
+    fam = SolutionFamily(kind="Bethe",
                          representative=WronskianPair([0, 0, 1.0], [1.0]))
     # W(z^2, 1) = 2z; residual against f = 2z is 0, against f = z is 1
     assert fam.check(ComplexPolynomial([0.0, 2.0])) <= 1e-15
