@@ -229,12 +229,34 @@ def _common_degree(p: ComplexPolynomial, q: ComplexPolynomial, eps: float) -> in
     return int(np.sum(s <= eps * s[0])) if s.size else 0
 
 
+def _companion_roots(p: ComplexPolynomial) -> np.ndarray:
+    """All roots of a nonzero p, with multiplicity: its companion eigenvalues."""
+    c = p.coeffs / p.coeffs[-1]
+    n = c.size - 1
+    comp = np.zeros((n, n), dtype=complex)
+    comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = -c[:-1]
+    return np.linalg.eigvals(comp)
+
+
+def _scaled(p: ComplexPolynomial, vals: np.ndarray) -> ComplexPolynomial:
+    """p(s z) with s the median modulus of vals (1 if that is 0), which puts
+    the coefficients of a polynomial with roots vals on one scale."""
+    s = float(np.median(np.abs(vals))) or 1.0
+    return ComplexPolynomial(p.coeffs * s ** np.arange(p.coeffs.size))
+
+
 def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) -> bool:
-    """Whether p and q have no common root (deg gcd = 0 by _common_degree)."""
+    """Whether p and q have no common root: deg gcd = 0 by _common_degree,
+    with z scaled so that the median modulus of the roots of p and q is 1
+    (the rank test is not scale invariant)."""
     p, q = _coerce(p), _coerce(q)
     if p.is_zero or q.is_zero:
         return gcd(p, q).degree == 0
-    return _common_degree(p, q, eps) == 0
+    if p.degree == 0 or q.degree == 0:
+        return True
+    vals = np.concatenate([_companion_roots(p), _companion_roots(q)])
+    return _common_degree(_scaled(p, vals), _scaled(q, vals), eps) == 0
 
 
 def roots(p: ComplexPolynomial):
@@ -252,15 +274,9 @@ def roots(p: ComplexPolynomial):
         raise ValueError("zero polynomial has all points as roots")
     if p.degree == 0:
         return []
-    c = p.coeffs / p.coeffs[-1]
-    n = c.size - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -c[:-1]
-    vals = np.linalg.eigvals(comp)
-    scale = float(np.median(np.abs(vals))) or 1.0
-    unit = ComplexPolynomial(c * scale ** np.arange(n + 1))
-    distinct = n - _common_degree(unit, derivative(unit), GCD_EPS)
+    vals = _companion_roots(p)
+    unit = _scaled(p.monic(), vals)
+    distinct = p.degree - _common_degree(unit, derivative(unit), GCD_EPS)
     clusters = [[v] for v in vals]
     while len(clusters) > distinct:
         centers = [np.mean(cl) for cl in clusters]

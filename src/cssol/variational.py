@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp, trapezoid
@@ -30,11 +31,15 @@ class TownesProfile:
     mass_sq: float  # 2 pi int tau^2 r dr
     c_lgn: float    # mass_sq / 2
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        """Built once: Grid.sample calls the profile once per row block."""
+        return CubicSpline(self.r, self.tau)
+
     def __call__(self, radii):
         """Evaluate tau at given radii (exponential tail beyond the samples)."""
-        sp = CubicSpline(self.r, self.tau)
         radii = np.asarray(radii, dtype=float)
-        out = np.where(radii <= self.r[-1], sp(np.clip(radii, 0, self.r[-1])), 0.0)
+        out = np.where(radii <= self.r[-1], self._spline(np.clip(radii, 0, self.r[-1])), 0.0)
         tail = radii > self.r[-1]
         if np.any(tail):
             # tau ~ c e^{-r}/sqrt(r) matched at the last sample
@@ -209,14 +214,12 @@ def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
 
 def _townes_start(g: Grid) -> np.ndarray:
     prof = townes_profile()
-    Z = g.zmesh()
-    return _norm_mass(prof(np.abs(Z)).astype(complex), g)
+    return _norm_mass(g.sample(lambda z: prof(np.abs(z))).values.astype(complex), g)
 
 
 def _ring_start(g: Grid, beta: float) -> np.ndarray:
     n = max(1, int(round(beta / 2.0)))
-    sol = radial_ring(n)
-    return _norm_mass(sol.u(g.zmesh()), g)
+    return _norm_mass(radial_ring(n).sample(g).values, g)
 
 
 def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
@@ -303,7 +306,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         # are not exactly self-adjoint at the Nyquist scale)
         noise = (gaussian_filter(noise.real, 2.0)
                  + 1j * gaussian_filter(noise.imag, 2.0))
-        envelope = np.exp(-(np.abs(g.zmesh()) / (g.L / 2.0)) ** 2)
+        envelope = g.sample(lambda z: np.exp(-(np.abs(z) / (g.L / 2.0)) ** 2)).values
         return _norm_mass(v + noise * np.max(np.abs(v)) * envelope, g)
 
     starts = [with_noise(_townes_start(g)), with_noise(_ring_start(g, beta))]

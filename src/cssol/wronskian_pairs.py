@@ -185,13 +185,31 @@ def canonical_form(pair: WronskianPair) -> WronskianPair:
     return WronskianPair(P1, Q1)
 
 
+def _family_key(pair: WronskianPair):
+    """Coefficients of P and of monic Q in the canonical form, and their
+    scale: what _same_family compares. Q is compared up to scale: the
+    diag(mu, 1/mu) subgroup is invisible to the monic-P canonical form."""
+    c = canonical_form(pair)
+    q = c.Q.monic()
+    return c.P.coeffs, q.coeffs, max(c.P.norm() + q.norm(), 1.0)
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Norm of the difference of two coefficient vectors."""
+    if a.size != b.size:
+        n = max(a.size, b.size)
+        a, b = (np.concatenate([x, np.zeros(n - x.size)]) for x in (a, b))
+    return float(np.linalg.norm(a - b))
+
+
+def _keys_match(k1, k2, tol: float) -> bool:
+    """Whether two _family_key values agree within tol at the scale of k1."""
+    (P1, q1, scale), (P2, q2, _) = k1, k2
+    return _gap(P1, P2) + _gap(q1, q2) <= tol * scale
+
+
 def _same_family(p1: WronskianPair, p2: WronskianPair, tol: float = DEDUP_TOL) -> bool:
-    c1, c2 = canonical_form(p1), canonical_form(p2)
-    # compare Q up to scale: the diag(mu, 1/mu) subgroup is invisible to the
-    # monic-P canonical form
-    q1, q2 = c1.Q.monic(), c2.Q.monic()
-    scale = max(c1.P.norm() + q1.norm(), 1.0)
-    return (c1.P - c2.P).norm() + (q1 - q2).norm() <= tol * scale
+    return _keys_match(_family_key(p1), _family_key(p2), tol)
 
 
 def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomial):
@@ -263,25 +281,26 @@ def solve_generic(f: ComplexPolynomial) -> list[SolutionFamily]:
     The primitive family, then for each k = 1..deg f // 2 the families with
     deg Q = k: each candidate R of bethe_coefficients gives the pair spanning
     the ODE kernel, rescaled so that W = f. A candidate joins only as a
-    validated (coprime, independent) pair within RESIDUAL_RTOL of f.
+    validated (coprime, independent) pair within RESIDUAL_RTOL of f, and
+    only if no kept family of its k has the same _family_key, which is
+    computed once per candidate.
     """
     f = poly._coerce(f)
     if f.is_zero:
         raise ValueError("zero polynomial has no Wronskian pair")
     fams = [primitive_family(f)]
     for k in range(1, f.degree // 2 + 1):
-        level: list[SolutionFamily] = []  # families differ in k modulo SL(2)
+        level = []  # (family, key); families differ in k modulo SL(2)
         for R in bethe_coefficients(f, k):
             basis = ode_kernel(f, R, f.degree + 1)
             if len(basis) != 2:
                 continue
             fam = _family("Bethe", *_abel_rescale(*basis, f), f, k=k,
                           R=[complex(c) for c in R.coeffs])
-            if fam is not None and fam.residual <= RESIDUAL_RTOL and not any(
-                _same_family(fam.representative, g.representative,
-                             SOLVE_DEDUP_TOL)
-                for g in level
-            ):
-                level.append(fam)
-        fams += level
+            if fam is None or not fam.residual <= RESIDUAL_RTOL:
+                continue
+            key = _family_key(fam.representative)
+            if not any(_keys_match(key, kept, SOLVE_DEDUP_TOL) for _, kept in level):
+                level.append((fam, key))
+        fams += [fam for fam, _ in level]
     return fams

@@ -1,11 +1,13 @@
 """Desk grids: stencil accuracy, quadrature, masks, and field file I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cssol import poly
 from cssol.grid import (
     _D1,
     _D2,
@@ -24,6 +26,9 @@ from cssol.grid import (
     save_field,
 )
 from cssol.kernels import a_star, superpotential, vector_potential
+from cssol.sampling import _separated_roots, haar_su2
+from cssol.soliton import LiouvilleSolution, Soliton
+from cssol.wronskian_pairs import WronskianPair
 
 
 def test_grid_geometry():
@@ -34,6 +39,70 @@ def test_grid_geometry():
     X, Y = g.mesh()
     assert X.shape == (256, 256)
     assert np.allclose(g.zmesh(), X + 1j * Y)
+
+
+def _deg4_pair(seed=4):
+    rng = np.random.default_rng(seed)
+    P0 = poly.from_roots(_separated_roots(rng, 4))
+    P, Q = poly.act(haar_su2(rng), (P0, poly.ComplexPolynomial([3.0j])))
+    return WronskianPair(P, Q)
+
+
+@pytest.mark.parametrize("M", [16, 130, 1024])
+def test_sample_is_bit_identical_to_the_full_mesh(M):
+    # 130 rows are not a whole number of blocks
+    g = Grid(12.0, M)
+    pair = _deg4_pair()
+    sol = LiouvilleSolution(pair)
+    for fn in (Soliton(pair).u, sol.rhs, sol.psi):
+        got, want = g.sample(fn), GridField(g, fn(g.zmesh()))
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+        assert not got.values.flags.writeable
+
+
+def test_zmesh_is_bit_identical_to_x_plus_iy():
+    g = Grid(8.0, 130)
+    X, Y = g.mesh()
+    assert np.array_equal(g.zmesh(), X + 1j * Y)
+
+
+def test_sample_keeps_real_and_complex_dtypes():
+    g = Grid(8.0, 130)
+    assert g.sample(np.abs).is_real
+    assert not g.sample(np.conj).is_real
+    assert g.sample(np.conj).values.dtype == complex
+
+
+@pytest.mark.parametrize("fn", [lambda z: 1.0, lambda z: z[:, :-1], lambda z: z.ravel()],
+                         ids=["scalar", "short rows", "flat"])
+def test_sample_rejects_a_result_of_another_shape(fn):
+    with pytest.raises(ValueError, match="shape"):
+        Grid(8.0, 130).sample(fn)
+
+
+def test_sample_rejects_complex_blocks_after_real_ones():
+    # a later block that turns complex is not truncated to the first block's reals
+    with pytest.raises(ValueError, match="dtype"):
+        Grid(8.0, 1024).sample(lambda z: z if np.any(z.real > 0) else np.abs(z))
+
+
+def test_sample_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        Grid(8.0, 1024).sample(lambda z: np.where(z.real > 7.0, np.inf, z.real))
+
+
+def test_sample_keeps_temporaries_to_a_block():
+    # the sampled soliton needs its 16 MiB output and block-sized scratch,
+    # not full-grid temporaries
+    g, pair = Grid(40.0, 1024), _deg4_pair()
+    tracemalloc.start()
+    try:
+        u = Soliton(pair).sample(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.values.nbytes + 4 * 2**20
 
 
 def test_grid_validation():

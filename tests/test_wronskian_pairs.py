@@ -173,6 +173,26 @@ def test_solve_generic_is_complete_on_distinct_roots():
             _check_complete(poly.from_roots(roots, leading=lead), counts)
 
 
+@pytest.mark.parametrize("scale", [100.0, 1e-2])
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_generic_is_complete_at_any_root_scale(seed, scale):
+    # the coprimality test of each candidate pair sees the same coefficients
+    # whatever the scale of z
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert len(solve_generic(poly.from_roots(scale * roots))) == math.comb(4, 2)
+
+
+def test_solve_generic_is_complete_at_degree_ten():
+    # C(10, 5) = 252 families, C(10, k) - C(10, k - 1) of them at each k
+    rng = np.random.default_rng(0)
+    f = poly.from_roots(rng.normal(size=10) + 1j * rng.normal(size=10))
+    got = [0] * 6
+    for fam in solve_generic(f):
+        got[fam.parameters["k"]] += 1
+    assert got == [1, 9, 35, 75, 90, 42]
+
+
 @pytest.mark.parametrize("f, counts", [
     (poly.from_roots([1.0, 1.0, -1.0, 2.0]), [1, 2, 1]),
     (poly.from_roots([1.0, 1.0, -1j, -1j]), [1, 1, 1]),
