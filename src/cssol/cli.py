@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(format="csv")
 
     _subcommand(sub, "townes", cmd_townes, formats=True,
-                help="ground-state shooting constant")
+                help="ground-state constant c_lgn")
     return ap
 
 

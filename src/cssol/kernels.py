@@ -40,7 +40,6 @@ from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy.fft import ifft, irfft, next_fast_len, rfft2
 
 from .grid import _D1, Grid, GridField
@@ -56,8 +55,10 @@ _CACHE_BYTES = 256 * 2**20
 
 def _cell_integral(f, i: int, j: int) -> float:
     """integral of f(x, y) over the unit cell centered at (i, j)."""
-    val, _ = _sint.dblquad(lambda y, x: f(x, y), i - 0.5, i + 0.5, j - 0.5, j + 0.5,
-                           epsabs=1e-13, epsrel=1e-13)
+    from scipy.integrate import dblquad
+
+    val, _ = dblquad(lambda y, x: f(x, y), i - 0.5, i + 0.5, j - 0.5, j + 0.5,
+                     epsabs=1e-13, epsrel=1e-13)
     return val
 
 
@@ -65,13 +66,15 @@ def _cell_integral(f, i: int, j: int) -> float:
 def _unit_cell_log(i: int, j: int) -> float:
     """integral of log|x| over the unit cell centered at (i, j), spacing 1."""
     if i == 0 and j == 0:
+        from scipy.integrate import quad
+
         # singular cell in polar coordinates: 8 * int_0^{pi/4} int_0^{sec/2}
         # r log r dr dtheta, inner integral in closed form
         def octant(theta):
             R = 0.5 / np.cos(theta)
             return 0.5 * R * R * (np.log(R) - 0.5)
 
-        val, _ = _sint.quad(octant, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-14)
+        val, _ = quad(octant, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-14)
         return 8.0 * val
     return _cell_integral(lambda x, y: 0.5 * np.log(x * x + y * y), i, j)
 

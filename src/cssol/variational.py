@@ -1,7 +1,7 @@
 """Variational estimation of the optimal self-magnetic interpolation constant
-gamma*(beta): the cubic-NLS ground-state (shooting) constant, analytic
-bounds, projected gradient descent on the Rayleigh quotient, structure scans,
-and the restricted confined-energy evaluation."""
+gamma*(beta): the cubic-NLS ground-state constant (Chebyshev collocation),
+analytic bounds, projected gradient descent on the Rayleigh quotient,
+structure scans, and the restricted confined-energy evaluation."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp, trapezoid
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
-from scipy.ndimage import gaussian_filter
+# scipy.interpolate and scipy.ndimage are imported where used: reading c_lgn loads neither
 
 from .functionals import MagneticState, magnetic_energy, stationarity
 from .grid import Grid, GridField, integrate, quadrature
@@ -32,8 +30,10 @@ class TownesProfile:
     c_lgn: float    # mass_sq / 2
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
         """Built once: Grid.sample calls the profile once per row block."""
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.r, self.tau)
 
     def __call__(self, radii):
@@ -48,81 +48,73 @@ class TownesProfile:
         return out
 
 
-# tolerances and step cap of every Townes shot
-_SHOOT_OPTIONS = dict(rtol=1e-12, atol=1e-12, max_step=0.05)
+TOWNES_R = 30.0  # collocation domain [0, TOWNES_R]: tau(30) ~ 1e-13
+TOWNES_N = 120   # Chebyshev degree of the collocation solve
+_NEWTON_STEPS = 20
 
 
-def _shoot_problem(a0: float):
-    """Right-hand side, start radius and start state of
-    tau'' + tau'/r - tau + tau^3 = 0, tau(0)=a0, tau'(0)=0."""
-    r0 = 1e-8
-
-    def rhs(r, y):
-        tau, dtau = y
-        return [dtau, tau - tau**3 - dtau / r]
-
-    b = (a0 - a0**3) / 4.0
-    return rhs, r0, [a0 + b * r0**2, 2.0 * b * r0]
-
-
-def _shoot(a0: float, r_max: float):
-    """The Townes shot from tau(0) = a0 to r_max, with dense output."""
-    rhs, r0, y0 = _shoot_problem(a0)
-    return solve_ivp(rhs, (r0, r_max), y0, dense_output=True, **_SHOOT_OPTIONS)
-
-
-def _shot_class(a0: float, r_max: float) -> int:
-    """+1 if the shot from a0 crosses zero before r_max (overshoot), -1 if it
-    stays positive (undershoot), read at the step points of _shoot's RK45.
-
-    The steps stop once the class is decided: at the first step point with
-    tau < 0, or with tau' > 0 and H = tau'^2/2 - tau^2/2 + tau^4/4 < -1e-6.
-    H' = -tau'^2/r <= 0, and H >= 0 wherever tau = 0, so such an orbit is
-    trapped in the tau > 0 well and the full-length shot would undershoot."""
-    rhs, r0, y0 = _shoot_problem(a0)
-    solver = RK45(rhs, r0, y0, float(r_max), **_SHOOT_OPTIONS)
-    while solver.status == "running":
-        solver.step()
-        tau, dtau = solver.y
-        if tau < 0:
-            return 1
-        if dtau > 0 and 0.5 * dtau**2 - 0.5 * tau**2 + 0.25 * tau**4 < -1e-6:
-            return -1
-    return -1
+def _chebyshev(n: int, length: float):
+    """Chebyshev-Lobatto nodes r_j = length (1 + cos(pi j / n)) / 2 on
+    [0, length] (r_0 = length, r_n = 0), the first-derivative matrix on them
+    and their Clenshaw-Curtis weights."""
+    theta = np.pi * np.arange(n + 1) / n
+    x = np.cos(theta)
+    ends = np.r_[1.0, np.full(n - 1, 2.0), 1.0]
+    c = (3.0 - ends) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0) / (4.0 * k**2 - 1.0)
+    w = ends / n * (1.0 - b @ np.cos(2.0 * np.outer(k, theta)))
+    return 0.5 * length * (1.0 + x), (2.0 / length) * d, 0.5 * length * w
 
 
 def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile:
-    """Ground-state amplitude by bisection on the shooting parameter.
+    """Ground state of tau'' + tau'/r - tau + tau^3 = 0 by Chebyshev
+    collocation on [0, TOWNES_R], sampled on a uniform grid of [0, r_max].
 
-    Amplitudes above the separatrix produce a zero crossing; below it the
-    profile turns back upward. Bisection in [1, 10] brackets the decaying
-    solution.
+    The rows are tau(TOWNES_R) = 0 and, at r = 0, the regular limit
+    2 tau'' - tau + tau^3 = 0. Petviashvili iterations from a Gaussian pick
+    the positive solution; Newton finishes until its step is at most
+    `tolerance` (RuntimeError if it is not). The mass is the Clenshaw-Curtis
+    sum; the tail beyond TOWNES_R holds about e^-60 of it.
     """
     if not (1e-10 <= tolerance <= 1e-4):
         raise ValueError("tolerance must lie in [1e-10, 1e-4]")
 
-    lo, hi = 1.0, 10.0
-    if _shot_class(lo, r_max) != -1 or _shot_class(hi, r_max) != 1:
-        raise RuntimeError("shooting bracket not found in [1, 10]")
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if _shot_class(mid, r_max) == 1:
-            hi = mid
-        else:
-            lo = mid
-    a0 = 0.5 * (lo + hi)
-    sol = _shoot(a0, r_max)
+    n = TOWNES_N
+    r, d1, w = _chebyshev(n, TOWNES_R)
+    rows = np.r_[0.0, np.ones(n)]  # the equation rows, not the boundary row
+    lin = d1 @ d1
+    lin[1:n] += d1[1:n] / r[1:n, None]
+    lin[n] *= 2.0  # tau'/r -> tau''(0)
+    lin -= np.diag(rows)
+    lin[0] = 1.0 - rows  # tau(TOWNES_R) = 0
+    weight = w * r
+
+    # Petviashvili: tau <- M^(3/2) (-lin)^-1 tau^3, M = <tau, -lin tau> / <tau, tau^3>
+    tau = np.exp(-r**2)
+    for _ in range(10):
+        m = -(weight @ (tau * (lin @ tau))) / (weight @ tau**4)
+        tau = m**1.5 * np.linalg.solve(-lin, rows * tau**3)
+    for _ in range(_NEWTON_STEPS):
+        step = np.linalg.solve(lin + np.diag(3.0 * rows * tau**2),
+                               lin @ tau + rows * tau**3)
+        tau -= step
+        if np.max(np.abs(step)) <= tolerance:
+            break
+    else:
+        raise RuntimeError(f"Townes Newton step still above {tolerance:.1e}")
+    mass = 2.0 * np.pi * (weight @ tau**2)
+
+    series = np.polynomial.Chebyshev.fit(r, tau, n, domain=[0.0, TOWNES_R])
+    r = np.linspace(0.0, r_max, 4000)
+    tau = series(r)
     # keep the decaying stretch: cut where the profile bottoms out or flips
-    r = np.linspace(1e-8, r_max, 4000)
-    tau = sol.sol(r)[0]
     bad = np.where((tau <= 0) | (np.diff(tau, prepend=tau[0] + 1) > 0))[0]
     cut = bad[0] if bad.size else len(r)
-    r, tau = r[:cut], tau[:cut]
-    mass = 2.0 * np.pi * trapezoid(tau**2 * r, r)
-    # exponential tail mass: tau ~ c e^{-r}/sqrt(r)
-    c = tau[-1] * np.sqrt(r[-1]) * np.exp(r[-1])
-    mass += 2.0 * np.pi * c**2 * 0.5 * np.exp(-2.0 * r[-1])
-    return TownesProfile(r=r, tau=tau, mass_sq=float(mass), c_lgn=float(mass / 2.0))
+    return TownesProfile(r=r[:cut], tau=tau[:cut], mass_sq=float(mass),
+                         c_lgn=float(mass / 2.0))
 
 
 _TOWNES_CACHE: dict[str, TownesProfile] = {}
@@ -147,7 +139,7 @@ def bounds(beta: float) -> tuple[float, float]:
     lower = max{(c + sqrt(c^2 + 4 pi^2 beta^2))/2, 2 pi beta}; the first
     entry solves gamma = c + pi^2 beta^2 / gamma.
     upper = min{c (1 + 3/2 beta^2), 2 pi beta + (pi/2)(2-beta)_+^2}.
-    c is the shooting constant C_LGN.
+    c is the ground-state constant C_LGN = ||Q||^2 / 2 (townes_solve).
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -224,6 +216,8 @@ def _ring_start(g: Grid, beta: float) -> np.ndarray:
 
 def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
     """u -> lam u(lam x), resampled on the same grid (zero beyond the box)."""
+    from scipy.interpolate import RegularGridInterpolator
+
     interp_re = RegularGridInterpolator((g.axis, g.axis), values.real,
                                         bounds_error=False, fill_value=0.0)
     interp_im = RegularGridInterpolator((g.axis, g.axis), values.imag,
@@ -291,6 +285,8 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     recenters the support scale periodically; line-search trials evaluate
     only the quotient. The result is an upper estimate of the infimum.
     """
+    from scipy.ndimage import gaussian_filter
+
     if beta < 0:
         raise ValueError("beta must be >= 0")
     cfg = config or DescentConfig()

@@ -1,7 +1,9 @@
-"""Ground-state shooting, analytic bounds, the descent estimator, scans,
+"""Ground-state collocation, analytic bounds, the descent estimator, scans,
 and the restricted confined energy."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from cssol.variational import (
     _norm_mass,
     _quotient_and_grad,
     _ring_start,
-    _shoot,
-    _shot_class,
     bounds,
     estimate_gamma,
     nll_energy,
@@ -54,16 +54,50 @@ def test_townes_tolerance_validation():
         townes_solve(tolerance=1e-2)
 
 
-def test_shot_class_early_exit_matches_full_shot():
-    """The shot stopped once decided has the class of the shot run to r_max,
-    also within 1e-9 of the separatrix, where both classes occur."""
-    a_sep = townes_profile().tau[0]  # tau(1e-8) = a0 to about 1e-16
-    a0s = [1.0, 1.5, 3.0, 10.0] + [a_sep + d for d in (
-        -1e-3, -1e-6, -1e-9, -3e-10, 3e-10, 1e-9, 1e-6, 1e-3)]
-    got = [_shot_class(a0, 18.0) for a0 in a0s]
-    full = [1 if np.any(_shoot(a0, 18.0).y[0] < 0) else -1 for a0 in a0s]
-    assert got == full
-    assert got[4:] == [-1] * 4 + [1] * 4
+def test_townes_identities(monkeypatch):
+    """Nehari and Pohozaev identities int tau'^2 r = int tau^2 r =
+    1/2 int tau^4 r, by Simpson's rule and 4th-order central differences on
+    the uniform samples (not the solver's collocation and Clenshaw-Curtis
+    sums); c_lgn is half the Townes critical mass and does not move with N."""
+    from scipy.integrate import simpson
+
+    prof = townes_solve(1e-10)
+    r, tau = prof.r, prof.tau
+    assert r[0] == 0.0 and r[-1] == 18.0
+    h = r[1] - r[0]
+    ext = np.r_[tau[2:0:-1], tau]  # tau is even in r
+    dtau = (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12.0 * h)
+    r, tau = r[:-2], tau[:-2]  # no central stencil at the last two samples
+    kinetic = simpson(dtau**2 * r, x=r)
+    mass = simpson(tau**2 * r, x=r)
+    quartic = 0.5 * simpson(tau**4 * r, x=r)
+    assert kinetic == pytest.approx(mass, rel=1e-8)
+    assert quartic == pytest.approx(mass, rel=1e-8)
+    assert np.pi * mass == pytest.approx(prof.c_lgn, rel=1e-8)
+    assert abs(prof.c_lgn - 5.8504482623) <= 1e-9
+
+    monkeypatch.setattr(variational, "TOWNES_N", 3 * variational.TOWNES_N // 2)
+    assert abs(townes_solve(1e-10).c_lgn - prof.c_lgn) <= 1e-12
+
+
+def test_townes_unconverged_newton_raises(monkeypatch):
+    monkeypatch.setattr(variational, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError):
+        townes_solve(1e-10)
+
+
+def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
+    """Only a kernel table build needs scipy.integrate, and only the descent
+    needs scipy.interpolate/ndimage; reading c_lgn and the bounds loads none."""
+    code = ("import sys\n"
+            "from cssol.variational import bounds\n"
+            "bounds(1.0)\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
+            " 'scipy.ndimage', 'scipy.optimize') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(variational.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_bounds_pinch():
