@@ -28,16 +28,15 @@ transformed once and each output transformed back once. The A spectra depend
 on M alone; the log spectrum on (M, h). One process-wide LRU cache, bounded
 by bytes, holds the spectra; the tables are built only to be transformed.
 
-Self-cell rule: log|x| gets its exact analytic cell integral; the components
-of the A kernel are odd, so their principal-value self-cell contribution is
-exactly zero.
+All 25 near-zone cell averages and first moments, the singular cell's
+included, are corner second differences of closed-form mixed
+antiderivatives, with no numerical quadrature.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 
 import numpy as np
 from scipy.fft import ifft, irfft, next_fast_len, rfft2
@@ -51,69 +50,6 @@ _NEAR = 2
 # total size of the cached spectra: one M=1024 grid holds 104 MiB (three
 # 32 MiB spectra and the log(|y|+1) weight), so two box sizes at M=1024 fit
 _CACHE_BYTES = 256 * 2**20
-
-
-def _cell_integral(f, i: int, j: int) -> float:
-    """integral of f(x, y) over the unit cell centered at (i, j)."""
-    from scipy.integrate import dblquad
-
-    val, _ = dblquad(lambda y, x: f(x, y), i - 0.5, i + 0.5, j - 0.5, j + 0.5,
-                     epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
-@lru_cache(maxsize=None)
-def _unit_cell_log(i: int, j: int) -> float:
-    """integral of log|x| over the unit cell centered at (i, j), spacing 1."""
-    if i == 0 and j == 0:
-        from scipy.integrate import quad
-
-        # singular cell in polar coordinates: 8 * int_0^{pi/4} int_0^{sec/2}
-        # r log r dr dtheta, inner integral in closed form
-        def octant(theta):
-            R = 0.5 / np.cos(theta)
-            return 0.5 * R * R * (np.log(R) - 0.5)
-
-        val, _ = quad(octant, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-14)
-        return 8.0 * val
-    return _cell_integral(lambda x, y: 0.5 * np.log(x * x + y * y), i, j)
-
-
-@lru_cache(maxsize=None)
-def _unit_cell_inv(i: int, j: int) -> float:
-    """integral of x1/|x|^2 over the unit cell centered at (i, j).
-
-    Odd kernel: the (0,0) cell integral vanishes by symmetry (principal
-    value); for i = 0 the cell is symmetric in x1, also zero.
-    """
-    if i == 0:
-        return 0.0
-    return _cell_integral(lambda x, y: x / (x * x + y * y), i, j)
-
-
-@lru_cache(maxsize=None)
-def _unit_moment_p(i: int, j: int) -> float:
-    """integral of (x - i) * x/(x^2+y^2) over the unit cell at (i, j) >= 0."""
-    if i == 0 and j == 0:
-        # int x^2/|v|^2 over the unit cell = 1/2 by x <-> y symmetry
-        return 0.5
-    return _cell_integral(lambda x, y: (x - i) * x / (x * x + y * y), i, j)
-
-
-@lru_cache(maxsize=None)
-def _unit_moment_q(i: int, j: int) -> float:
-    """integral of (y - j) * x/(x^2+y^2) over the unit cell at (i, j) >= 0."""
-    if i == 0 or j == 0:
-        return 0.0
-    return _cell_integral(lambda x, y: x * (y - j) / (x * x + y * y), i, j)
-
-
-@lru_cache(maxsize=None)
-def _unit_moment_log(i: int, j: int) -> float:
-    """integral of (x - i) * log|v| over the unit cell at (i, j) >= 0."""
-    if i == 0:
-        return 0.0  # integrand odd in the centered first coordinate
-    return _cell_integral(lambda x, y: (x - i) * 0.5 * np.log(x * x + y * y), i, j)
 
 
 def _fold(CX: np.ndarray, CY: np.ndarray) -> np.ndarray:
@@ -130,27 +66,35 @@ def _fold(CX: np.ndarray, CY: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def _near_tables():
     """(log cells, log fold, K2 cells, K2 fold) at unit spacing: 5x5 cell
     averages and 9x9 folds of the moments int_cell (v - cell centre) K dv.
-    K2(v) = v1/|v|^2; K1(v) = -v2/|v|^2 is minus the transpose of K2."""
-    n = 2 * _NEAR + 1
-    log_cells = np.zeros((n, n))
-    LX = np.zeros((n, n))
-    K2_cells = np.zeros((n, n))
-    CX2 = np.zeros((n, n))
-    CY2 = np.zeros((n, n))
-    for i in range(-_NEAR, _NEAR + 1):
-        for j in range(-_NEAR, _NEAR + 1):
-            a, b = _NEAR + i, _NEAR + j
-            log_cells[a, b] = _unit_cell_log(abs(i), abs(j))
-            LX[a, b] = np.sign(i) * _unit_moment_log(abs(i), abs(j))
-            K2_cells[a, b] = np.sign(i) * _unit_cell_inv(abs(i), abs(j))
-            CX2[a, b] = _unit_moment_p(abs(i), abs(j))
-            CY2[a, b] = np.sign(i) * np.sign(j) * _unit_moment_q(abs(i), abs(j))
+    K2(v) = v1/|v|^2; K1(v) = -v2/|v|^2 is minus the transpose of K2.
+
+    Each cell integral is the corner second difference of a mixed
+    antiderivative F (d2F/dx dy = integrand); every atan(a/b) is taken times
+    b^2, so F is continuous across the axes the centre cells straddle."""
+    e = np.arange(-_NEAR - 0.5, _NEAR + 1.0)
+    x, y = np.meshgrid(e, e, indexing="ij")
+    xx, yy, xy = x * x, y * y, x * y
+    L = np.log(xx + yy)
+    ax, ay = np.arctan(y / x), np.arctan(x / y)
+
+    def cells(F):
+        return np.diff(np.diff(F, axis=0), axis=1)
+
+    log = cells(0.5 * (xy * L - 3.0 * xy + xx * ax + yy * ay))  # log|v|
+    inv = cells(x * ax + 0.5 * y * L - y)  # x/|v|^2
+    xinv = cells(0.5 * (xy + xx * ax - yy * ay))  # x^2/|v|^2
+    yinv = cells(0.25 * ((xx + yy) * L - yy))  # xy/|v|^2
+    xlog = cells(xx * x * ax / 3.0 - 7.0 * xx * y / 12.0 - yy * y / 18.0
+                 + y * (3.0 * xx + yy) * L / 12.0)  # x log|v|
+    # first moments: int_cell (x - i) K = cells(x K) - i cells(K)
+    c = np.arange(-_NEAR, _NEAR + 1.0)
+    i, j = c[:, None], c[None, :]
+    LX = xlog - i * log
     # the log moment along the second axis is the transpose of the first
-    return log_cells, _fold(LX, LX.T), K2_cells, _fold(CX2, CY2)
+    return log, _fold(LX, LX.T), inv, _fold(xinv - i * inv, yinv - j * inv)
 
 
 def _table(M: int, far, cells: np.ndarray, fold: np.ndarray) -> np.ndarray:

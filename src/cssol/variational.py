@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 # scipy.interpolate and scipy.ndimage are imported where used: reading c_lgn loads neither
@@ -117,13 +117,9 @@ def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile
                          c_lgn=float(mass / 2.0))
 
 
-_TOWNES_CACHE: dict[str, TownesProfile] = {}
-
-
+@cache
 def townes_profile() -> TownesProfile:
-    if "p" not in _TOWNES_CACHE:
-        _TOWNES_CACHE["p"] = townes_solve(1e-10)
-    return _TOWNES_CACHE["p"]
+    return townes_solve(1e-10)
 
 
 def townes_constant() -> float:

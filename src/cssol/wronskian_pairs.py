@@ -108,14 +108,18 @@ def primitive_family(f: ComplexPolynomial) -> SolutionFamily:
 def ode_operator_matrix(
     f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
 ) -> np.ndarray:
-    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}."""
-    fd = derivative(f)
+    """Coefficient matrix of y -> f y'' - f' y' + R y on span{1, ..., z^max_deg}:
+    column k, the image of z^k, is k(k-1) f from row k-2, minus k f' from
+    row k-1, plus R from row k."""
+    fc, fd, rc = f.coeffs, derivative(f).coeffs, R.coeffs
     out_deg = max_deg + max(f.degree or 0, R.degree if not R.is_zero else 0)
     A = np.zeros((out_deg + 1, max_deg + 1), dtype=complex)
     for k in range(max_deg + 1):
-        y = ComplexPolynomial([0.0] * k + [1.0])
-        img = f * derivative(derivative(y)) - fd * derivative(y) + R * y
-        A[: img.coeffs.size, k] = img.coeffs
+        if k > 1:
+            A[k - 2 : k - 2 + fc.size, k] += k * (k - 1) * fc
+        if k > 0:
+            A[k - 1 : k - 1 + fd.size, k] -= k * fd
+        A[k : k + rc.size, k] += rc
     return A
 
 

@@ -1,13 +1,17 @@
 """Properties of the planned FFT kernel operators on fields that do not vanish
 at the edge of the box: linearity, the discrete adjoint identities, agreement
-with the direct-table reference below, and the thread-safe spectrum cache."""
+with the direct-table reference below, the closed-form near-zone tables
+against quadrature and their exact parities, and the thread-safe spectrum
+cache."""
 
 import sys
 import threading
 import time
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import dblquad, quad
 from scipy.signal import convolve2d, fftconvolve
 
 from cssol import kernels
@@ -44,7 +48,40 @@ def _rel(a, b, mask=None):
 
 # -- reference: direct (2M-1)^2 tables, fftconvolve at 3M-2, and the
 #    first-moment corrections as separate 5x5 convolutions of the 4th-order
-#    derivatives (one-sided on the boundary ring) --------------------------
+#    derivatives (one-sided on the boundary ring). The near-zone cell
+#    integrals come from adaptive quadrature, independent of the closed forms
+#    in the program --------------------------------------------------------
+
+_INTEGRANDS = {
+    "log": lambda x, y, i, j: 0.5 * np.log(x * x + y * y),
+    "inv": lambda x, y, i, j: x / (x * x + y * y),
+    "p": lambda x, y, i, j: (x - i) * x / (x * x + y * y),
+    "q": lambda x, y, i, j: x * (y - j) / (x * x + y * y),
+    "xlog": lambda x, y, i, j: (x - i) * 0.5 * np.log(x * x + y * y),
+}
+
+
+@lru_cache(maxsize=None)
+def _cell(name: str, i: int, j: int) -> float:
+    """integral of the named integrand over the unit cell centred at
+    (i, j) >= 0: log|v|, v1/|v|^2, and the moments (v1 - i) v1/|v|^2,
+    v1 (v2 - j)/|v|^2 and (v1 - i) log|v|."""
+    if name == "log" and i == j == 0:
+        # singular cell in polar coordinates: 8 * int_0^{pi/4} int_0^{sec/2}
+        # r log r dr dtheta, inner integral in closed form
+        def octant(theta):
+            R = 0.5 / np.cos(theta)
+            return 0.5 * R * R * (np.log(R) - 0.5)
+
+        return 8.0 * quad(octant, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-14)[0]
+    if name == "p" and i == j == 0:
+        return 0.5  # int v1^2/|v|^2 over the cell = 1/2 by v1 <-> v2 symmetry
+    if (name in ("inv", "xlog") and i == 0) or (name == "q" and i * j == 0):
+        return 0.0  # integrand odd about the cell centre
+    f = _INTEGRANDS[name]
+    val, _ = dblquad(lambda y, x: f(x, y, i, j), i - 0.5, i + 0.5, j - 0.5, j + 0.5,
+                     epsabs=1e-13, epsrel=1e-13)
+    return val
 
 
 def _ref_tables(g: Grid):
@@ -56,9 +93,9 @@ def _ref_tables(g: Grid):
         T, K1, K2 = 0.5 * np.log(R2), -DY / R2, DX / R2
     for i in range(-2, 3):
         for j in range(-2, 3):
-            T[c + i, c + j] = kernels._unit_cell_log(abs(i), abs(j))
-            K1[c + i, c + j] = -np.sign(j) * kernels._unit_cell_inv(abs(j), abs(i))
-            K2[c + i, c + j] = np.sign(i) * kernels._unit_cell_inv(abs(i), abs(j))
+            T[c + i, c + j] = _cell("log", abs(i), abs(j))
+            K1[c + i, c + j] = -np.sign(j) * _cell("inv", abs(j), abs(i))
+            K2[c + i, c + j] = np.sign(i) * _cell("inv", abs(i), abs(j))
     return T + np.log(h), K1 / h, K2 / h
 
 
@@ -67,13 +104,27 @@ def _ref_moments():
     for i in range(-2, 3):
         for j in range(-2, 3):
             a, b, sij = 2 + i, 2 + j, np.sign(i) * np.sign(j)
-            LX[a, b] = np.sign(i) * kernels._unit_moment_log(abs(i), abs(j))
-            LY[a, b] = np.sign(j) * kernels._unit_moment_log(abs(j), abs(i))
-            CX2[a, b] = kernels._unit_moment_p(abs(i), abs(j))
-            CY2[a, b] = sij * kernels._unit_moment_q(abs(i), abs(j))
-            CX1[a, b] = -sij * kernels._unit_moment_q(abs(j), abs(i))
-            CY1[a, b] = -kernels._unit_moment_p(abs(j), abs(i))
+            LX[a, b] = np.sign(i) * _cell("xlog", abs(i), abs(j))
+            LY[a, b] = np.sign(j) * _cell("xlog", abs(j), abs(i))
+            CX2[a, b] = _cell("p", abs(i), abs(j))
+            CY2[a, b] = sij * _cell("q", abs(i), abs(j))
+            CX1[a, b] = -sij * _cell("q", abs(j), abs(i))
+            CY1[a, b] = -_cell("p", abs(j), abs(i))
     return (LX, LY), (CX1, CY1), (CX2, CY2)
+
+
+def _near_inputs(monkeypatch):
+    """_near_tables() with the 5x5 moment tables it passes to _fold:
+    ((log cells, log fold, K2 cells, K2 fold), [(LX, LY), (CX2, CY2)])."""
+    seen = []
+    fold = kernels._fold
+
+    def recording(CX, CY):
+        seen.append((CX, CY))
+        return fold(CX, CY)
+
+    monkeypatch.setattr(kernels, "_fold", recording)
+    return kernels._near_tables(), seen
 
 
 def _ref_conv(table, values, moments, g):
@@ -152,6 +203,40 @@ def test_plan_matches_reference_away_from_edge(grid_rng):
     norm = np.sum(np.log(np.hypot(X, Y) + 1.0) * rho) * g.h**2
     got = superpotential(GridField(g, rho)).values
     assert _rel(got, _ref_conv(T, rho, LM, g) - norm, inner) <= 1e-12
+
+
+def test_near_tables_match_quadrature_reference(monkeypatch):
+    """Every closed-form cell integral and moment, and both folds, agree with
+    the adaptive-quadrature reference to 1e-14."""
+    (log_cells, log_fold, K2_cells, K2_fold), seen = _near_inputs(monkeypatch)
+    g = Grid(7.5, 16)  # h = 1: the tables' 5x5 centres are the unit cells
+    w = slice(g.M - 3, g.M + 2)
+    T, _, K2 = _ref_tables(g)
+    LM, _, C2 = _ref_moments()
+    pairs = [(log_cells, T[w, w]), (K2_cells, K2[w, w]), (log_fold, kernels._fold(*LM)),
+             (K2_fold, kernels._fold(*C2))]
+    pairs += list(zip(seen[0] + seen[1], LM + C2))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_near_tables_exact_parities(monkeypatch):
+    """The 5x5 inputs are exactly even or odd in each axis: the log cells
+    even-even, the K2 cells odd-even (0 on the centre column), the log moment
+    odd in its axis, the p moment even-even and the q moment odd-odd."""
+    (log_cells, _, K2_cells, _), seen = _near_inputs(monkeypatch)
+    (LX, LY), (P, Q) = seen
+
+    def parity(T, s0, s1):
+        return (np.array_equal(T, s0 * T[::-1, :])
+                and np.array_equal(T, s1 * T[:, ::-1]))
+
+    assert parity(log_cells, 1, 1)
+    assert parity(K2_cells, -1, 1) and K2_cells[2, 2] == 0.0
+    assert parity(LX, -1, 1) and np.array_equal(LY, LX.T)
+    assert parity(P, 1, 1)
+    assert parity(Q, -1, -1)
 
 
 def test_a_spectra_shared_across_box_sizes():

@@ -87,17 +87,28 @@ def test_townes_unconverged_newton_raises(monkeypatch):
 
 
 def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
-    """Only a kernel table build needs scipy.integrate, and only the descent
-    needs scipy.interpolate/ndimage; reading c_lgn and the bounds loads none."""
-    code = ("import sys\n"
-            "from cssol.variational import bounds\n"
-            "bounds(1.0)\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
-            " 'scipy.ndimage', 'scipy.optimize') if m in sys.modules))")
+    """Only the descent needs scipy.interpolate/ndimage; reading c_lgn and the
+    bounds loads none, and neither does a kernel call: its near-zone tables
+    are closed forms."""
+    bounds_code = ("from cssol.variational import bounds\n"
+                   "bounds(1.0)\n")
+    kernel_code = ("import numpy as np\n"
+                   "from cssol.grid import Grid, GridField\n"
+                   "from cssol.kernels import a_star, superpotential, vector_potential\n"
+                   "g = Grid(4.0, 32)\n"
+                   "X, Y = g.mesh()\n"
+                   "rho = GridField(g, np.exp(-X * X - Y * Y))\n"
+                   "A1, A2 = vector_potential(rho)\n"
+                   "a_star(A1, A2)\n"
+                   "superpotential(rho)\n")
     src = os.path.dirname(os.path.dirname(variational.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    for body in (bounds_code, kernel_code):
+        code = ("import sys\n" + body
+                + "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
+                  " 'scipy.ndimage', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"
 
 
 def test_bounds_pinch():
