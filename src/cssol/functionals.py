@@ -84,14 +84,14 @@ class MagneticState:
     def kinetic(self) -> float:
         """Trapezoid integral of |grad u|^2; needs no A"""
         g1, g2 = self.grad
-        return float(integrate(GridField(self.u.grid, np.abs(g1) ** 2 + np.abs(g2) ** 2)))
+        return float(integrate(GridField._own(self.u.grid, np.abs(g1) ** 2 + np.abs(g2) ** 2)))
 
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
         their sum with weights 1, 2 beta, beta^2."""
         (A1, A2), (J1, J2) = self.A, self.current
         return (self.kinetic,) + tuple(
-            float(integrate(GridField(self.u.grid, v)))
+            float(integrate(GridField._own(self.u.grid, v)))
             for v in (A1 * J1 + A2 * J2, (A1**2 + A2**2) * self.rho))
 
 
@@ -149,7 +149,7 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     if mass <= 0:
         raise ValueError("zero field has no energy quotient")
     st = MagneticState(u, beta, order)
-    total = integrate(GridField(u.grid, st.d_sq))
+    total = integrate(GridField._own(u.grid, st.d_sq))
     # at beta = 0 the A terms have weight 0: A is not built for them
     kinetic, aj, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     cross = 2.0 * beta * aj
@@ -185,9 +185,9 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     w = st.beta * st.phi if st.beta else 0.0
     if np.max(np.abs(2.0 * w)) > 700.0:
         raise OverflowError("superpotential weight exponent exceeds 700")
-    g1, g2 = gradient(GridField(u.grid, np.exp(-sign * w) * u.values), order)
+    g1, g2 = gradient(GridField._own(u.grid, np.exp(-sign * w) * u.values), order)
     integrand = np.abs(g1.values + sign * 1j * g2.values) ** 2 * np.exp(2.0 * sign * w)
-    return float(integrate(GridField(u.grid, integrand)))
+    return float(integrate(GridField._own(u.grid, integrand)))
 
 
 def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
@@ -222,7 +222,7 @@ def menger_melnikov(rho: GridField) -> float:
     A1, A2 = vector_potential(rho)
     v = rho.values.real
     return float(
-        integrate(GridField(rho.grid, (A1.values**2 + A2.values**2) * v))
+        integrate(GridField._own(rho.grid, (A1.values**2 + A2.values**2) * v))
     )
 
 
@@ -274,8 +274,8 @@ def inequality_battery(u: GridField, beta: float, order: int = 4) -> InequalityR
     mass = quadrature(u, 2)
     quartic = quadrature(u, 4)
     kinetic, aj, mm = MagneticState(u, beta, order).terms()
-    a1, a2 = gradient(GridField(u.grid, np.abs(u.values)), order)
-    grad_mod = float(integrate(GridField(u.grid, a1.values**2 + a2.values**2)))
+    a1, a2 = gradient(GridField._own(u.grid, np.abs(u.values)), order)
+    grad_mod = float(integrate(GridField._own(u.grid, a1.values**2 + a2.values**2)))
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
     total = kinetic + cross + curvature

@@ -21,12 +21,19 @@ remainder.) The folded A table is odd, so the discrete A and A* are exact
 negative adjoints of each other.
 
 Evaluation is the free-space convolution on the doubled grid (Hockney &
-Eastwood, Computer Simulation Using Particles): the spectrum of the (2M-1)^2
-offset table at N = next_fast_len(2M-1) is computed once and cached; N >=
-2M-1 keeps the M x M output window free of wrap-around. Each input is
-transformed once and each output transformed back once. The A spectra depend
-on M alone; the log spectrum on (M, h). One process-wide LRU cache, bounded
-by bytes, holds the spectra; the tables are built only to be transformed.
+Eastwood, Computer Simulation Using Particles) with numpy.fft: the spectrum of
+the (2M-1)^2 offset table at N >= 2M-1, the smallest 5-smooth size, is
+computed once and cached; N >= 2M-1 keeps the M x M output window free of
+wrap-around. Each input is transformed once and each output transformed back
+once. Both row passes are pruned: the forward one runs on the M rows that
+hold data, the inverse one on the M rows of the output window. The A spectra
+depend on M alone; the log spectrum on (M, h). One process-wide LRU cache,
+bounded by bytes, holds the spectra; the tables are built only to be
+transformed. The transforms and products run in place in a per-thread
+workspace kept for the last grid size the thread used: two N x (N/2+1)
+complex arrays and one M x N real array, 1.3 MiB at M = 128 and 80 MiB at
+M = 1024. A call allocates only its M x M outputs, which never alias the
+workspace.
 
 All 25 near-zone cell averages and first moments, the singular cell's
 included, are corner second differences of closed-form mixed
@@ -39,7 +46,6 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft2
 
 from .grid import _D1, Grid, GridField
 
@@ -139,23 +145,63 @@ class _SpectrumCache:
 _SPECTRA = _SpectrumCache(_CACHE_BYTES)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (scipy's next_fast_len rule for real input)."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# each thread's KernelPlan.workspace buffers (and the M they were made for)
+_WORK = threading.local()
+
+
 class KernelPlan:
     """Free-space FFT convolution on one grid's doubled grid. Cheap to make:
     the table spectra come from the shared cache, built on first use."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.N = next_fast_len(2 * grid.M - 1, real=True)
+        self.N = _fast_len(2 * grid.M - 1)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """rfft2 of an M x M (or table) array, zero-padded to N x N."""
-        return rfft2(values, s=(self.N, self.N))
+    def workspace(self):
+        """This thread's (spectrum, product, rows) buffers for this grid:
+        two N x (N/2+1) complex arrays and one M x N real array."""
+        M, N = self.grid.M, self.N
+        if getattr(_WORK, "M", None) != M:
+            _WORK.M = _WORK.buffers = None  # free the old set first
+            _WORK.buffers = (np.empty((N, N // 2 + 1), complex),
+                             np.empty((N, N // 2 + 1), complex), np.empty((M, N)))
+            _WORK.M = M
+        return _WORK.buffers
 
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """The M x M window (rows and columns M-1..2M-2) of the inverse; the
-        M wanted rows are cut out between the column and the row pass."""
-        w = slice(self.grid.M - 1, 2 * self.grid.M - 1)
-        return irfft(ifft(spectrum, axis=0)[w], n=self.N, axis=1)[:, w]
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """2-D real transform of an M x M (or table) array zero-padded to
+        N x N, into out (fresh if None): the row pass runs on the rows that
+        hold data only."""
+        N, m = self.N, values.shape[0]
+        if out is None:
+            out = np.empty((N, N // 2 + 1), complex)
+        np.fft.rfft(values, n=N, axis=1, out=out[:m])
+        out[m:] = 0.0
+        return np.fft.fft(out, axis=0, out=out)
+
+    def inverse(self, spectrum: np.ndarray, scale: float) -> np.ndarray:
+        """scale times the M x M window (rows and columns M-1..2M-2) of the
+        inverse, as a fresh array. The column pass overwrites spectrum; the
+        M wanted rows are cut out before the row pass."""
+        M, N = self.grid.M, self.N
+        w = slice(M - 1, 2 * M - 1)
+        rows = self.workspace()[2]
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.fft.irfft(spectrum[w], n=N, axis=1, out=rows)
+        return rows[:, w] * scale
 
     def log_spectrum(self):
         """(log-table spectrum, log(|y|+1) weight). At spacing h a cell
@@ -182,12 +228,18 @@ class KernelPlan:
         return _SPECTRA.get(("inv", self.grid.M), build)
 
 
-def _check_density(rho: GridField) -> np.ndarray:
-    v = rho.values.real if rho.is_real else rho.values
+def _real(f: GridField, what: str) -> np.ndarray:
+    """f's values as float64, refusing an imaginary part above 1e-12."""
+    v = f.values
     if np.iscomplexobj(v):
         if np.max(np.abs(v.imag)) > 1e-12:
-            raise ValueError("density must be real")
+            raise ValueError(f"{what} must be real")
         v = v.real
+    return np.asarray(v, dtype=float)
+
+
+def _check_density(rho: GridField) -> np.ndarray:
+    v = _real(rho, "density")
     if v.min() < -1e-12:
         raise ValueError("negative density entries")
     return v
@@ -196,8 +248,10 @@ def _check_density(rho: GridField) -> np.ndarray:
 def _log_conv(g: Grid, values: np.ndarray):
     """(log-table convolution of values, log(|y|+1) weight) on grid g."""
     plan = KernelPlan(g)
-    spec, weight = plan.log_spectrum()
-    return plan.inverse(plan.forward(values) * spec) * g.h**2, weight
+    S, weight = plan.log_spectrum()
+    spec, prod, _ = plan.workspace()
+    np.multiply(plan.forward(values, out=spec), S, out=prod)
+    return plan.inverse(prod, g.h**2), weight
 
 
 def superpotential(rho: GridField) -> GridField:
@@ -210,7 +264,7 @@ def superpotential(rho: GridField) -> GridField:
 def log_convolution(f: GridField) -> GridField:
     """int log|x-y| f(y) dy for a (possibly signed) real field; no
     -log(|y|+1) renormalization."""
-    return GridField._own(f.grid, _log_conv(f.grid, f.values.real)[0])
+    return GridField._own(f.grid, _log_conv(f.grid, _real(f, "field"))[0])
 
 
 def vector_potential(rho: GridField):
@@ -223,9 +277,10 @@ def vector_potential(rho: GridField):
     g = rho.grid
     plan = KernelPlan(g)
     S1, S2 = plan.a_spectra()
-    spec = plan.forward(v)
-    return (GridField._own(g, plan.inverse(spec * S1) * g.h),
-            GridField._own(g, plan.inverse(spec * S2) * g.h))
+    spec, prod, _ = plan.workspace()
+    plan.forward(v, out=spec)
+    return tuple(GridField._own(g, plan.inverse(np.multiply(spec, S, out=prod), g.h))
+                 for S in (S1, S2))
 
 
 def a_star(F1: GridField, F2: GridField) -> GridField:
@@ -236,11 +291,13 @@ def a_star(F1: GridField, F2: GridField) -> GridField:
     g = F1.grid
     if F2.grid != g:
         raise ValueError("component grids differ")
+    v1, v2 = _real(F1, "F1"), _real(F2, "F2")
     plan = KernelPlan(g)
     S1, S2 = plan.a_spectra()
-    spec = (plan.forward(np.asarray(F1.values, dtype=float)) * S1
-            + plan.forward(np.asarray(F2.values, dtype=float)) * S2)
-    return GridField._own(g, plan.inverse(spec) * g.h)
+    spec, prod, _ = plan.workspace()
+    np.multiply(plan.forward(v1, out=spec), S1, out=prod)
+    np.multiply(plan.forward(v2, out=spec), S2, out=spec)
+    return GridField._own(g, plan.inverse(np.add(prod, spec, out=prod), g.h))
 
 
 def newton_check(rho: GridField, radii) -> list[tuple[float, float]]:
@@ -255,7 +312,7 @@ def newton_check(rho: GridField, radii) -> list[tuple[float, float]]:
     # is an x-independent constant that only washes out of Phi/log r in the
     # r -> infinity limit, so it is dropped for finite-radius ratios
     _check_density(rho)
-    phi = log_convolution(GridField(g, np.asarray(rho.values).real))
+    phi = log_convolution(rho)
     interp = RegularGridInterpolator((g.axis, g.axis), phi.values)
     out = []
     for r in radii:

@@ -1,15 +1,19 @@
 """Properties of the planned FFT kernel operators on fields that do not vanish
 at the edge of the box: linearity, the discrete adjoint identities, agreement
 with the direct-table reference below, the closed-form near-zone tables
-against quadrature and their exact parities, and the thread-safe spectrum
-cache."""
+against quadrature and their exact parities, the thread-safe spectrum
+cache, and the per-thread FFT workspace: bit-equal to the scipy.fft
+formula, never aliased by a returned field, and private to its thread."""
 
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
+import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.signal import convolve2d, fftconvolve
@@ -296,3 +300,110 @@ def test_spectrum_cache_threads_build_once_and_stay_bounded():
                 assert len(builds) >= 4
     finally:
         sys.setswitchinterval(old)
+
+
+# -- the workspace ------------------------------------------------------------
+
+
+def _scipy_operators(g: Grid):
+    """The four operators by the scipy.fft formula: rfft2 zero-padded to
+    N x N, product with the table spectrum, ifft over the columns, the M
+    window rows, irfft over the rows, the M window columns."""
+    M, h = g.M, g.h
+    N = scipy.fft.next_fast_len(2 * M - 1, real=True)
+    w = slice(M - 1, 2 * M - 1)
+
+    def fwd(v):
+        return scipy.fft.rfft2(v, s=(N, N))
+
+    def inv(spec):
+        return scipy.fft.irfft(scipy.fft.ifft(spec, axis=0)[w], n=N, axis=1)[:, w]
+
+    log_cells, log_fold, K2_cells, K2_fold = kernels._near_tables()
+    K2 = kernels._table(M, lambda d1, r2: d1 / r2, K2_cells, K2_fold)
+    S1, S2 = fwd(-K2.T), fwd(K2)
+    T = kernels._table(M, lambda d1, r2: 0.5 * np.log(r2), log_cells, log_fold / h)
+    SL = fwd(T + np.log(h))
+    X, Y = g.mesh()
+    weight = np.log(np.hypot(X, Y) + 1.0)
+
+    def vp(v):
+        s = fwd(v)
+        return inv(s * S1) * h, inv(s * S2) * h
+
+    def ast(v1, v2):
+        return inv(fwd(v1) * S1 + fwd(v2) * S2) * h
+
+    def logc(v):
+        return inv(fwd(v) * SL) * h**2
+
+    def phi(v):
+        return logc(v) - float(np.sum(weight * v) * h**2)
+
+    return vp, ast, logc, phi
+
+
+@pytest.mark.parametrize("L,M", [(4.0, 32), (6.0, 50), (12.0, 128), (16.0, 384)])
+def test_operators_equal_scipy_fft_formula(L, M):
+    g = Grid(L, M)
+    rng = np.random.default_rng(M)
+    rho = _smooth(g, rng, True)
+    F1, F2 = _smooth(g, rng, False), _smooth(g, rng, False)
+    vp, ast, logc, phi = _scipy_operators(g)
+    A1, A2 = vector_potential(GridField(g, rho))
+    R1, R2 = vp(rho)
+    assert np.array_equal(A1.values, R1) and np.array_equal(A2.values, R2)
+    assert np.array_equal(a_star(GridField(g, F1), GridField(g, F2)).values, ast(F1, F2))
+    assert np.array_equal(log_convolution(GridField(g, F1)).values, logc(F1))
+    assert np.array_equal(superpotential(GridField(g, rho)).values, phi(rho))
+
+
+def _calls(g: Grid, seed: int):
+    """The three operators on fixed smooth inputs on g, as value arrays."""
+    rng = np.random.default_rng(seed)
+    rho = GridField(g, _smooth(g, rng, True))
+    F1, F2 = GridField(g, _smooth(g, rng, False)), GridField(g, _smooth(g, rng, False))
+    return (lambda: tuple(a.values for a in vector_potential(rho)),
+            lambda: a_star(F1, F2).values,
+            lambda: superpotential(rho).values)
+
+
+def test_returned_fields_do_not_alias_the_workspace():
+    g, other = Grid(6.0, 48), Grid(12.0, 128)
+    first = [np.array(c()) for c in _calls(g, 1)]
+    kept = [c() for c in _calls(g, 1)]
+    for calls in (_calls(g, 2), _calls(other, 3)):
+        for c in calls:
+            c()
+        for want, got in zip(first, kept):
+            assert np.array_equal(got, want)
+    buffers = kernels.KernelPlan(g).workspace()
+    for got in kept:
+        for b in buffers:
+            assert not np.shares_memory(got, b)
+
+
+def test_threads_get_their_own_workspace():
+    """Two workers interleaving 24 calls on three grid sizes, so each keeps
+    replacing its workspace, give the serial results bit for bit (five
+    rounds, since a shared workspace shows only when the calls overlap)."""
+    grids = [Grid(4.0, 32), Grid(6.0, 48), Grid(12.0, 128)]
+    calls = [_calls(g, k) for k, g in enumerate(grids)]
+    jobs = [calls[i % 3][(i // 3) % 3] for i in range(24)]
+    serial = [np.array(job()) for job in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(5):
+                futures = [pool.submit(job) for job in jobs]
+                results = [np.array(f.result(timeout=60)) for f in futures]
+                for want, got in zip(serial, results):
+                    assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_fast_len_matches_scipy_rule_for_real_transforms():
+    assert all(kernels._fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+               for n in range(1, 5001))

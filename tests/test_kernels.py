@@ -149,3 +149,21 @@ def test_a_star_grid_mismatch():
     with pytest.raises(ValueError):
         a_star(GridField(g1, np.zeros((64, 64))),
                GridField(g2, np.zeros((128, 128))))
+
+
+def test_complex_inputs_with_imaginary_part_are_refused():
+    """a_star and log_convolution raise on an imaginary part above 1e-12
+    (A*[g(1+i), g(1+i)] used to equal A*[g, g] with only a warning) and
+    accept a complex array whose imaginary part is zero."""
+    g, rho, _ = _gauss_grid(L=8.0, M=64)
+    G = rho.values
+    F = GridField(g, G * (1 + 1j))
+    with pytest.raises(ValueError, match="must be real"):
+        a_star(F, F)
+    with pytest.raises(ValueError, match="must be real"):
+        a_star(rho, F)
+    with pytest.raises(ValueError, match="must be real"):
+        log_convolution(F)
+    Z = GridField(g, G + 0j)
+    assert np.array_equal(a_star(Z, Z).values, a_star(rho, rho).values)
+    assert np.array_equal(log_convolution(Z).values, log_convolution(rho).values)

@@ -88,8 +88,8 @@ def test_townes_unconverged_newton_raises(monkeypatch):
 
 def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
     """Only the descent needs scipy.interpolate/ndimage; reading c_lgn and the
-    bounds loads none, and neither does a kernel call: its near-zone tables
-    are closed forms."""
+    bounds loads none. A kernel call loads no scipy module at all: its
+    near-zone tables are closed forms and its transforms are numpy.fft."""
     bounds_code = ("from cssol.variational import bounds\n"
                    "bounds(1.0)\n")
     kernel_code = ("import numpy as np\n"
@@ -104,7 +104,7 @@ def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
     src = os.path.dirname(os.path.dirname(variational.__file__))
     for body in (bounds_code, kernel_code):
         code = ("import sys\n" + body
-                + "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate',"
+                + "print(sorted(m for m in ('scipy.fft', 'scipy.integrate', 'scipy.interpolate',"
                   " 'scipy.ndimage', 'scipy.optimize') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
