@@ -253,13 +253,6 @@ def quadrature(field: GridField, p: float) -> float:
     return float((w @ a @ w) * field.grid.h ** 2)
 
 
-def integrate_disk(field: GridField, radius: float) -> float:
-    """Plain cell-sum integral restricted to |z| <= radius."""
-    X, Y = field.grid.mesh()
-    mask = X * X + Y * Y <= radius * radius
-    return float(np.sum(field.values.real[mask]) * field.grid.h ** 2)
-
-
 # -- field I/O -------------------------------------------------------------
 
 

@@ -298,28 +298,3 @@ def a_star(F1: GridField, F2: GridField) -> GridField:
     np.multiply(plan.forward(v1, out=spec), S1, out=prod)
     np.multiply(plan.forward(v2, out=spec), S2, out=spec)
     return GridField._own(g, plan.inverse(np.add(prod, spec, out=prod), g.h))
-
-
-def newton_check(rho: GridField, radii) -> list[tuple[float, float]]:
-    """Angular averages of Phi[rho]/log(r) at the given radii.
-
-    By the point-mass asymptotics these approach the total mass of rho.
-    """
-    from scipy.interpolate import RegularGridInterpolator
-
-    g = rho.grid
-    # the translation-invariant log potential: the -log(|y|+1) renormalization
-    # is an x-independent constant that only washes out of Phi/log r in the
-    # r -> infinity limit, so it is dropped for finite-radius ratios
-    _check_density(rho)
-    phi = log_convolution(rho)
-    interp = RegularGridInterpolator((g.axis, g.axis), phi.values)
-    out = []
-    for r in radii:
-        if r > 0.8 * g.L:
-            raise ValueError(f"radius {r} is tail-dominated (L = {g.L})")
-        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        avg = float(np.mean(interp(pts)))
-        out.append((float(r), avg / np.log(r)))
-    return out

@@ -119,31 +119,11 @@ def radial_ring(n: int, C: complex = 1.0) -> Soliton:
     """Radial ring u_n = conj(C) sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + |C|^2).
 
     Realized as the pair (z^n, C) up to phase. Its superpotential constant
-    reduces to a 1-D radial integral; see radial_ring_psi0.
+    psi0 reduces to a 1-D radial integral of the radial density.
     """
     P = poly.from_roots([0.0] * n)
     Q = ComplexPolynomial([complex(C)])
     return Soliton(WronskianPair(P, Q))
-
-
-def radial_ring_psi0(n: int, C: complex = 1.0) -> float:
-    """Independent 1-D oracle for psi0 of a radial ring.
-
-    Phi[rho](0) = 2 pi int_0^inf (log r - log(r+1)) rho_n(r) r dr with the
-    radial density rho_n = (n/pi) r^{2n-2}/(r^{2n}+|C|^2)^2, minus the
-    (1/beta) log S(0) = (1/(2n)) log |C|^2 closed-form part.
-    """
-    from scipy.integrate import quad
-
-    n = int(n)
-    aC = abs(C)
-
-    def integrand(r):
-        rho = (n / np.pi) * r ** (2 * n - 2) / (r ** (2 * n) + aC * aC) ** 2
-        return (np.log(r) - np.log(r + 1.0)) * rho * 2.0 * np.pi * r
-
-    val, _ = quad(integrand, 0.0, np.inf, limit=400)
-    return float(val - np.log(aC * aC) / (2 * n))
 
 
 def zeros_and_vorticity(s: Soliton):

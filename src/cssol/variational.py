@@ -8,10 +8,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
-# scipy.interpolate and scipy.ndimage are imported where used: reading c_lgn loads neither
+# numpy only: the Townes profile evaluates its Chebyshev series, and the start
+# noise blur and the dilation resampling are numpy ports, bit-identical to
+# scipy.ndimage.gaussian_filter and a linear RegularGridInterpolator
 
 from .functionals import MagneticState, magnetic_energy, stationarity
 from .grid import Grid, GridField, integrate, quadrature
@@ -25,21 +27,16 @@ from .wronskian_pairs import WronskianPair
 @dataclass(frozen=True)
 class TownesProfile:
     r: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray  # series(r)
     mass_sq: float  # 2 pi int tau^2 r dr
     c_lgn: float    # mass_sq / 2
-
-    @cached_property
-    def _spline(self):
-        """Built once: Grid.sample calls the profile once per row block."""
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.r, self.tau)
+    series: np.polynomial.Chebyshev  # the collocation solution on [0, TOWNES_R]
 
     def __call__(self, radii):
-        """Evaluate tau at given radii (exponential tail beyond the samples)."""
+        """Evaluate tau at given radii: the series up to r[-1], an
+        exponential tail beyond."""
         radii = np.asarray(radii, dtype=float)
-        out = np.where(radii <= self.r[-1], self._spline(np.clip(radii, 0, self.r[-1])), 0.0)
+        out = np.where(radii <= self.r[-1], self.series(np.clip(radii, 0, self.r[-1])), 0.0)
         tail = radii > self.r[-1]
         if np.any(tail):
             # tau ~ c e^{-r}/sqrt(r) matched at the last sample
@@ -114,7 +111,7 @@ def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile
     bad = np.where((tau <= 0) | (np.diff(tau, prepend=tau[0] + 1) > 0))[0]
     cut = bad[0] if bad.size else len(r)
     return TownesProfile(r=r[:cut], tau=tau[:cut], mass_sq=float(mass),
-                         c_lgn=float(mass / 2.0))
+                         c_lgn=float(mass / 2.0), series=series)
 
 
 @cache
@@ -211,16 +208,44 @@ def _ring_start(g: Grid, beta: float) -> np.ndarray:
 
 
 def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
-    """u -> lam u(lam x), resampled on the same grid (zero beyond the box)."""
-    from scipy.interpolate import RegularGridInterpolator
+    """u -> lam u(lam x), resampled on the same grid (zero beyond the box).
 
-    interp_re = RegularGridInterpolator((g.axis, g.axis), values.real,
-                                        bounds_error=False, fill_value=0.0)
-    interp_im = RegularGridInterpolator((g.axis, g.axis), values.imag,
-                                        bounds_error=False, fill_value=0.0)
-    X, Y = g.mesh()
-    pts = np.stack([lam * X, lam * Y], axis=-1)
-    return _norm_mass(lam * (interp_re(pts) + 1j * interp_im(pts)), g)
+    Bilinear, with scipy's RegularGridInterpolator's interval rule and
+    corner order, so the result is bit-identical to it; the scaled nodes
+    are lam * axis along both axes, so indices and distances are 1-D."""
+    a = g.axis
+    t = lam * a
+    i = np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
+    y = (t - a[i]) / (a[i + 1] - a[i])
+    i0, i1, y0, y1 = i[:, None], i[None, :], y[:, None], y[None, :]
+    parts = np.stack([values.real, values.imag])
+    out = (parts[:, i0, i1] * (1 - y0) * (1 - y1)
+           + parts[:, i0, i1 + 1] * (1 - y0) * y1
+           + parts[:, i0 + 1, i1] * y0 * (1 - y1)
+           + parts[:, i0 + 1, i1 + 1] * y0 * y1)
+    outside = (t < a[0]) | (t > a[-1])
+    out[:, outside, :] = 0.0
+    out[:, :, outside] = 0.0
+    return _norm_mass(lam * (out[0] + 1j * out[1]), g)
+
+
+def _blur(v: np.ndarray, sigma: float = 2.0) -> np.ndarray:
+    """Gaussian blur of a real 2-D array, bit-identical to
+    scipy.ndimage.gaussian_filter(v, sigma): 4 sigma radius, half-sample
+    symmetric edges, axis 0 then axis 1, and each output summed as
+    x w_0 + sum_{j = radius..1} (x[i-j] + x[i+j]) w_j."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    for _ in range(2):  # along axis 0, then along axis 0 of the transpose
+        n = v.shape[0]
+        p = np.pad(v, ((radius, radius), (0, 0)), mode="symmetric")
+        out = p[radius:radius + n] * w[radius]
+        for j in range(radius, 0, -1):
+            out += (p[radius - j:radius - j + n] + p[radius + j:radius + j + n]) * w[radius - j]
+        v = out.T
+    return v
 
 
 def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
@@ -281,8 +306,6 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     recenters the support scale periodically; line-search trials evaluate
     only the quotient. The result is an upper estimate of the infimum.
     """
-    from scipy.ndimage import gaussian_filter
-
     if beta < 0:
         raise ValueError("beta must be >= 0")
     cfg = config or DescentConfig()
@@ -296,8 +319,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         # band-limit the perturbation: grid-scale roughness makes the
         # discrete quotient gradient unreliable (one-sided boundary stencils
         # are not exactly self-adjoint at the Nyquist scale)
-        noise = (gaussian_filter(noise.real, 2.0)
-                 + 1j * gaussian_filter(noise.imag, 2.0))
+        noise = _blur(noise.real) + 1j * _blur(noise.imag)
         envelope = g.sample(lambda z: np.exp(-(np.abs(z) / (g.L / 2.0)) ** 2)).values
         return _norm_mass(v + noise * np.max(np.abs(v)) * envelope, g)
 

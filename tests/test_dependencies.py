@@ -1,0 +1,56 @@
+"""The runtime needs numpy alone: no module under src/ imports scipy, the
+descent and the CLI load none, and pyproject.toml declares it so."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cssol
+
+_PACKAGE = Path(cssol.__file__).resolve().parent
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_source_module_imports_scipy(path):
+    assert not [m for m in _imported_modules(path) if m.split(".")[0] == "scipy"]
+
+
+def test_descent_and_cli_load_no_scipy():
+    code = ("import sys\n"
+            "from cssol.cli import main\n"
+            "from cssol.grid import Grid\n"
+            "from cssol.variational import DescentConfig, estimate_gamma, structure_scan\n"
+            "cfg = DescentConfig(grid=Grid(6.0, 32))\n"
+            "estimate_gamma(1.0, cfg)\n"
+            "structure_scan([0.5, 1.0], cfg)\n"
+            "assert main(['estimate-gamma', '--beta', '1', '--grid', '6,32']) in (0, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(_PACKAGE.parent)))
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(reqs):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in reqs]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])

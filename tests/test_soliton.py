@@ -3,6 +3,7 @@ vortex rings, and the scaled-SU(2) symmetry orbit."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from cssol import poly
@@ -13,7 +14,6 @@ from cssol.soliton import (
     Soliton,
     VortexSpec,
     radial_ring,
-    radial_ring_psi0,
     same_orbit,
     total_vorticity,
     vortex_ring,
@@ -97,6 +97,24 @@ def test_zeros_and_vorticity():
     # spread by 3e-5
     (z1, m1), = zeros_and_vorticity(vortex_ring(VortexSpec(4, z0=1, c=0.5)))
     assert abs(z1 - 1) < 1e-8 and m1 == 3
+
+
+def radial_ring_psi0(n: int, C: complex = 1.0) -> float:
+    """Independent 1-D oracle for psi0 of a radial ring.
+
+    Phi[rho](0) = 2 pi int_0^inf (log r - log(r+1)) rho_n(r) r dr with the
+    radial density rho_n = (n/pi) r^{2n-2}/(r^{2n}+|C|^2)^2, minus the
+    (1/beta) log S(0) = (1/(2n)) log |C|^2 closed-form part.
+    """
+    n = int(n)
+    aC = abs(C)
+
+    def integrand(r):
+        rho = (n / np.pi) * r ** (2 * n - 2) / (r ** (2 * n) + aC * aC) ** 2
+        return (np.log(r) - np.log(r + 1.0)) * rho * 2.0 * np.pi * r
+
+    val, _ = quad(integrand, 0.0, np.inf, limit=400)
+    return float(val - np.log(aC * aC) / (2 * n))
 
 
 def test_psi0_matches_radial_oracle():

@@ -14,6 +14,7 @@ from cssol.soliton import radial_ring
 from cssol.variational import (
     ORDER,
     DescentConfig,
+    _blur,
     _descend,
     _dilate,
     _norm_mass,
@@ -45,6 +46,17 @@ def test_townes_profile_shape():
     # callable evaluation with exponential tail
     assert prof(0.0) == pytest.approx(prof.tau[0], rel=1e-6)
     assert 0 < prof(25.0) < 1e-9
+
+
+def test_townes_profile_evaluates_its_series():
+    """The series agrees with a cubic spline through the samples to the
+    spline's own error, and reproduces the samples it was read at."""
+    from scipy.interpolate import CubicSpline
+
+    prof = townes_profile()
+    r = np.linspace(0.0, prof.r[-1], 20001)
+    assert np.max(np.abs(prof(r) - CubicSpline(prof.r, prof.tau)(r))) <= 1e-9
+    assert np.max(np.abs(prof(prof.r) - prof.tau)) <= 1e-13
 
 
 def test_townes_tolerance_validation():
@@ -87,9 +99,10 @@ def test_townes_unconverged_newton_raises(monkeypatch):
 
 
 def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
-    """Only the descent needs scipy.interpolate/ndimage; reading c_lgn and the
-    bounds loads none. A kernel call loads no scipy module at all: its
-    near-zone tables are closed forms and its transforms are numpy.fft."""
+    """Reading c_lgn and the bounds loads no scipy quadrature or
+    interpolation module. A kernel call loads no scipy module at all: its
+    near-zone tables are closed forms and its transforms are numpy.fft
+    (test_dependencies checks the descent and the CLI)."""
     bounds_code = ("from cssol.variational import bounds\n"
                    "bounds(1.0)\n")
     kernel_code = ("import numpy as np\n"
@@ -155,6 +168,38 @@ def test_estimate_gamma_beta0_small_grid():
     est = estimate_gamma(0.0, cfg)
     assert est.gamma_hat == pytest.approx(townes_constant(), rel=2e-2)
     assert est.lower_bound * 0.97 <= est.gamma_hat
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (20, 36), (128, 128), (256, 256)])
+def test_blur_equals_gaussian_filter(shape):
+    from scipy.ndimage import gaussian_filter
+
+    v = np.random.default_rng(shape[1]).standard_normal(shape)
+    assert np.array_equal(_blur(v), gaussian_filter(v, 2.0))
+
+
+def _dilate_by_interpolator(values, g, lam):
+    """_dilate by scipy's RegularGridInterpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    interp_re = RegularGridInterpolator((g.axis, g.axis), values.real,
+                                        bounds_error=False, fill_value=0.0)
+    interp_im = RegularGridInterpolator((g.axis, g.axis), values.imag,
+                                        bounds_error=False, fill_value=0.0)
+    X, Y = g.mesh()
+    pts = np.stack([lam * X, lam * Y], axis=-1)
+    return _norm_mass(lam * (interp_re(pts) + 1j * interp_im(pts)), g)
+
+
+@pytest.mark.parametrize("M", [16, 64, 128])
+def test_dilate_equals_regular_grid_interpolator(M):
+    g = Grid(12.0, M)
+    rng = np.random.default_rng(M)
+    values = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    for t in np.linspace(-1.0, 1.0, 9):
+        lam = 2.0**t
+        assert np.array_equal(_dilate(values, g, lam),
+                              _dilate_by_interpolator(values, g, lam))
 
 
 def _descend_every_trial_gradient(values, g, beta, cfg, upper):
