@@ -36,7 +36,12 @@ HARDY_CONSTANT = 1.5
 
 class MagneticState:
     """One field u at flux beta: rho = |u|^2 and, built on first use, grad u,
-    J, A[rho], D = (grad + i beta A) u and Phi[rho], all as value arrays.
+    J, A[rho], D = (grad + i beta A) u and Phi[rho], all as value arrays
+    the state owns.
+
+    At beta != 0, grad u is read only to build D, the kinetic integral and
+    J; once all three exist the state releases it, and a later read builds
+    it again, with the same bits. At beta = 0, D is grad u itself.
 
     Where both are needed A is built before grad u: at M = 256 that order
     builds A, grad u and D about 9% faster than the reverse, A alone 3-5%
@@ -46,7 +51,17 @@ class MagneticState:
         self.u = u
         self.beta = float(beta)
         self.order = order
-        self.rho = np.abs(u.values) ** 2
+        self.rho = np.abs(u.values)
+        self.rho **= 2
+
+    def _keep(self, name: str, value):
+        """Cache value as name, releasing grad u once D, kinetic and current
+        all exist at beta != 0."""
+        cache = vars(self)
+        cache[name] = value
+        if self.beta != 0.0 and all(k in cache for k in ("D", "kinetic", "current")):
+            cache.pop("grad", None)
+        return value
 
     @cached_property
     def grad(self):
@@ -55,8 +70,12 @@ class MagneticState:
     @cached_property
     def current(self):
         """J = Im(conj(u) grad u), componentwise; zero for real u."""
-        cu = np.conj(self.u.values)
-        return tuple(np.imag(cu * g) for g in self.grad)
+        J = []
+        for g in self.grad:
+            p = np.conj(self.u.values)
+            p *= g
+            J.append(p.imag.copy())
+        return self._keep("current", tuple(J))
 
     @cached_property
     def A(self):
@@ -68,7 +87,12 @@ class MagneticState:
         if self.beta == 0.0:
             return self.grad
         A, u = self.A, self.u.values
-        return tuple(g + 1j * self.beta * a * u for g, a in zip(self.grad, A))
+        D = []
+        for g, a in zip(self.grad, A):
+            d = np.multiply(1j * self.beta, a)
+            d *= u
+            D.append(np.add(g, d, out=d))
+        return self._keep("D", tuple(D))
 
     @cached_property
     def phi(self):
@@ -77,22 +101,48 @@ class MagneticState:
     @cached_property
     def d_sq(self):
         """|D|^2, the energy density"""
-        d1, d2 = self.D
-        return np.abs(d1) ** 2 + np.abs(d2) ** 2
+        return _abs_sq_sum(*self.D)
 
     @cached_property
     def kinetic(self) -> float:
         """Trapezoid integral of |grad u|^2; needs no A"""
-        g1, g2 = self.grad
-        return float(integrate(GridField._own(self.u.grid, np.abs(g1) ** 2 + np.abs(g2) ** 2)))
+        sq = _abs_sq_sum(*self.grad)
+        return self._keep("kinetic", float(integrate(GridField._own(self.u.grid, sq))))
 
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
         their sum with weights 1, 2 beta, beta^2."""
         (A1, A2), (J1, J2) = self.A, self.current
-        return (self.kinetic,) + tuple(
-            float(integrate(GridField._own(self.u.grid, v)))
-            for v in (A1 * J1 + A2 * J2, (A1**2 + A2**2) * self.rho))
+        aj = A1 * J1
+        aj += A2 * J2
+        mm = A1**2
+        mm += A2**2
+        mm *= self.rho
+        return (self.kinetic,) + tuple(float(integrate(GridField._own(self.u.grid, v)))
+                                       for v in (aj, mm))
+
+
+def _abs_sq_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2, squared and summed in place"""
+    out = np.abs(a)
+    out **= 2
+    sq = np.abs(b)
+    sq **= 2
+    out += sq
+    return out
+
+
+def _astar_source(state: MagneticState):
+    """2 beta^2 A rho + 2 beta J, componentwise, as the fields Astar reads"""
+    beta, rho, g = state.beta, state.rho, state.u.grid
+    tmp = np.empty_like(rho)
+    F = []
+    for A, J in zip(state.A, state.current):
+        f = np.multiply(2.0 * beta**2, A)
+        f *= rho
+        f += np.multiply(2.0 * beta, J, out=tmp)
+        F.append(GridField._own(g, f))
+    return F
 
 
 def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
@@ -102,19 +152,27 @@ def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
                                   + 2 gamma rho) u,
 
     with the two Astar terms taken as one Astar of their sum (Astar is
-    linear). At beta = 0 no kernel is applied."""
+    linear). At beta = 0 no kernel is applied. The terms accumulate in place,
+    each sum and product with its operands in the order written here."""
     g, order, beta = state.u.grid, state.order, state.beta
     D1, D2 = state.D
     # covariant Laplacian: sum_j (d_j + i beta A_j) D_j
     covlap = divergence(GridField._own(g, D1), GridField._own(g, D2), order).values
-    potential = 2.0 * gamma * state.rho
     if beta != 0.0:
-        (A1, A2), (J1, J2), rho = state.A, state.current, state.rho
-        covlap = covlap + 1j * beta * (A1 * D1 + A2 * D2)
-        s = a_star(GridField._own(g, 2.0 * beta**2 * A1 * rho + 2.0 * beta * J1),
-                   GridField._own(g, 2.0 * beta**2 * A2 * rho + 2.0 * beta * J2))
-        potential = s.values + potential
-    return -covlap - potential * state.u.values
+        A1, A2 = state.A
+        ad = np.multiply(A1, D1)
+        ad += np.multiply(A2, D2)
+        np.multiply(1j * beta, ad, out=ad)
+        covlap = np.add(covlap, ad, out=ad)
+        s = a_star(*_astar_source(state)).values
+    # 2 gamma rho is made after Astar, so it is not live at Astar's peak
+    potential = np.multiply(2.0 * gamma, state.rho)
+    if beta != 0.0:
+        potential = np.add(s, potential, out=potential)
+    # at beta = 0 covlap is the divergence's frozen array
+    out = np.negative(covlap, out=covlap if beta != 0.0 else None)
+    out -= np.multiply(potential, state.u.values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,9 +207,10 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     if mass <= 0:
         raise ValueError("zero field has no energy quotient")
     st = MagneticState(u, beta, order)
-    total = integrate(GridField._own(u.grid, st.d_sq))
-    # at beta = 0 the A terms have weight 0: A is not built for them
+    # at beta = 0 the A terms have weight 0: A is not built for them. The
+    # terms come first, so grad u is released once D is built for |D|^2.
     kinetic, aj, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
+    total = integrate(GridField._own(u.grid, st.d_sq))
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
     quartic = quadrature(u, 4)
@@ -207,12 +266,15 @@ def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
     st = MagneticState(u, beta, order)
     kinetic, _, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
-    res = stationarity(st, gamma) - lam * u.values
+    res = stationarity(st, gamma)
+    res -= lam * u.values
     if margin is None:
         # two derivative passes widen the boundary-contaminated ring
         margin = 2 * _D1[order][1] + 2
     mask = interior_mask(g, margin)
-    res_l2 = float(np.sqrt(np.sum(np.abs(res[mask]) ** 2) * g.h**2))
+    sq = np.abs(res[mask])
+    sq **= 2
+    res_l2 = float(np.sqrt(np.sum(sq) * g.h**2))
     return res_l2, lam
 
 

@@ -1,7 +1,7 @@
 """Uniform square grids on [-L,L]^2: sampling, finite differences, quadrature,
 and flat-binary field I/O.
 
-Grid.sample(fn) evaluates fn one block of about SAMPLE_BLOCK nodes (whole
+Grid.sample(fn) evaluates fn one block of about BLOCK_NODES nodes (whole
 rows) at a time into one preallocated M x M array, so fn's temporaries stay
 in cache and no full-grid z or temporary is built. fn must act pointwise on
 an array of z: each value depends only on the z at the same place, and the
@@ -11,8 +11,9 @@ gives the same bits as fn(zmesh()).
 
 A central stencil runs in one pass as antisymmetric (first derivative) or
 symmetric (second derivative) pairs c_j (v[i+j] -+ v[i-j]) / h^k summed in
-place, with 2nd-order one-sided stencils on the boundary ring of width r; the
-Laplacian is the sum of one such second derivative per axis."""
+place, one cache-sized block of the flattened array at a time, with
+2nd-order one-sided stencils on the boundary ring of width r; the Laplacian
+is the sum of one such second derivative per axis."""
 
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ _D1 = {
 }
 
 
-# nodes per Grid.sample block: 16,384 complex nodes are 256 KiB, so a
-# closed form's few temporaries of that size fit in a core's L2 cache
-SAMPLE_BLOCK = 16384
+# nodes per Grid.sample block and per stencil block: 16,384 complex nodes
+# are 256 KiB, so a closed form's or a stencil's few temporaries of that size
+# fit in a core's L2 cache
+BLOCK_NODES = 16384
 
 
 class Grid:
@@ -89,14 +91,14 @@ class Grid:
     def sample(self, fn) -> "GridField":
         """Sample fn, a pointwise function of an array z = x + iy.
 
-        fn is called on blocks of whole rows of about SAMPLE_BLOCK nodes and
+        fn is called on blocks of whole rows of about BLOCK_NODES nodes and
         must return an array of its argument's shape; each block is written
         into one M x M array whose dtype is the first block's. ValueError on
         a result of another shape (a scalar included), on a later block that
         does not cast to that dtype within its kind (complex into real), and
         on a non-finite value."""
         M = self.M
-        rows = max(1, SAMPLE_BLOCK // M)
+        rows = max(1, BLOCK_NODES // M)
         out = None
         for a in range(0, M, rows):
             b = min(a + rows, M)
@@ -178,21 +180,32 @@ def _ring(v: np.ndarray, axis: int, r: int, k: int, h: float):
 
 def _axis_deriv(v: np.ndarray, axis: int, k: int, order: int, h: float) -> np.ndarray:
     """k-th derivative (k = 1, 2) along axis: the central stencil in one pass of
-    (anti)symmetric pairs, the 2nd-order one-sided one on the ring of that axis."""
+    (anti)symmetric pairs, the 2nd-order one-sided one on the ring of that axis.
+
+    The pairs run on the flattened array, shifted by multiples of the axis's
+    stride s (the row length for axis 0, 1 for axis 1), over the flat range
+    r s .. n - r s, one block of BLOCK_NODES nodes at a time, so the scratch
+    is one block. Along axis 1 the pairs that straddle a row end land only
+    on the ring columns, which _ring overwrites."""
     coeffs, r = (_D1 if k == 1 else _D2)[order]
-    n, combine = v.shape[axis], np.subtract if k == 1 else np.add
+    n, m, s = v.size, v.shape[axis], v.shape[1] if axis == 0 else 1
+    combine = np.subtract if k == 1 else np.add
+    f = v.reshape(-1)
     out = np.empty(v.shape, np.result_type(v, np.float64))
-    o = out[_cut(axis, r, n - r)]
-    tmp = np.empty_like(o)
-    for j in range(1, r + 1):
-        pair = combine(v[_cut(axis, r + j, n - r + j)], v[_cut(axis, r - j, n - r - j)],
-                       out=o if j == 1 else tmp)
-        pair *= coeffs[r + j] / h**k
-        if j > 1:
-            o += pair
-    if k == 2:  # the centre term
-        o += np.multiply(v[_cut(axis, r, n - r)], coeffs[r] / h**2, out=tmp)
-    out[_cut(axis, 0, r)], out[_cut(axis, n - r, n)] = _ring(v, axis, r, k, h)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(BLOCK_NODES, n), out.dtype)
+    for a in range(r * s, n - r * s, BLOCK_NODES):
+        b = min(a + BLOCK_NODES, n - r * s)
+        o, tmp = flat[a:b], scratch[: b - a]
+        for j in range(1, r + 1):
+            pair = combine(f[a + j * s : b + j * s], f[a - j * s : b - j * s],
+                           out=o if j == 1 else tmp)
+            pair *= coeffs[r + j] / h**k
+            if j > 1:
+                o += pair
+        if k == 2:  # the centre term
+            o += np.multiply(f[a:b], coeffs[r] / h**2, out=tmp)
+    out[_cut(axis, 0, r)], out[_cut(axis, m - r, m)] = _ring(v, axis, r, k, h)
     return out
 
 
@@ -214,13 +227,23 @@ def laplacian(field: GridField, order: int = 4) -> GridField:
     return GridField._own(field.grid, out)
 
 
+def _pair_sum(op, F: GridField, G: GridField, order: int) -> GridField:
+    """op(d1 F, d2 G), into d1 F's array unless G's complex values promote
+    it; the result is non-finite exactly when one of the two terms is, so it
+    alone is checked."""
+    h = F.grid.h
+    a = _axis_deriv(F.values, 0, 1, order, h)
+    b = _axis_deriv(G.values, 1, 1, order, h)
+    return GridField._own(F.grid, op(a, b, out=a if np.can_cast(b.dtype, a.dtype) else None))
+
+
 def curl(F1: GridField, F2: GridField, order: int = 4) -> GridField:
     """Scalar curl of a planar vector field: d1 F2 - d2 F1."""
-    return GridField._own(F1.grid, deriv(F2, 0, order).values - deriv(F1, 1, order).values)
+    return _pair_sum(np.subtract, F2, F1, order)
 
 
 def divergence(F1: GridField, F2: GridField, order: int = 4) -> GridField:
-    return GridField._own(F1.grid, deriv(F1, 0, order).values + deriv(F2, 1, order).values)
+    return _pair_sum(np.add, F1, F2, order)
 
 
 def interior_mask(grid: Grid, margin: int = 3) -> np.ndarray:
@@ -249,7 +272,8 @@ def integrate(field: GridField) -> complex | float:
 def quadrature(field: GridField, p: float) -> float:
     """Composite trapezoid of |values|^p."""
     w = _trap_weights(field.grid.M)
-    a = np.abs(field.values) ** p
+    a = np.abs(field.values)
+    a **= p
     return float((w @ a @ w) * field.grid.h ** 2)
 
 

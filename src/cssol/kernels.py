@@ -24,16 +24,20 @@ Evaluation is the free-space convolution on the doubled grid (Hockney &
 Eastwood, Computer Simulation Using Particles) with numpy.fft: the spectrum of
 the (2M-1)^2 offset table at N >= 2M-1, the smallest 5-smooth size, is
 computed once and cached; N >= 2M-1 keeps the M x M output window free of
-wrap-around. Each input is transformed once and each output transformed back
-once. Both row passes are pruned: the forward one runs on the M rows that
-hold data, the inverse one on the M rows of the output window. The A spectra
-depend on M alone; the log spectrum on (M, h). One process-wide LRU cache,
-bounded by bytes, holds the spectra; the tables are built only to be
-transformed. The transforms and products run in place in a per-thread
-workspace kept for the last grid size the thread used: two N x (N/2+1)
-complex arrays and one M x N real array, 1.3 MiB at M = 128 and 80 MiB at
-M = 1024. A call allocates only its M x M outputs, which never alias the
-workspace.
+wrap-around. The A spectra depend on M alone; the log spectrum on (M, h). One
+process-wide LRU cache, bounded by bytes, holds the spectra; the tables are
+built only to be transformed, and only the cached spectra are full
+N x (N/2+1) arrays. KernelPlan.convolve transforms each input's M rows into an
+M x (N/2+1) row buffer. Then, one block of spectrum columns at a time (about
+_BLOCK_BYTES of them: one block of all 129 columns at M = 128, 33 blocks of
+32 at M = 1024), it zero-pads the block to N rows, transforms the columns,
+multiplies by the table spectra, transforms back and writes the M rows of the
+output window over the block's columns; last, the rows go back in row blocks
+straight into the M x M outputs. The work runs in place in a per-thread
+workspace kept for the last grid size the thread used: two row buffers, two
+column-block buffers and one real row-block buffer, 1.8 MiB at M = 128 and
+35 MiB at M = 1024. A call allocates only its M x M outputs, which never
+alias the workspace.
 
 All 25 near-zone cell averages and first moments, the singular cell's
 included, are corner second differences of closed-form mixed
@@ -158,6 +162,10 @@ def _fast_len(n: int) -> int:
     return best
 
 
+# bytes of one column-block buffer, and of the real row-block buffer; at
+# M = 128 one block holds all N/2+1 spectrum columns (256 x 129 complex, 516 KiB)
+_BLOCK_BYTES = 2**20
+
 # each thread's KernelPlan.workspace buffers (and the M they were made for)
 _WORK = threading.local()
 
@@ -171,37 +179,69 @@ class KernelPlan:
         self.N = _fast_len(2 * grid.M - 1)
 
     def workspace(self):
-        """This thread's (spectrum, product, rows) buffers for this grid:
-        two N x (N/2+1) complex arrays and one M x N real array."""
+        """This thread's buffers for this grid: two M x (N/2+1) complex row
+        buffers, two complex column-block buffers of N x B entries and one
+        real row-block buffer of R x N, B and R set by _BLOCK_BYTES."""
         M, N = self.grid.M, self.N
         if getattr(_WORK, "M", None) != M:
             _WORK.M = _WORK.buffers = None  # free the old set first
-            _WORK.buffers = (np.empty((N, N // 2 + 1), complex),
-                             np.empty((N, N // 2 + 1), complex), np.empty((M, N)))
+            B = min(N // 2 + 1, max(1, _BLOCK_BYTES // (16 * N)))
+            R = min(M, max(1, _BLOCK_BYTES // (8 * N)))
+            _WORK.buffers = (np.empty((M, N // 2 + 1), complex),
+                             np.empty((M, N // 2 + 1), complex),
+                             np.empty(N * B, complex), np.empty(N * B, complex),
+                             np.empty((R, N)))
             _WORK.M = M
         return _WORK.buffers
 
-    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """2-D real transform of an M x M (or table) array zero-padded to
-        N x N, into out (fresh if None): the row pass runs on the rows that
-        hold data only."""
-        N, m = self.N, values.shape[0]
-        if out is None:
-            out = np.empty((N, N // 2 + 1), complex)
-        np.fft.rfft(values, n=N, axis=1, out=out[:m])
+    def _spectrum(self, table: np.ndarray) -> np.ndarray:
+        """2-D real transform of a table zero-padded to N x N, as a fresh
+        array: the row pass runs on the rows that hold data only."""
+        N, m = self.N, table.shape[0]
+        out = np.empty((N, N // 2 + 1), complex)
+        np.fft.rfft(table, n=N, axis=1, out=out[:m])
         out[m:] = 0.0
         return np.fft.fft(out, axis=0, out=out)
 
-    def inverse(self, spectrum: np.ndarray, scale: float) -> np.ndarray:
+    def convolve(self, inputs, spectra, scale: float) -> list[np.ndarray]:
         """scale times the M x M window (rows and columns M-1..2M-2) of the
-        inverse, as a fresh array. The column pass overwrites spectrum; the
-        M wanted rows are cut out before the row pass."""
+        inverse transforms of spectrum products, as fresh arrays. One M x M
+        input gives one output per spectrum; two inputs give one output, of
+        the sum of input i's transform times spectra[i] (in that order).
+        The steps are those of the module docstring; output k is assembled
+        in row buffer k, whose block columns were read before they are
+        overwritten."""
         M, N = self.grid.M, self.N
+        *rows, ca, cb, back = self.workspace()
+        width, B = N // 2 + 1, ca.size // N
         w = slice(M - 1, 2 * M - 1)
-        rows = self.workspace()[2]
-        np.fft.ifft(spectrum, axis=0, out=spectrum)
-        np.fft.irfft(spectrum[w], n=N, axis=1, out=rows)
-        return rows[:, w] * scale
+        for v, r in zip(inputs, rows):
+            np.fft.rfft(v, n=N, axis=1, out=r)
+        n_out = len(spectra) if len(inputs) == 1 else 1
+        for a in range(0, width, B):
+            c = slice(a, min(a + B, width))
+            # contiguous N x (block width) views of the column buffers
+            X = [buf[: N * (c.stop - a)].reshape(N, -1) for buf in (ca, cb)]
+            for r, x in zip(rows[: len(inputs)], X):
+                x[:M] = r[:, c]
+                x[M:] = 0.0
+                np.fft.fft(x, axis=0, out=x)
+            for k in range(n_out):
+                if len(inputs) == 1:
+                    p = np.multiply(X[0], spectra[k][:, c], out=X[1])
+                else:
+                    p = np.multiply(X[0], spectra[0][:, c], out=X[0])
+                    p += np.multiply(X[1], spectra[1][:, c], out=X[1])
+                np.fft.ifft(p, axis=0, out=p)
+                rows[k][:, c] = p[w]
+        outs = [np.empty((M, M)) for _ in range(n_out)]
+        R = back.shape[0]
+        for r, out in zip(rows, outs):
+            for a in range(0, M, R):
+                b = min(a + R, M)
+                np.fft.irfft(r[a:b], n=N, axis=1, out=back[: b - a])
+                np.multiply(back[: b - a, w], scale, out=out[a:b])
+        return outs
 
     def log_spectrum(self):
         """(log-table spectrum, log(|y|+1) weight). At spacing h a cell
@@ -212,7 +252,7 @@ class KernelPlan:
             cells, fold, _, _ = _near_tables()
             T = _table(g.M, lambda d1, r2: 0.5 * np.log(r2), cells, fold / g.h)
             X, Y = g.mesh()
-            return self.forward(T + np.log(g.h)), np.log(np.hypot(X, Y) + 1.0)
+            return self._spectrum(T + np.log(g.h)), np.log(np.hypot(X, Y) + 1.0)
 
         return _SPECTRA.get(("log", g.M, g.h), build)
 
@@ -223,7 +263,7 @@ class KernelPlan:
         def build():
             _, _, cells, fold = _near_tables()
             K2 = _table(self.grid.M, lambda d1, r2: d1 / r2, cells, fold)
-            return self.forward(-K2.T), self.forward(K2)
+            return self._spectrum(-K2.T), self._spectrum(K2)
 
         return _SPECTRA.get(("inv", self.grid.M), build)
 
@@ -249,16 +289,15 @@ def _log_conv(g: Grid, values: np.ndarray):
     """(log-table convolution of values, log(|y|+1) weight) on grid g."""
     plan = KernelPlan(g)
     S, weight = plan.log_spectrum()
-    spec, prod, _ = plan.workspace()
-    np.multiply(plan.forward(values, out=spec), S, out=prod)
-    return plan.inverse(prod, g.h**2), weight
+    return plan.convolve([values], [S], g.h**2)[0], weight
 
 
 def superpotential(rho: GridField) -> GridField:
     """Phi[rho](x) = int (log|x-y| - log(|y|+1)) rho(y) dy on the grid."""
     v = _check_density(rho)
     conv, weight = _log_conv(rho.grid, v)
-    return GridField._own(rho.grid, conv - float(np.sum(weight * v) * rho.grid.h**2))
+    conv -= float(np.sum(weight * v) * rho.grid.h**2)
+    return GridField._own(rho.grid, conv)
 
 
 def log_convolution(f: GridField) -> GridField:
@@ -276,11 +315,7 @@ def vector_potential(rho: GridField):
     v = _check_density(rho)
     g = rho.grid
     plan = KernelPlan(g)
-    S1, S2 = plan.a_spectra()
-    spec, prod, _ = plan.workspace()
-    plan.forward(v, out=spec)
-    return tuple(GridField._own(g, plan.inverse(np.multiply(spec, S, out=prod), g.h))
-                 for S in (S1, S2))
+    return tuple(GridField._own(g, a) for a in plan.convolve([v], plan.a_spectra(), g.h))
 
 
 def a_star(F1: GridField, F2: GridField) -> GridField:
@@ -293,8 +328,4 @@ def a_star(F1: GridField, F2: GridField) -> GridField:
         raise ValueError("component grids differ")
     v1, v2 = _real(F1, "F1"), _real(F2, "F2")
     plan = KernelPlan(g)
-    S1, S2 = plan.a_spectra()
-    spec, prod, _ = plan.workspace()
-    np.multiply(plan.forward(v1, out=spec), S1, out=prod)
-    np.multiply(plan.forward(v2, out=spec), S2, out=spec)
-    return GridField._own(g, plan.inverse(np.add(prod, spec, out=prod), g.h))
+    return GridField._own(g, plan.convolve([v1, v2], plan.a_spectra(), g.h)[0])

@@ -1,6 +1,8 @@
 """Energy decomposition, the weighted-square factorization, stationarity
 residuals, curvature integrals, and the inequality battery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -16,7 +18,7 @@ from cssol.functionals import (
     stationarity,
     susy_rhs,
 )
-from cssol.grid import Grid, GridField, quadrature
+from cssol.grid import Grid, GridField, gradient, quadrature
 from cssol.sampling import normalized, random_smooth_field
 from cssol.soliton import radial_ring
 from cssol.variational import _quotient_and_grad
@@ -87,6 +89,39 @@ def test_el_residual_discriminates():
     v = _field(4, Grid(16.0, 256))
     res2, _ = el_residual(v, 2.0, 4.0 * np.pi)
     assert res2 > 0.1
+
+
+def test_el_residual_temporaries_are_bounded():
+    """A warm el_residual on the n = 1 ring at M = 512 peaks at most nine
+    complex M x M fields above what was live before it: the state releases
+    grad u once D is built, and stationarity accumulates in place."""
+    g = Grid(40.0, 512)
+    u = normalized(radial_ring(1).sample(g))
+    want = el_residual(u, 2.0, 4.0 * np.pi)  # fills the tables and workspace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = el_residual(u, 2.0, 4.0 * np.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - start <= 9 * u.values.nbytes
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_released_grad_is_rebuilt_with_the_same_bits(beta):
+    """At beta != 0 the state drops grad u once D, the kinetic integral and
+    J exist; reading it again gives the gradient's bits, and D is unchanged."""
+    u = _field(3, Grid(8.0, 64))
+    st = MagneticState(u, beta)
+    st.terms()
+    D = st.D
+    assert ("grad" in vars(st)) == (beta == 0.0)
+    for got, want in zip(st.grad, gradient(u)):
+        assert np.array_equal(got, want.values)
+    assert st.D is D
+    assert np.array_equal(stationarity(st, 3.0), stationarity(MagneticState(u, beta), 3.0))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssol import poly
+from cssol import grid, poly
 from cssol.grid import (
     _D1,
     _D2,
@@ -312,6 +312,50 @@ def test_stencil_overflow_is_rejected():
                 deriv(f, axis)
         with pytest.raises(ValueError, match="non-finite field values"):
             laplacian(f)
+
+
+def _slab_axis_deriv(v, axis, k, order, h):
+    """The slab form of grid._axis_deriv: the pairs on 2-D slabs cut along
+    axis, before the stencil ran on the flattened array."""
+    def cut(a, b):
+        return (slice(a, b),) if axis == 0 else (slice(None), slice(a, b))
+
+    coeffs, r = (_D1 if k == 1 else _D2)[order]
+    n, combine = v.shape[axis], np.subtract if k == 1 else np.add
+    out = np.empty(v.shape, np.result_type(v, np.float64))
+    o = out[cut(r, n - r)]
+    tmp = np.empty_like(o)
+    for j in range(1, r + 1):
+        pair = combine(v[cut(r + j, n - r + j)], v[cut(r - j, n - r - j)],
+                       out=o if j == 1 else tmp)
+        pair *= coeffs[r + j] / h**k
+        if j > 1:
+            o += pair
+    if k == 2:
+        o += np.multiply(v[cut(r, n - r)], coeffs[r] / h**2, out=tmp)
+    out[cut(0, r)], out[cut(n - r, n)] = grid._ring(v, axis, r, k, h)
+    return out
+
+
+# (130, 256) runs in three blocks of BLOCK_NODES nodes, the last one short
+@pytest.mark.parametrize("shape", [(16, 16), (24, 40), (40, 24), (128, 128), (130, 256)])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_axis_deriv_equals_the_slab_form(shape, complex_values):
+    """Along axis 1 the flattened stencil mixes values across row ends only
+    on the ring columns, which the one-sided stencil overwrites, and the
+    blocks split no pair: every node has the slab form's bits, for both
+    axes, k = 1, 2 and orders 2-8."""
+    rng = np.random.default_rng(shape[0] * shape[1])
+    v = rng.normal(size=shape)
+    if complex_values:
+        v = v + 1j * rng.normal(size=shape)
+    for axis in (0, 1):
+        for k in (1, 2):
+            for order in (2, 4, 6, 8):
+                got = grid._axis_deriv(v, axis, k, order, 0.37)
+                want = _slab_axis_deriv(v, axis, k, order, 0.37)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 # -- the stencils as applied term by term, kept as the reference -------------

@@ -343,7 +343,9 @@ def _scipy_operators(g: Grid):
     return vp, ast, logc, phi
 
 
-@pytest.mark.parametrize("L,M", [(4.0, 32), (6.0, 50), (12.0, 128), (16.0, 384)])
+# M = 256 (N = 512) runs in three column blocks of 128, 128 and 1 columns
+@pytest.mark.parametrize("L,M", [(4.0, 32), (6.0, 50), (12.0, 128), (16.0, 384),
+                                 (8.0, 256)])
 def test_operators_equal_scipy_fft_formula(L, M):
     g = Grid(L, M)
     rng = np.random.default_rng(M)
@@ -381,6 +383,13 @@ def test_returned_fields_do_not_alias_the_workspace():
     for got in kept:
         for b in buffers:
             assert not np.shares_memory(got, b)
+
+
+def test_workspace_is_bounded_at_m1024():
+    """Only the row buffers are M x (N/2+1); the column and row blocks are
+    about 1 MiB each, so the M = 1024 workspace is under 40 MiB."""
+    buffers = kernels.KernelPlan(Grid(40.0, 1024)).workspace()
+    assert sum(b.nbytes for b in buffers) <= 40 * 2**20
 
 
 def test_threads_get_their_own_workspace():
