@@ -17,27 +17,40 @@ to the 4th-order central difference of the field. Moment table and stencil
 compose to a fixed 9x9 stencil folded into the centre of the kernel table, so
 each sum is one convolution. (Beyond the window the first-moment term cancels
 against the midpoint-rule Laplacian error up to a measured higher-order
-remainder.) The folded A table is odd, so the discrete A and A* are exact
-negative adjoints of each other.
+remainder.) The folded A table is odd (exactly, as below), so the discrete A
+and A* are exact negative adjoints of each other.
 
 Evaluation is the free-space convolution on the doubled grid (Hockney &
-Eastwood, Computer Simulation Using Particles) with numpy.fft: the spectrum of
-the (2M-1)^2 offset table at N >= 2M-1, the smallest 5-smooth size, is
-computed once and cached; N >= 2M-1 keeps the M x M output window free of
-wrap-around. The A spectra depend on M alone; the log spectrum on (M, h). One
-process-wide LRU cache, bounded by bytes, holds the spectra; the tables are
-built only to be transformed, and only the cached spectra are full
-N x (N/2+1) arrays. KernelPlan.convolve transforms each input's M rows into an
-M x (N/2+1) row buffer. Then, one block of spectrum columns at a time (about
-_BLOCK_BYTES of them: one block of all 129 columns at M = 128, 33 blocks of
-32 at M = 1024), it zero-pads the block to N rows, transforms the columns,
-multiplies by the table spectra, transforms back and writes the M rows of the
-output window over the block's columns; last, the rows go back in row blocks
-straight into the M x M outputs. The work runs in place in a per-thread
-workspace kept for the last grid size the thread used: two row buffers, two
-column-block buffers and one real row-block buffer, 1.8 MiB at M = 128 and
-35 MiB at M = 1024. A call allocates only its M x M outputs, which never
-alias the workspace.
+Eastwood, Computer Simulation Using Particles) with numpy.fft, at the period
+N >= 2M-1, the smallest 5-smooth size. Each table sits zero-centred in the
+period: offset d goes to index d mod N, so the offsets -(M-1)..M-1 never
+wrap onto each other and the M x M output window is rows and columns
+0..M-1. Only the M x M quarter of each table, d1, d2 >= 0, is built; the
+rest follows by parity, exact by construction: the log table is even in
+both offsets, the K2 table odd in d1 (its d1 = 0 row exact zero) and even
+in d2, and K1 = -K2^T. So the log spectrum is real and the K2 spectrum i
+times real, each even or odd in each frequency, and the cache keeps one real
+(N/2+1)^2 quarter per table, k1, k2 in [0, N/2]: the rfft of the table's
+even or odd extension along each axis, with the part that is zero up to
+rounding dropped. The K1 quarter is minus the transpose of K2's, so A keeps
+one array (8 MiB at M = 1024). The A quarter depends on M alone; the log
+quarter on (M, h). One process-wide LRU cache, bounded by bytes, holds the
+quarters.
+
+KernelPlan.convolve transforms each input's M rows into an M x (N/2+1) row
+buffer. Then, one block of spectrum columns at a time (about _BLOCK_BYTES of
+them: one block of all 129 columns at M = 128, 33 blocks of 32 at
+M = 1024), it zero-pads the block to N rows and transforms the columns. It
+multiplies rows 0..N/2 by the quarter's rows and rows N/2+1..N-1 by its
+mirrored rows (row N-k by quarter row k, a reversed view signed by the
+parity; an odd N has no Nyquist row), transforms back unnormalized and
+writes the window rows 0..M-1, times the scale (which carries the A
+spectra's common -i and the 1/N^2), over the block's columns. Last, the
+rows go back, unnormalized, in row blocks straight into the M x M outputs.
+The work runs in place in a per-thread workspace kept for the last grid
+size the thread used: two row buffers, two column-block buffers and one
+real row-block buffer, 1.8 MiB at M = 128 and 35 MiB at M = 1024. A call
+allocates only its M x M outputs, which never alias the workspace.
 
 All 25 near-zone cell averages and first moments, the singular cell's
 included, are corner second differences of closed-form mixed
@@ -57,8 +70,8 @@ from .grid import _D1, Grid, GridField
 # cell-averaged kernel values
 _NEAR = 2
 
-# total size of the cached spectra: one M=1024 grid holds 104 MiB (three
-# 32 MiB spectra and the log(|y|+1) weight), so two box sizes at M=1024 fit
+# total size of the cached spectra: one M=1024 grid holds 24 MiB (the A and
+# log quarters, 8 MiB each, and the 8 MiB log(|y|+1) weight)
 _CACHE_BYTES = 256 * 2**20
 
 
@@ -108,15 +121,15 @@ def _near_tables():
 
 
 def _table(M: int, far, cells: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """(2M-1)^2 table over the grid offsets d at unit spacing: far(d1, |d|^2)
-    (the midpoint value), the 5x5 exact cell averages at the centre, minus
-    the 9x9 folded moment correction."""
-    d = np.arange(-(M - 1), M, dtype=float)
+    """M x M quarter of the table over the grid offsets d >= 0 at unit
+    spacing: far(d1, |d|^2) (the midpoint value), the 3x3 corner of the exact
+    cell averages, minus the 5x5 corner of the folded moment correction."""
+    d = np.arange(M, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         T = far(d[:, None], d[:, None] ** 2 + d[None, :] ** 2)
-    c, r, q = M - 1, _NEAR, fold.shape[0] // 2
-    T[c - r : c + r + 1, c - r : c + r + 1] = cells
-    T[c - q : c + q + 1, c - q : c + q + 1] -= fold
+    r, q = _NEAR, fold.shape[0] // 2
+    T[: r + 1, : r + 1] = cells[r:, r:]
+    T[: q + 1, : q + 1] -= fold[q:, q:]
     return T
 
 
@@ -194,27 +207,39 @@ class KernelPlan:
             _WORK.M = M
         return _WORK.buffers
 
-    def _spectrum(self, table: np.ndarray) -> np.ndarray:
-        """2-D real transform of a table zero-padded to N x N, as a fresh
-        array: the row pass runs on the rows that hold data only."""
-        N, m = self.N, table.shape[0]
-        out = np.empty((N, N // 2 + 1), complex)
-        np.fft.rfft(table, n=N, axis=1, out=out[:m])
-        out[m:] = 0.0
-        return np.fft.fft(out, axis=0, out=out)
+    def _spectrum(self, T: np.ndarray, sign: float) -> np.ndarray:
+        """The real (N/2+1)^2 quarter of the spectrum of the N-periodic table
+        whose offset d sits at d mod N, from T, its d >= 0 quarter: even in
+        d2, and even (sign 1) or odd (sign -1, with T's d1 = 0 row zero) in
+        d1. Each axis is the rfft of the even or odd extension of T over the
+        period; the spectrum is then real, or i times real, and the other
+        part, zero up to rounding, is dropped."""
+        N = self.N
+        for s in (1.0, sign):  # along d2, then along d1
+            m = T.shape[1]
+            E = np.zeros((T.shape[0], N))
+            E[:, :m] = T
+            np.multiply(T[:, :0:-1], s, out=E[:, N - m + 1 :])
+            F = np.fft.rfft(E, axis=1)
+            T = (F.real if s > 0 else F.imag).T
+        return np.ascontiguousarray(T)
 
-    def convolve(self, inputs, spectra, scale: float) -> list[np.ndarray]:
-        """scale times the M x M window (rows and columns M-1..2M-2) of the
-        inverse transforms of spectrum products, as fresh arrays. One M x M
-        input gives one output per spectrum; two inputs give one output, of
-        the sum of input i's transform times spectra[i] (in that order).
-        The steps are those of the module docstring; output k is assembled
-        in row buffer k, whose block columns were read before they are
-        overwritten."""
+    def convolve(self, inputs, spectra, scale: complex) -> list[np.ndarray]:
+        """The M x M window (rows and columns 0..M-1) of the inverse
+        transforms of scale times spectrum products, as fresh arrays. Each
+        spectrum is a triple (quarter, top sign, mirror sign): its rows
+        0..N/2 are top sign times the (N/2+1)^2 real quarter, and its row
+        N-k, for 0 < k < N-N/2, is mirror sign times quarter row k. One
+        M x M input gives one output per spectrum; two inputs give one
+        output, of the sum of input i's transform times spectra[i] (in that
+        order; the first spectrum's signs must be 1). The steps are those of
+        the module docstring; output k is assembled in row buffer k, whose
+        block columns were read before they are overwritten."""
         M, N = self.grid.M, self.N
         *rows, ca, cb, back = self.workspace()
         width, B = N // 2 + 1, ca.size // N
-        w = slice(M - 1, 2 * M - 1)
+        slabs = ((slice(0, width), slice(None)), (slice(width, N), slice(N - width, 0, -1)))
+        scale /= N * N  # the inverse transforms run unnormalized
         for v, r in zip(inputs, rows):
             np.fft.rfft(v, n=N, axis=1, out=r)
         n_out = len(spectra) if len(inputs) == 1 else 1
@@ -228,23 +253,30 @@ class KernelPlan:
                 np.fft.fft(x, axis=0, out=x)
             for k in range(n_out):
                 if len(inputs) == 1:
-                    p = np.multiply(X[0], spectra[k][:, c], out=X[1])
+                    # the signed spectrum, cast into X[1], times the transform
+                    (Q, *signs), p = spectra[k], X[1]
+                    for (rs, qs), s in zip(slabs, signs):
+                        np.multiply(Q[qs, c], s, out=p[rs])
+                    np.multiply(p, X[0], out=p)
                 else:
-                    p = np.multiply(X[0], spectra[0][:, c], out=X[0])
-                    p += np.multiply(X[1], spectra[1][:, c], out=X[1])
-                np.fft.ifft(p, axis=0, out=p)
-                rows[k][:, c] = p[w]
+                    (Q0, *_), (Q1, *signs), p = *spectra, X[0]
+                    for (rs, qs), s in zip(slabs, signs):
+                        np.multiply(p[rs], Q0[qs, c], out=p[rs])
+                        y = np.multiply(X[1][rs], Q1[qs, c], out=X[1][rs])
+                        (np.add if s > 0 else np.subtract)(p[rs], y, out=p[rs])
+                np.fft.ifft(p, axis=0, out=p, norm="forward")
+                np.multiply(p[:M], scale, out=rows[k][:, c])
         outs = [np.empty((M, M)) for _ in range(n_out)]
         R = back.shape[0]
         for r, out in zip(rows, outs):
             for a in range(0, M, R):
                 b = min(a + R, M)
-                np.fft.irfft(r[a:b], n=N, axis=1, out=back[: b - a])
-                np.multiply(back[: b - a, w], scale, out=out[a:b])
+                np.fft.irfft(r[a:b], n=N, axis=1, out=back[: b - a], norm="forward")
+                out[a:b] = back[: b - a, :M]
         return outs
 
     def log_spectrum(self):
-        """(log-table spectrum, log(|y|+1) weight). At spacing h a cell
+        """((log-table quarter, 1, 1), log(|y|+1) weight). At spacing h a cell
         average of log is log h plus its unit-spacing value; the fold is 1/h."""
         g = self.grid
 
@@ -252,20 +284,26 @@ class KernelPlan:
             cells, fold, _, _ = _near_tables()
             T = _table(g.M, lambda d1, r2: 0.5 * np.log(r2), cells, fold / g.h)
             X, Y = g.mesh()
-            return self._spectrum(T + np.log(g.h)), np.log(np.hypot(X, Y) + 1.0)
+            return self._spectrum(T + np.log(g.h), 1.0), np.log(np.hypot(X, Y) + 1.0)
 
-        return _SPECTRA.get(("log", g.M, g.h), build)
+        Q, weight = _SPECTRA.get(("log", g.M, g.h), build)
+        return (Q, 1, 1), weight
 
     def a_spectra(self):
-        """Spectra of the unit-spacing K1 and K2 tables; the kernel and its
-        fold are homogeneous of degree -1, so they scale by h afterwards."""
+        """The K1 and K2 spectra as -i times real spectra, from the one cached
+        quarter Q of K2 (odd in d1, so its spectrum is i Q): K2 is -Q on the
+        top rows and Q mirrored, and K1 = -K2^T, even in d1, is Q^T on both.
+        The unit-spacing kernel and its fold are homogeneous of degree -1,
+        so they scale by h afterwards."""
 
         def build():
             _, _, cells, fold = _near_tables()
             K2 = _table(self.grid.M, lambda d1, r2: d1 / r2, cells, fold)
-            return self._spectrum(-K2.T), self._spectrum(K2)
+            K2[0] = 0.0  # exactly odd: the fold leaves a 2e-18 residue at d = 0
+            return (self._spectrum(K2, -1.0),)
 
-        return _SPECTRA.get(("inv", self.grid.M), build)
+        (Q,) = _SPECTRA.get(("inv", self.grid.M), build)
+        return (Q.T, 1, 1), (Q, -1, 1)
 
 
 def _real(f: GridField, what: str) -> np.ndarray:
@@ -296,7 +334,7 @@ def superpotential(rho: GridField) -> GridField:
     """Phi[rho](x) = int (log|x-y| - log(|y|+1)) rho(y) dy on the grid."""
     v = _check_density(rho)
     conv, weight = _log_conv(rho.grid, v)
-    conv -= float(np.sum(weight * v) * rho.grid.h**2)
+    conv -= float(np.vdot(weight, v) * rho.grid.h**2)
     return GridField._own(rho.grid, conv)
 
 
@@ -315,7 +353,7 @@ def vector_potential(rho: GridField):
     v = _check_density(rho)
     g = rho.grid
     plan = KernelPlan(g)
-    return tuple(GridField._own(g, a) for a in plan.convolve([v], plan.a_spectra(), g.h))
+    return tuple(GridField._own(g, a) for a in plan.convolve([v], plan.a_spectra(), -1j * g.h))
 
 
 def a_star(F1: GridField, F2: GridField) -> GridField:
@@ -328,4 +366,4 @@ def a_star(F1: GridField, F2: GridField) -> GridField:
         raise ValueError("component grids differ")
     v1, v2 = _real(F1, "F1"), _real(F2, "F2")
     plan = KernelPlan(g)
-    return GridField._own(g, plan.convolve([v1, v2], plan.a_spectra(), g.h)[0])
+    return GridField._own(g, plan.convolve([v1, v2], plan.a_spectra(), -1j * g.h)[0])

@@ -1,9 +1,14 @@
 """Properties of the planned FFT kernel operators on fields that do not vanish
 at the edge of the box: linearity, the discrete adjoint identities, agreement
 with the direct-table reference below, the closed-form near-zone tables
-against quadrature and their exact parities, the thread-safe spectrum
-cache, and the per-thread FFT workspace: bit-equal to the scipy.fft
-formula, never aliased by a returned field, and private to its thread."""
+against quadrature and their exact parities, and the thread-safe spectrum
+cache. The cached spectra are real (N/2+1)^2 quarters: each equals the real
+or imaginary part of the rfft2 of its zero-centred N-periodic table, the A
+entry is one such array, and the operators match the previous layout (full
+complex spectra of the (2M-1)^2 tables) to rounding. The per-thread FFT
+workspace gives results bit-equal to the scipy.fft formula of the quarter
+layout, is never aliased by a returned field, and is private to its
+thread."""
 
 import sys
 import threading
@@ -302,13 +307,35 @@ def test_spectrum_cache_threads_build_once_and_stay_bounded():
         sys.setswitchinterval(old)
 
 
-# -- the workspace ------------------------------------------------------------
+# -- the spectrum layout and the workspace ------------------------------------
 
 
-def _scipy_operators(g: Grid):
-    """The four operators by the scipy.fft formula: rfft2 zero-padded to
-    N x N, product with the table spectrum, ifft over the columns, the M
-    window rows, irfft over the rows, the M window columns."""
+def _previous_tables(g: Grid):
+    """The tables of the previous layout: the full (2M-1)^2 offset tables,
+    offset d at index d + M-1, of log (plus log h) and of the unit-spacing K1
+    and K2, each with its 5x5 cell averages and 9x9 fold at the centre."""
+    M, h = g.M, g.h
+    log_cells, log_fold, K2_cells, K2_fold = kernels._near_tables()
+
+    def table(far, cells, fold):
+        d = np.arange(-(M - 1), M, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = far(d[:, None], d[:, None] ** 2 + d[None, :] ** 2)
+        c, r, q = M - 1, 2, fold.shape[0] // 2
+        T[c - r : c + r + 1, c - r : c + r + 1] = cells
+        T[c - q : c + q + 1, c - q : c + q + 1] -= fold
+        return T
+
+    K2 = table(lambda d1, r2: d1 / r2, K2_cells, K2_fold)
+    T = table(lambda d1, r2: 0.5 * np.log(r2), log_cells, log_fold / h)
+    return T + np.log(h), -K2.T, K2
+
+
+def _previous_operators(g: Grid):
+    """The four operators of the previous layout by the scipy.fft formula:
+    rfft2 zero-padded to N x N, product with the complex spectrum of the
+    (2M-1)^2 table, ifft over the columns, the M window rows M-1..2M-2,
+    irfft over the rows, the M window columns."""
     M, h = g.M, g.h
     N = scipy.fft.next_fast_len(2 * M - 1, real=True)
     w = slice(M - 1, 2 * M - 1)
@@ -319,11 +346,8 @@ def _scipy_operators(g: Grid):
     def inv(spec):
         return scipy.fft.irfft(scipy.fft.ifft(spec, axis=0)[w], n=N, axis=1)[:, w]
 
-    log_cells, log_fold, K2_cells, K2_fold = kernels._near_tables()
-    K2 = kernels._table(M, lambda d1, r2: d1 / r2, K2_cells, K2_fold)
-    S1, S2 = fwd(-K2.T), fwd(K2)
-    T = kernels._table(M, lambda d1, r2: 0.5 * np.log(r2), log_cells, log_fold / h)
-    SL = fwd(T + np.log(h))
+    T, K1, K2 = _previous_tables(g)
+    S1, S2, SL = fwd(K1), fwd(K2), fwd(T)
     X, Y = g.mesh()
     weight = np.log(np.hypot(X, Y) + 1.0)
 
@@ -343,21 +367,131 @@ def _scipy_operators(g: Grid):
     return vp, ast, logc, phi
 
 
+def _full_spectrum(plan, spectrum) -> np.ndarray:
+    """The real N x (N/2+1) spectrum a (quarter, top sign, mirror sign)
+    triple stands for: rows 0..N/2 from the quarter, row N-k from its row k."""
+    Q, top, mirror = spectrum
+    return np.concatenate([top * Q, mirror * Q[plan.N - Q.shape[0] : 0 : -1]])
+
+
+def _quarter_operators(g: Grid):
+    """The four operators by the scipy.fft formula of the real-quarter
+    layout: rfft2 zero-padded to N x N, product with the real spectrum
+    assembled from the cached quarter, unnormalized ifft over the columns,
+    rows 0..M-1 times scale / N^2 (the A spectra are -i times real, so the
+    A scale is -i h), unnormalized irfft over the rows, columns 0..M-1."""
+    M, h = g.M, g.h
+    plan = kernels.KernelPlan(g)
+    N = plan.N
+
+    def fwd(v):
+        return scipy.fft.rfft2(v, s=(N, N))
+
+    def inv(spec, scale):
+        rows = scipy.fft.ifft(spec, axis=0, norm="forward")[:M] * (scale / N**2)
+        return scipy.fft.irfft(rows, n=N, axis=1, norm="forward")[:, :M]
+
+    S1, S2 = (_full_spectrum(plan, s) for s in plan.a_spectra())
+    log_quarter, weight = plan.log_spectrum()
+    SL = _full_spectrum(plan, log_quarter)
+
+    def vp(v):
+        s = fwd(v)
+        return inv(s * S1, -1j * h), inv(s * S2, -1j * h)
+
+    def ast(v1, v2):
+        return inv(fwd(v1) * S1 + fwd(v2) * S2, -1j * h)
+
+    def logc(v):
+        return inv(fwd(v) * SL, h**2)
+
+    def phi(v):
+        return logc(v) - float(np.vdot(weight, v) * h**2)
+
+    return vp, ast, logc, phi
+
+
+def _operator_inputs(g: Grid):
+    rng = np.random.default_rng(g.M)
+    rho = _smooth(g, rng, True)
+    return rho, _smooth(g, rng, False), _smooth(g, rng, False)
+
+
 # M = 256 (N = 512) runs in three column blocks of 128, 128 and 1 columns
 @pytest.mark.parametrize("L,M", [(4.0, 32), (6.0, 50), (12.0, 128), (16.0, 384),
                                  (8.0, 256)])
 def test_operators_equal_scipy_fft_formula(L, M):
     g = Grid(L, M)
-    rng = np.random.default_rng(M)
-    rho = _smooth(g, rng, True)
-    F1, F2 = _smooth(g, rng, False), _smooth(g, rng, False)
-    vp, ast, logc, phi = _scipy_operators(g)
+    rho, F1, F2 = _operator_inputs(g)
+    vp, ast, logc, phi = _quarter_operators(g)
     A1, A2 = vector_potential(GridField(g, rho))
     R1, R2 = vp(rho)
     assert np.array_equal(A1.values, R1) and np.array_equal(A2.values, R2)
     assert np.array_equal(a_star(GridField(g, F1), GridField(g, F2)).values, ast(F1, F2))
     assert np.array_equal(log_convolution(GridField(g, F1)).values, logc(F1))
     assert np.array_equal(superpotential(GridField(g, rho)).values, phi(rho))
+
+
+# M = 62 gives an odd period, N = 125, with no Nyquist row
+@pytest.mark.parametrize("L,M", [(4.0, 32), (6.0, 50), (12.0, 128), (16.0, 384),
+                                 (8.0, 256), (6.0, 62)])
+def test_operators_match_the_previous_layout(L, M):
+    """The real-quarter layout changes the operators by rounding only."""
+    g = Grid(L, M)
+    rho, F1, F2 = _operator_inputs(g)
+    vp, ast, logc, phi = _previous_operators(g)
+    A1, A2 = vector_potential(GridField(g, rho))
+    R1, R2 = vp(rho)
+    assert _rel(A1.values, R1) <= 1e-14 and _rel(A2.values, R2) <= 1e-14
+    assert _rel(a_star(GridField(g, F1), GridField(g, F2)).values, ast(F1, F2)) <= 1e-14
+    assert _rel(log_convolution(GridField(g, F1)).values, logc(F1)) <= 1e-14
+    assert _rel(superpotential(GridField(g, rho)).values, phi(rho)) <= 1e-14
+
+
+@pytest.mark.parametrize("M", [16, 50, 62, 128])
+def test_quarters_are_the_circulant_table_spectra(M):
+    """Each cached quarter is the real (log) or imaginary (K2) part of the
+    rfft2 of the N-periodic table with offset d at d mod N, the K1 quarter
+    minus its transpose; the part dropped is zero to rounding, and the
+    assembled spectra are the whole rfft2."""
+    g = Grid(6.0, M)
+    plan = kernels.KernelPlan(g)
+    N, w = plan.N, plan.N // 2 + 1
+    idx = np.arange(-(M - 1), M) % N
+
+    def circulant_spectrum(T):
+        C = np.zeros((N, N))
+        C[np.ix_(idx, idx)] = T
+        return np.fft.rfft2(C)
+
+    T, K1, K2 = (circulant_spectrum(t) for t in _previous_tables(g))
+    log_spec, _ = plan.log_spectrum()
+    K1_spec, K2_spec = plan.a_spectra()
+    QL, Q = log_spec[0], K2_spec[0]
+    assert Q.shape == QL.shape == (w, w) and Q.dtype == QL.dtype == np.float64
+    for quarter, S, part, other in ((QL, T, "real", "imag"), (Q, K2, "imag", "real"),
+                                    (-K1_spec[0], K1, "imag", "real")):
+        scale = np.max(np.abs(S))
+        assert np.max(np.abs(quarter - getattr(S, part)[:w])) <= 1e-13 * scale
+        assert np.max(np.abs(getattr(S, other))) <= 1e-13 * scale
+    for spec, phase, S in ((log_spec, 1.0, T), (K1_spec, -1j, K1), (K2_spec, -1j, K2)):
+        full = phase * _full_spectrum(plan, spec)
+        assert np.max(np.abs(full - S)) <= 1e-13 * np.max(np.abs(S))
+
+
+def test_spectra_are_real_quarters_at_m1024():
+    """After one A and one Phi on Grid(40, 1024) the A entry is one float64
+    array of 1025^2 (8 MiB), and the log entry one such array and the M x M
+    weight."""
+    g = Grid(40.0, 1024)
+    rho = GridField(g, _smooth(g, np.random.default_rng(1), True))
+    vector_potential(rho)
+    superpotential(rho)
+    (Q,) = kernels._SPECTRA._items[("inv", g.M)]
+    QL, weight = kernels._SPECTRA._items[("log", g.M, g.h)]
+    assert Q.shape == QL.shape == (1025, 1025)
+    assert Q.dtype == QL.dtype == weight.dtype == np.float64
+    assert Q.nbytes == 8 * 1025**2 and weight.shape == (1024, 1024)
 
 
 def _calls(g: Grid, seed: int):
