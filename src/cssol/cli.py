@@ -322,8 +322,8 @@ def cmd_townes(args) -> int:
     from .variational import townes_profile
 
     prof = townes_profile()
-    rows = [ReportRow("c_lgn", 0.931 * 2.0 * np.pi, prof.c_lgn, 5e-3),
-            ReportRow("peak_amplitude", 2.2062, float(prof.tau[0]), 1e-3)]
+    rows = [ReportRow("c_lgn", 5.8504482623, prof.c_lgn, 1e-9),
+            ReportRow("peak_amplitude", 2.2062008647, float(prof.tau[0]), 1e-9)]
     return _check_report(args, rows)
 
 

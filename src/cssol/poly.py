@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# gcd truncation threshold, relative to the running remainder norm, and the
-# rank threshold on the relative singular values of the Sylvester matrix.
+# rank threshold on the relative singular values of the Sylvester matrix
 GCD_EPS = 1e-9
 
 
@@ -130,6 +129,14 @@ def from_roots(roots, leading=1.0) -> ComplexPolynomial:
     return ComplexPolynomial(c)
 
 
+def coefficient_rows(polys, n: int) -> np.ndarray:
+    """The coefficient vectors of polys, zero-padded to length n, as rows."""
+    out = np.zeros((len(polys), n), dtype=complex)
+    for row, p in zip(out, polys):
+        row[: p.coeffs.size] = p.coeffs
+    return out
+
+
 # -- operations ------------------------------------------------------------
 
 
@@ -192,28 +199,6 @@ def divmod_poly(p: ComplexPolynomial, d: ComplexPolynomial):
     return ComplexPolynomial(q), ComplexPolynomial(r)
 
 
-def gcd(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS):
-    """Monic gcd by Euclidean remainders with relative coefficient truncation.
-
-    Coprime inputs give the constant polynomial 1. Raises on two zero inputs.
-    """
-    a, b = _coerce(p), _coerce(q)
-    if a.is_zero and b.is_zero:
-        raise ValueError("undefined gcd of two zero polynomials")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    while not b.is_zero:
-        _, r = divmod_poly(a, b)
-        # truncate coefficients that are numerically zero relative to the
-        # remainder computation scale
-        scale = max(a.norm(), b.norm())
-        c = np.where(np.abs(r.coeffs) <= eps * scale, 0, r.coeffs)
-        a, b = b, ComplexPolynomial(c)
-    return a.monic()
-
-
 def _common_degree(p: ComplexPolynomial, q: ComplexPolynomial, eps: float) -> int:
     """deg gcd(p, q) of two nonzero polynomials: the nullity of the Sylvester
     matrix of their unit-norm coefficient vectors at relative rank threshold
@@ -251,8 +236,10 @@ def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) ->
     with z scaled so that the median modulus of the roots of p and q is 1
     (the rank test is not scale invariant)."""
     p, q = _coerce(p), _coerce(q)
+    if p.is_zero and q.is_zero:
+        raise ValueError("coprimality of two zero polynomials is undefined")
     if p.is_zero or q.is_zero:
-        return gcd(p, q).degree == 0
+        return (p if q.is_zero else q).degree == 0
     if p.degree == 0 or q.degree == 0:
         return True
     vals = np.concatenate([_companion_roots(p), _companion_roots(q)])

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import poly
-from .poly import ComplexPolynomial, PairTransform, act, evaluate
-from .wronskian_pairs import WronskianPair, top_rotation
+from .poly import ComplexPolynomial, PairTransform, coefficient_rows, evaluate
+from .wronskian_pairs import WronskianPair
 from .grid import Grid, GridField
 
 # (L, M) of the grid on which Soliton.psi0 is matched: wide enough that the
@@ -141,36 +141,19 @@ def total_vorticity(s: Soliton) -> int:
 # -- symmetry orbit --------------------------------------------------------
 
 
-def _canonical_rsu2(pair: WronskianPair):
-    """Canonical representative of the R+ x SU(2) orbit, with the transform.
-
-    Steps: (1) if deg Q = max degree, rotate by the SU(2) matrix built from
-    the two leading coefficients so that deg Q drops below deg P;
-    (2) the residual stabilizer {c * diag(alpha, conj(alpha))} is fixed by
-    making P monic with a positive real scale c and unit alpha.
-    Returns (canonical pair, transform) with pair_canonical = act(T, pair).
-    """
-    m = pair.max_degree
-    T1, P1, Q1 = top_rotation(pair)
-    lead = P1.coeff(m)
-    # scale c * diag(alpha, conj(alpha)) with c = 1/|lead|, alpha = phase
-    alpha = np.conj(lead) / abs(lead)
-    c = 1.0 / abs(lead)
-    T2 = PairTransform(np.array([[c * alpha, 0.0], [0.0, c * np.conj(alpha)]]))
-    P2, Q2 = act(T2, (P1, Q1))
-    return (P2, Q2), T2 @ T1
-
-
 def same_orbit(p1: WronskianPair, p2: WronskianPair, tol: float = 1e-8):
     """Whether u_{p1} == u_{p2}, i.e. p2 = Lambda p1 with Lambda in R+ x SU(2).
 
-    Returns (bool, witness): the witness transform maps p1 to p2 when true.
+    Lambda is the least-squares solution of Lambda [P1; Q1] = [P2; Q2] on the
+    zero-padded coefficient rows, unique because P1 and Q1 are independent.
+    The orbits agree when its residual is at most tol times the norm of
+    [P2; Q2] and Lambda is a positive multiple of an SU(2) matrix.
+    Returns (bool, witness): the witness Lambda maps p1 to p2 when true.
     """
-    if p1.max_degree != p2.max_degree:
-        return False, None
-    (c1P, c1Q), T1 = _canonical_rsu2(p1)
-    (c2P, c2Q), T2 = _canonical_rsu2(p2)
-    scale = max(c1P.norm() + c1Q.norm(), 1e-300)
-    if (c1P - c2P).norm() + (c1Q - c2Q).norm() <= tol * scale:
-        return True, T2.inverse() @ T1
+    n = 1 + max(p1.max_degree, p2.max_degree)
+    M1, M2 = (coefficient_rows((p.P, p.Q), n) for p in (p1, p2))
+    lam = PairTransform(np.linalg.lstsq(M1.T, M2.T, rcond=None)[0].T)
+    if (np.linalg.norm(lam.entries @ M1 - M2) <= tol * np.linalg.norm(M2)
+            and lam.is_positive_scaled_su2(tol)):
+        return True, lam
     return False, None

@@ -1,7 +1,10 @@
 """Coprime Wronskian pairs and the inverse problem W(P,Q) = f.
 
-A family is the SL(2) orbit of one validated pair (P, Q); in canonical form
-deg Q = k < deg P. Its span is the kernel of the second-order ODE
+A family is the SL(2) orbit of one validated pair (P, Q), which is the 2-D
+span of {P, Q}. The span's normal form is its reduced echelon form from the
+top degree down (_echelon): ode_kernel returns it, solve_generic
+deduplicates on it, and canonical_form is it with both rows monic, so that
+deg Q = k < deg P. The span is the kernel of the second-order ODE
 f y'' - f' y' + R y = 0 for one polynomial R, and Q's roots solve the sl2
 Bethe equations with the roots of f as sites. solve_generic returns every
 family: the primitive family (int f, 1) at k = 0 and, for k = 1..deg f // 2,
@@ -24,6 +27,7 @@ from .poly import (
     PairTransform,
     act,
     antiderivative,
+    coefficient_rows,
     coprime,
     derivative,
     wronskian,
@@ -33,8 +37,9 @@ RESIDUAL_RTOL = 1e-9
 DEDUP_TOL = 1e-8
 # a family with a multiple Bethe root is a defective eigenvalue of the
 # Gaudin Hamiltonians, determined only to about sqrt(machine eps): z^3 + 1
-# at k = 1 gives two copies of (z^3 - 2, z) 1.3e-7 apart, so solve_generic
-# deduplicates its families at this looser tolerance
+# at k = 1 gives two copies of (z^3 - 2, z) whose unit echelon rows are
+# 6.3e-8 apart, so solve_generic deduplicates its families at this looser
+# tolerance
 SOLVE_DEDUP_TOL = 1e-6
 
 
@@ -123,26 +128,13 @@ def ode_operator_matrix(
     return A
 
 
-def ode_kernel(
-    f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
-) -> list[ComplexPolynomial]:
-    """Nullspace basis of the restricted ODE map in echelon form (distinct
-    degrees), unit coefficient norm."""
-    f = poly._coerce(f)
-    R = poly._coerce(R)
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
-    if max_deg > (f.degree or 0) + 1:
-        raise ValueError("max_deg exceeds the deg(f)+1 solution bound")
-    A = ode_operator_matrix(f, R, max_deg)
-    _, s, vh = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
-    sv = np.concatenate([s, np.zeros(A.shape[1] - s.size)])
-    B = vh[sv <= 1e-9 * max(smax, 1.0)].conj()
-    # echelon form from the top degree down: the basis degrees are distinct
-    # and the terms above each pivot exactly zero (SVD rounding leaves up to
-    # ~3e-12 there at deg f = 10, and a spurious top coefficient inflates
-    # the degree)
+def _echelon(B: np.ndarray) -> np.ndarray:
+    """Reduced echelon form of the rows of B from the top degree down, each
+    row of unit norm: the normal form of their span. The row degrees are
+    distinct and the terms above each pivot exactly zero (SVD rounding
+    leaves up to ~3e-12 there at deg f = 10, and a spurious top coefficient
+    inflates the degree)."""
+    B = B.astype(complex)
     row = 0
     for col in range(B.shape[1] - 1, -1, -1):
         if row == len(B):
@@ -157,63 +149,44 @@ def ode_kernel(
         B[others] -= np.outer(B[others, col], B[row])
         B[others, col] = 0.0  # complex x/x need not round to exactly 1
         row += 1
-    return [ComplexPolynomial(v / np.linalg.norm(v)) for v in B]
+    return np.array([v / np.linalg.norm(v) for v in B])
 
 
-def top_rotation(pair: WronskianPair):
-    """The SU(2) transform U that clears Q's coefficient at the top degree,
-    and the rotated pair (P1, Q1) = act(U, (P, Q)), so deg Q1 < deg P1.
+def ode_kernel(
+    f: ComplexPolynomial, R: ComplexPolynomial, max_deg: int
+) -> list[ComplexPolynomial]:
+    """Nullspace basis of the restricted ODE map in echelon form (distinct
+    degrees), unit coefficient norm."""
+    f = poly._coerce(f)
+    R = poly._coerce(R)
+    if f.is_zero:
+        raise ValueError("f must be nonzero")
+    if max_deg > (f.degree or 0) + 1:
+        raise ValueError("max_deg exceeds the deg(f)+1 solution bound")
+    A = ode_operator_matrix(f, R, max_deg)
+    _, s, vh = np.linalg.svd(A)  # A has no fewer rows than columns
+    null = vh[s <= 1e-9 * max(s[0], 1.0)].conj()
+    return [ComplexPolynomial(v) for v in _echelon(null)]
 
-    The rotation cancels that coefficient, and any lower ones the span of
-    (P, Q) lacks, only to rounding: Q1 has them dropped exactly, so that no
-    later step divides by a rounding residue."""
-    P, Q = pair.P, pair.Q
-    a, b = P.coeff(pair.max_degree), Q.coeff(pair.max_degree)
-    U = PairTransform(np.array([[np.conj(a), np.conj(b)], [-b, a]])
-                      / np.sqrt(abs(a) ** 2 + abs(b) ** 2))
-    P1, Q1 = act(U, (P, Q))
-    c1 = Q1.coeffs.copy()
-    c1[np.abs(c1) <= 1e-12 * max(P.norm(), Q.norm())] = 0.0
-    return U, P1, ComplexPolynomial(c1)
+
+def _span(pair: WronskianPair, n: int) -> np.ndarray:
+    """The echelon form of span{P, Q} in the coefficients of degree < n."""
+    rows = coefficient_rows((pair.P, pair.Q), n)
+    return _echelon(np.linalg.svd(rows, full_matrices=False)[2])
 
 
 def canonical_form(pair: WronskianPair) -> WronskianPair:
-    """Deduplication normal form: rotate so deg P > deg Q, make P monic,
-    and clear P's coefficient at power deg Q by a Q-shear. Idempotent."""
-    _, P1, Q1 = top_rotation(pair)
-    P1 = P1.monic()
-    dq = Q1.degree
-    if dq is not None:
-        mu = P1.coeff(dq) / Q1.leading
-        P1 = P1 - mu * Q1
-    return WronskianPair(P1, Q1)
-
-
-def _family_key(pair: WronskianPair):
-    """Coefficients of P and of monic Q in the canonical form, and their
-    scale: what _same_family compares. Q is compared up to scale: the
-    diag(mu, 1/mu) subgroup is invisible to the monic-P canonical form."""
-    c = canonical_form(pair)
-    q = c.Q.monic()
-    return c.P.coeffs, q.coeffs, max(c.P.norm() + q.norm(), 1.0)
-
-
-def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm of the difference of two coefficient vectors."""
-    if a.size != b.size:
-        n = max(a.size, b.size)
-        a, b = (np.concatenate([x, np.zeros(n - x.size)]) for x in (a, b))
-    return float(np.linalg.norm(a - b))
-
-
-def _keys_match(k1, k2, tol: float) -> bool:
-    """Whether two _family_key values agree within tol at the scale of k1."""
-    (P1, q1, scale), (P2, q2, _) = k1, k2
-    return _gap(P1, P2) + _gap(q1, q2) <= tol * scale
+    """Deduplication normal form: the echelon form of the span with both
+    rows monic, so deg Q < deg P and P has no term at power deg Q.
+    Idempotent."""
+    P, Q = (ComplexPolynomial(v).monic() for v in _span(pair, pair.max_degree + 1))
+    return WronskianPair(P, Q)
 
 
 def _same_family(p1: WronskianPair, p2: WronskianPair, tol: float = DEDUP_TOL) -> bool:
-    return _keys_match(_family_key(p1), _family_key(p2), tol)
+    """Whether the spans of p1 and p2, one SL(2) orbit each, agree within tol."""
+    n = 1 + max(p1.max_degree, p2.max_degree)
+    return bool(np.linalg.norm(_span(p1, n) - _span(p2, n)) <= tol)
 
 
 def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomial):
@@ -284,27 +257,28 @@ def solve_generic(f: ComplexPolynomial) -> list[SolutionFamily]:
 
     The primitive family, then for each k = 1..deg f // 2 the families with
     deg Q = k: each candidate R of bethe_coefficients gives the pair spanning
-    the ODE kernel, rescaled so that W = f. A candidate joins only as a
-    validated (coprime, independent) pair within RESIDUAL_RTOL of f, and
-    only if no kept family of its k has the same _family_key, which is
-    computed once per candidate.
+    the ODE kernel, rescaled so that W = f. A candidate is dropped when its
+    kernel's echelon rows lie within SOLVE_DEDUP_TOL of those of a kept
+    family of its k; otherwise it joins as a validated (coprime,
+    independent) pair within RESIDUAL_RTOL of f.
     """
     f = poly._coerce(f)
     if f.is_zero:
         raise ValueError("zero polynomial has no Wronskian pair")
     fams = [primitive_family(f)]
     for k in range(1, f.degree // 2 + 1):
-        level = []  # (family, key); families differ in k modulo SL(2)
+        kept = []  # echelon rows of this k's families; families of two k differ
         for R in bethe_coefficients(f, k):
             basis = ode_kernel(f, R, f.degree + 1)
             if len(basis) != 2:
                 continue
+            rows = coefficient_rows(basis, f.degree + 2)
+            if kept and np.linalg.norm(np.subtract(kept, rows),
+                                       axis=(1, 2)).min() <= SOLVE_DEDUP_TOL:
+                continue
             fam = _family("Bethe", *_abel_rescale(*basis, f), f, k=k,
                           R=[complex(c) for c in R.coeffs])
-            if fam is None or not fam.residual <= RESIDUAL_RTOL:
-                continue
-            key = _family_key(fam.representative)
-            if not any(_keys_match(key, kept, SOLVE_DEDUP_TOL) for _, kept in level):
-                level.append((fam, key))
-        fams += [fam for fam, _ in level]
+            if fam is not None and fam.residual <= RESIDUAL_RTOL:
+                fams.append(fam)
+                kept.append(rows)
     return fams

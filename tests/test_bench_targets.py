@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+# functions deleted from the package on purpose that the benchmark's span
+# list still names until the benchmark next changes: their spans read 0
+_DELETED = {("cssol.poly", "gcd")}
 
 
 def _layer_functions():
@@ -21,7 +24,14 @@ def _layer_functions():
     return spans.LAYER_FUNCTIONS
 
 
-@pytest.mark.parametrize("target", _layer_functions(), ids=".".join)
+@pytest.mark.parametrize("target", sorted(_DELETED), ids=".".join)
+def test_deleted_target_is_gone(target):
+    assert target in _layer_functions()
+    assert not hasattr(importlib.import_module(target[0]), target[1])
+
+
+@pytest.mark.parametrize(
+    "target", [t for t in _layer_functions() if t not in _DELETED], ids=".".join)
 def test_traced_target_resolves(target):
     owner = importlib.import_module(target[0])
     if len(target) == 3:

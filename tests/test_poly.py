@@ -154,17 +154,6 @@ def test_divmod_reconstructs(p, d):
     assert not eff or eff[-1] < max(d.degree, 1)
 
 
-def test_gcd_of_shared_factor():
-    common = poly.from_roots([1.0, -1.0])
-    p = common * poly.from_roots([2.0])
-    q = common * poly.from_roots([3.0 + 1j])
-    g = poly.gcd(p, q)
-    assert g.degree == 2
-    _, r1 = poly.divmod_poly(p, g)
-    _, r2 = poly.divmod_poly(q, g)
-    assert r1.norm() < 1e-8 and r2.norm() < 1e-8
-
-
 def test_coprime_detection():
     assert poly.coprime(poly.from_roots([0.0]), poly.from_roots([1.0]))
     shared = poly.from_roots([0.5])

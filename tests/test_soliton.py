@@ -149,9 +149,12 @@ def test_same_orbit_true_with_witness():
     t = PairTransform(1.7 * np.array(
         [[q[0] + 1j * q[1], q[2] + 1j * q[3]],
          [-(q[2] - 1j * q[3]), q[0] - 1j * q[1]]]))
-    ok, witness = same_orbit(pair, pair.transformed(t))
+    image = pair.transformed(t)
+    ok, witness = same_orbit(pair, image)
     assert ok
     assert witness is not None and witness.is_positive_scaled_su2(1e-6)
+    P, Q = poly.act(witness, (pair.P, pair.Q))
+    assert (P - image.P).norm() <= 1e-10 and (Q - image.Q).norm() <= 1e-10
 
 
 def test_same_orbit_false_for_distinct_solitons():
@@ -162,6 +165,17 @@ def test_same_orbit_false_for_distinct_solitons():
     p2 = WronskianPair([5.0, 0.0, 1.0], [1.0])   # z^2 + 5, 1
     ok, _ = same_orbit(p1, p2)
     assert not ok
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([2.0, 0.5]),
+    np.array([[1.0, 0.3], [0.0, 1.0]]),
+], ids=["U diag(2, 0.5)", "shear"])
+def test_same_orbit_false_for_sl2_images_outside_rsu2(m):
+    # the same span, so the same family of W(P, Q) = f, but a different u
+    pair = WronskianPair([1.0, 0.0, 1.0], [0.5, 1.0])
+    ok, witness = same_orbit(pair, pair.transformed(PairTransform(m)))
+    assert not ok and witness is None
 
 
 def test_orbit_invariance_of_field():

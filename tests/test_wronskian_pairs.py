@@ -312,6 +312,22 @@ def test_solve_builds_ode_matrix_once_per_candidate(monkeypatch):
                for j in range(i + 1, len(Rs)))
 
 
+def test_solve_validates_each_candidate_once(monkeypatch):
+    """One coprimality test per candidate R, in its WronskianPair, and one
+    for the primitive family: deduplication compares the ODE kernel's
+    echelon rows and builds no second pair."""
+    calls = []
+    real = wronskian_pairs.coprime
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wronskian_pairs, "coprime", counted)
+    solve_generic(poly.from_roots([1.0, -1.0, 2j, 0.5 - 1j]))
+    assert len(calls) == math.comb(4, 2)
+
+
 # -- canonical form --------------------------------------------------------
 
 
