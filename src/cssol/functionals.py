@@ -1,13 +1,12 @@
 """Energy quantities and identity residuals for self-generated-field
-densities. MagneticState(u, beta, order) builds, on first use and once, what
-these read: rho = |u|^2, grad u, the current J, A[rho], the covariant
-gradient D = (grad + i beta A) u and Phi[rho]; stationarity(state, gamma)
-applies the Euler-Lagrange operator shared by the EL residual and the
-descent gradient. On these sit the magnetic energy and its decomposition
-(no Phi), the weighted-square (factorized) form of
-E_beta -+ 2 pi beta int |u|^4 (the one reader of Phi), the stationarity
-residual, the Menger-Melnikov curvature, the Liouville residual and a
-battery of inequalities."""
+densities. MagneticState(u, beta, order) builds, on first use, what these
+read: rho = |u|^2, grad u, A[rho], the covariant gradient
+D = (grad + i beta A) u and Phi[rho]; stationarity(state, gamma) applies
+the Euler-Lagrange operator shared by the EL residual and the descent
+gradient. On these sit the magnetic energy and its decomposition (no Phi),
+the weighted-square (factorized) form of E_beta -+ 2 pi beta int |u|^4
+(the one reader of Phi), the stationarity residual, the Menger-Melnikov
+curvature, the Liouville residual and a battery of inequalities."""
 
 from __future__ import annotations
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .grid import (
     _D1,
+    _axis_deriv,
     Grid,
     GridField,
     divergence,
@@ -36,12 +36,16 @@ HARDY_CONSTANT = 1.5
 
 class MagneticState:
     """One field u at flux beta: rho = |u|^2 and, built on first use, grad u,
-    J, A[rho], D = (grad + i beta A) u and Phi[rho], all as value arrays
-    the state owns.
+    A[rho], D = (grad + i beta A) u, |D|^2 and Phi[rho], as owned arrays.
 
-    At beta != 0, grad u is read only to build D, the kinetic integral and
-    J; once all three exist the state releases it, and a later read builds
-    it again, with the same bits. At beta = 0, D is grad u itself.
+    Readers use fields up, overwriting arrays a caller kept: D is built on
+    grad u's arrays, and stationarity sums A.D on D's, then drops D and A. A
+    dropped field is built again on its next read, with the same bits; so
+    grad u (kinetic, terms()) is read before D, and |D|^2 before
+    stationarity. At beta = 0, D is grad u and A is not built. The current
+    J = Im(conj(u) grad u) is not held: terms() forms A.J from it, and
+    stationarity's A* source 2 beta^2 A rho + 2 beta J is read off D alone
+    as the covariant current 2 beta Im(conj(u) D).
 
     Where both are needed A is built before grad u: at M = 256 that order
     builds A, grad u and D about 9% faster than the reverse, A alone 3-5%
@@ -54,28 +58,15 @@ class MagneticState:
         self.rho = np.abs(u.values)
         self.rho **= 2
 
-    def _keep(self, name: str, value):
-        """Cache value as name, releasing grad u once D, kinetic and current
-        all exist at beta != 0."""
-        cache = vars(self)
-        cache[name] = value
-        if self.beta != 0.0 and all(k in cache for k in ("D", "kinetic", "current")):
-            cache.pop("grad", None)
-        return value
-
     @cached_property
     def grad(self):
-        return tuple(d.values for d in gradient(self.u, self.order))
-
-    @cached_property
-    def current(self):
-        """J = Im(conj(u) grad u), componentwise; zero for real u."""
-        J = []
-        for g in self.grad:
-            p = np.conj(self.u.values)
-            p *= g
-            J.append(p.imag.copy())
-        return self._keep("current", tuple(J))
+        """grad u as writable arrays, checked finite as gradient() checks them;
+        reading D overwrites them"""
+        v, h = self.u.values, self.u.grid.h
+        grad = tuple(_axis_deriv(v, axis, 1, self.order, h) for axis in (0, 1))
+        if not all(np.all(np.isfinite(d)) for d in grad):
+            raise ValueError("non-finite field values")
+        return grad
 
     @cached_property
     def A(self):
@@ -83,16 +74,15 @@ class MagneticState:
 
     @cached_property
     def D(self):
-        """(grad + i beta A) u; at beta = 0 it is grad u and A is not built"""
-        if self.beta == 0.0:
-            return self.grad
-        A, u = self.A, self.u.values
-        D = []
-        for g, a in zip(self.grad, A):
-            d = np.multiply(1j * self.beta, a)
-            d *= u
-            D.append(np.add(g, d, out=d))
-        return self._keep("D", tuple(D))
+        """(grad + i beta A) u on grad u's arrays (a complex one for real u),
+        which stationarity overwrites; at beta = 0 it is grad u, which
+        stationarity leaves as it is, and A is not built"""
+        A = self.A if self.beta != 0.0 else None
+        grad = self.grad
+        del self.grad
+        if A is None:
+            return grad
+        return tuple(_covariant(g, a, self.u.values, self.beta) for g, a in zip(grad, A))
 
     @cached_property
     def phi(self):
@@ -107,19 +97,33 @@ class MagneticState:
     def kinetic(self) -> float:
         """Trapezoid integral of |grad u|^2; needs no A"""
         sq = _abs_sq_sum(*self.grad)
-        return self._keep("kinetic", float(integrate(GridField._own(self.u.grid, sq))))
+        return float(integrate(GridField._own(self.u.grid, sq)))
 
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
         their sum with weights 1, 2 beta, beta^2."""
-        (A1, A2), (J1, J2) = self.A, self.current
-        aj = A1 * J1
-        aj += A2 * J2
+        (A1, A2), (g1, g2), u = self.A, self.grad, self.u.values
+        aj = A1 * _current(u, g1, 1.0)
+        aj += A2 * _current(u, g2, 1.0)
         mm = A1**2
         mm += A2**2
         mm *= self.rho
         return (self.kinetic,) + tuple(float(integrate(GridField._own(self.u.grid, v)))
                                        for v in (aj, mm))
+
+
+def _covariant(g: np.ndarray, a: np.ndarray, u: np.ndarray, beta: float) -> np.ndarray:
+    """g + i beta a u, into g unless g is real; i beta a u is the one temporary"""
+    d = np.multiply(1j * beta, a)
+    d *= u
+    return np.add(g, d, out=g if np.iscomplexobj(g) else d)
+
+
+def _current(u: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
+    """scale Im(conj(u) d)"""
+    p = np.conjugate(u, dtype=d.dtype)
+    p *= d
+    return np.multiply(scale, p.imag)
 
 
 def _abs_sq_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,46 +136,37 @@ def _abs_sq_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _astar_source(state: MagneticState):
-    """2 beta^2 A rho + 2 beta J, componentwise, as the fields Astar reads"""
-    beta, rho, g = state.beta, state.rho, state.u.grid
-    tmp = np.empty_like(rho)
-    F = []
-    for A, J in zip(state.A, state.current):
-        f = np.multiply(2.0 * beta**2, A)
-        f *= rho
-        f += np.multiply(2.0 * beta, J, out=tmp)
-        F.append(GridField._own(g, f))
-    return F
-
-
 def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     """The Euler-Lagrange operator of E_beta - gamma int |u|^4 applied to u,
 
-        -(grad + i beta A)^2 u - (2 beta^2 Astar[A rho] + 2 beta Astar[J]
-                                  + 2 gamma rho) u,
+        -(grad + i beta A)^2 u - (Astar[2 beta Im(conj(u) D)] + 2 gamma rho) u,
 
-    with the two Astar terms taken as one Astar of their sum (Astar is
-    linear). At beta = 0 no kernel is applied. The terms accumulate in place,
-    each sum and product with its operands in the order written here."""
-    g, order, beta = state.u.grid, state.order, state.beta
-    D1, D2 = state.D
-    # covariant Laplacian: sum_j (d_j + i beta A_j) D_j
-    covlap = divergence(GridField._own(g, D1), GridField._own(g, D2), order).values
+    with D = (grad + i beta A) u, whose covariant current 2 beta Im(conj(u) D)
+    is 2 beta^2 A rho + 2 beta J; at beta = 0 no kernel runs. The covariant
+    Laplacian sum_j (d_j + i beta A_j) D_j, operands in the order written, is
+    summed over D's arrays, so a caller's state.D is overwritten at beta != 0;
+    the state drops D and A, and Astar runs last, when neither is live."""
+    g, order, beta, u = state.u.grid, state.order, state.beta, state.u.values
+    (D1, D2), (A1, A2) = state.D, (state.A if beta != 0.0 else (None, None))
+    for name in ("D", "A"):  # used up here
+        vars(state).pop(name, None)
+    # the divergence reads frozen views, so D itself stays writable
+    covlap = divergence(GridField._own(g, D1.view()), GridField._own(g, D2.view()), order).values
     if beta != 0.0:
-        A1, A2 = state.A
-        ad = np.multiply(A1, D1)
-        ad += np.multiply(A2, D2)
+        F = [GridField._own(g, _current(u, d, 2.0 * beta)) for d in (D1, D2)]
+        ad = np.multiply(A1, D1, out=D1)
+        ad += np.multiply(A2, D2, out=D2)
         np.multiply(1j * beta, ad, out=ad)
         covlap = np.add(covlap, ad, out=ad)
-        s = a_star(*_astar_source(state)).values
+        del A1, A2, D1, D2  # Astar runs once D and A are freed
+        s = a_star(*F).values
     # 2 gamma rho is made after Astar, so it is not live at Astar's peak
     potential = np.multiply(2.0 * gamma, state.rho)
     if beta != 0.0:
         potential = np.add(s, potential, out=potential)
     # at beta = 0 covlap is the divergence's frozen array
     out = np.negative(covlap, out=covlap if beta != 0.0 else None)
-    out -= np.multiply(potential, state.u.values)
+    out -= np.multiply(potential, u)
     return out
 
 
@@ -208,7 +203,7 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
         raise ValueError("zero field has no energy quotient")
     st = MagneticState(u, beta, order)
     # at beta = 0 the A terms have weight 0: A is not built for them. The
-    # terms come first, so grad u is released once D is built for |D|^2.
+    # terms come first: building D for |D|^2 uses grad u up.
     kinetic, aj, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     total = integrate(GridField._own(u.grid, st.d_sq))
     cross = 2.0 * beta * aj
@@ -262,7 +257,6 @@ def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
     mass = quadrature(u, 2)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"field must have unit mass (got {mass:.8f})")
-    g = u.grid
     st = MagneticState(u, beta, order)
     kinetic, _, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
@@ -271,10 +265,9 @@ def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
     if margin is None:
         # two derivative passes widen the boundary-contaminated ring
         margin = 2 * _D1[order][1] + 2
-    mask = interior_mask(g, margin)
-    sq = np.abs(res[mask])
+    sq = np.abs(res[margin:-margin, margin:-margin])
     sq **= 2
-    res_l2 = float(np.sqrt(np.sum(sq) * g.h**2))
+    res_l2 = float(np.sqrt(np.sum(sq) * u.grid.h**2))
     return res_l2, lam
 
 

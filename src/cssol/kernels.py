@@ -47,10 +47,11 @@ parity; an odd N has no Nyquist row), transforms back unnormalized and
 writes the window rows 0..M-1, times the scale (which carries the A
 spectra's common -i and the 1/N^2), over the block's columns. Last, the
 rows go back, unnormalized, in row blocks straight into the M x M outputs.
-The work runs in place in a per-thread workspace kept for the last grid
-size the thread used: two row buffers, two column-block buffers and one
-real row-block buffer, 1.8 MiB at M = 128 and 35 MiB at M = 1024. A call
-allocates only its M x M outputs, which never alias the workspace.
+The work runs in place in a workspace of two row buffers, two column-block
+buffers and one real row-block buffer (1.8 MiB at M = 128, 11 MiB at 512,
+35 MiB at 1024). A thread keeps it for the last grid size it used while it
+fits in _WORK_BYTES, so up to M = 512 a call allocates only its M x M
+outputs, which never alias it; a larger grid's is made for the call.
 
 All 25 near-zone cell averages and first moments, the singular cell's
 included, are corner second differences of closed-form mixed
@@ -179,8 +180,11 @@ def _fast_len(n: int) -> int:
 # M = 128 one block holds all N/2+1 spectrum columns (256 x 129 complex, 516 KiB)
 _BLOCK_BYTES = 2**20
 
-# each thread's KernelPlan.workspace buffers (and the M they were made for)
+# each thread's KernelPlan.workspace buffers (and the M they were made for),
+# kept between calls only up to _WORK_BYTES (M <= 512), so no large grid's
+# workspace sits idle; a larger grid's is made for each call
 _WORK = threading.local()
+_WORK_BYTES = 16 * 2**20
 
 
 class KernelPlan:
@@ -192,20 +196,20 @@ class KernelPlan:
         self.N = _fast_len(2 * grid.M - 1)
 
     def workspace(self):
-        """This thread's buffers for this grid: two M x (N/2+1) complex row
-        buffers, two complex column-block buffers of N x B entries and one
-        real row-block buffer of R x N, B and R set by _BLOCK_BYTES."""
+        """Buffers for this grid, this thread's kept set or a new one: two
+        M x (N/2+1) complex row buffers, two complex N x B column-block
+        buffers and one real R x N row-block buffer, B and R set by _BLOCK_BYTES."""
         M, N = self.grid.M, self.N
-        if getattr(_WORK, "M", None) != M:
-            _WORK.M = _WORK.buffers = None  # free the old set first
-            B = min(N // 2 + 1, max(1, _BLOCK_BYTES // (16 * N)))
-            R = min(M, max(1, _BLOCK_BYTES // (8 * N)))
-            _WORK.buffers = (np.empty((M, N // 2 + 1), complex),
-                             np.empty((M, N // 2 + 1), complex),
-                             np.empty(N * B, complex), np.empty(N * B, complex),
-                             np.empty((R, N)))
-            _WORK.M = M
-        return _WORK.buffers
+        if getattr(_WORK, "M", None) == M:
+            return _WORK.buffers
+        _WORK.M = _WORK.buffers = None  # free the old set first
+        B = min(N // 2 + 1, max(1, _BLOCK_BYTES // (16 * N)))
+        R = min(M, max(1, _BLOCK_BYTES // (8 * N)))
+        buffers = (np.empty((M, N // 2 + 1), complex), np.empty((M, N // 2 + 1), complex),
+                   np.empty(N * B, complex), np.empty(N * B, complex), np.empty((R, N)))
+        if sum(b.nbytes for b in buffers) <= _WORK_BYTES:
+            _WORK.M, _WORK.buffers = M, buffers
+        return buffers
 
     def _spectrum(self, T: np.ndarray, sign: float) -> np.ndarray:
         """The real (N/2+1)^2 quarter of the spectrum of the N-periodic table
@@ -220,9 +224,11 @@ class KernelPlan:
             E = np.zeros((T.shape[0], N))
             E[:, :m] = T
             np.multiply(T[:, :0:-1], s, out=E[:, N - m + 1 :])
-            F = np.fft.rfft(E, axis=1)
-            T = (F.real if s > 0 else F.imag).T
-        return np.ascontiguousarray(T)
+            del T  # each pass frees its input, extension and transform early
+            E = np.fft.rfft(E, axis=1)
+            T = np.ascontiguousarray((E.real if s > 0 else E.imag).T)
+            del E
+        return T
 
     def convolve(self, inputs, spectra, scale: complex) -> list[np.ndarray]:
         """The M x M window (rows and columns 0..M-1) of the inverse

@@ -116,8 +116,13 @@ def test_05_ground_state_constant():
     prof = townes_solve(1e-10)
     want = 0.931 * 2.0 * np.pi
     rel = abs(prof.c_lgn - want) / want
-    _report(5, "ground-state constant", rel <= 5e-3,
-            f"c_lgn {prof.c_lgn:.5f} vs {want:.5f}, rel {rel:.1e} <= 5e-3",
+    # the solved constant and peak amplitude, gated as `cssol townes` gates them
+    c_rel = abs(prof.c_lgn - 5.8504482623) / 5.8504482623
+    tau_rel = abs(float(prof.tau[0]) - 2.2062008647) / 2.2062008647
+    _report(5, "ground-state constant", rel <= 5e-3 and c_rel <= 1e-9 and tau_rel <= 1e-9,
+            f"c_lgn {prof.c_lgn:.5f} vs {want:.5f}, rel {rel:.1e} <= 5e-3; "
+            f"vs 5.8504482623 rel {c_rel:.1e} <= 1e-9, "
+            f"tau(0) vs 2.2062008647 rel {tau_rel:.1e} <= 1e-9",
             t0, 5.0)
 
 

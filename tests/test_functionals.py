@@ -1,7 +1,7 @@
 """Energy decomposition, the weighted-square factorization, stationarity
 residuals, curvature integrals, and the inequality battery."""
 
-import tracemalloc
+import functools
 
 import numpy as np
 import pytest
@@ -19,9 +19,10 @@ from cssol.functionals import (
     susy_rhs,
 )
 from cssol.grid import Grid, GridField, gradient, quadrature
+from cssol.kernels import vector_potential
 from cssol.sampling import normalized, random_smooth_field
 from cssol.soliton import radial_ring
-from cssol.variational import _quotient_and_grad
+from cssol.variational import _quotient_and_grad, vortex_ring_ratio
 from cssol.wronskian_pairs import WronskianPair
 
 
@@ -91,37 +92,93 @@ def test_el_residual_discriminates():
     assert res2 > 0.1
 
 
-def test_el_residual_temporaries_are_bounded():
-    """A warm el_residual on the n = 1 ring at M = 512 peaks at most nine
-    complex M x M fields above what was live before it: the state releases
-    grad u once D is built, and stationarity accumulates in place."""
+def test_el_residual_temporaries_are_bounded(traced_peak):
+    """A warm el_residual on the n = 1 ring at M = 512, where the kernel
+    workspace is kept, peaks at 6.5 complex M x M fields above what was live
+    before it (plus small objects): rho, A, D, the two A* sources and the
+    two derivatives of the divergence."""
     g = Grid(40.0, 512)
     u = normalized(radial_ring(1).sample(g))
     want = el_residual(u, 2.0, 4.0 * np.pi)  # fills the tables and workspace
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        got = el_residual(u, 2.0, 4.0 * np.pi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: el_residual(u, 2.0, 4.0 * np.pi))
     assert got == want
-    assert peak - start <= 9 * u.values.nbytes
+    assert peak <= 6.5 * u.values.nbytes + 2**16
+
+
+@functools.cache
+def _ring_1024():
+    return normalized(radial_ring(1).sample(Grid(40.0, 1024)))
+
+
+_M1024_CHECKS = {
+    "magnetic_energy": lambda: magnetic_energy(_ring_1024(), 2.0),
+    "el_residual": lambda: el_residual(_ring_1024(), 2.0, 4.0 * np.pi),
+    "vortex_ring_ratio": lambda: vortex_ring_ratio(1, 1.0, Grid(24.0, 1024)),
+}
+
+
+@pytest.mark.parametrize("name", list(_M1024_CHECKS))
+def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
+    """A warm identity check at M = 1024 allocates at most seven complex
+    M x M fields (112 MiB) above what was live before it, the kernel
+    workspace it uses included: no workspace is kept at this size, D is
+    built on grad u's arrays, J is not held, and stationarity drops D and A
+    before its A*. A kernel call on a small grid runs in between, as other
+    grids do in a benchmark round."""
+    check = _M1024_CHECKS[name]
+    want = repr(check())  # fills the tables
+    small = Grid(8.0, 64)
+    vector_potential(GridField(small, np.exp(-np.abs(small.zmesh()) ** 2)))
+    got, peak = traced_peak(check)
+    assert repr(got) == want
+    assert peak <= 7 * 2**24
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_released_grad_is_rebuilt_with_the_same_bits(beta):
-    """At beta != 0 the state drops grad u once D, the kinetic integral and
-    J exist; reading it again gives the gradient's bits, and D is unchanged."""
+    """Building D uses up grad u, writing D over its arrays, and the current
+    J is never held; stationarity uses up D and A, writing A.D over D's
+    arrays at beta != 0. A dropped field is built again on its next read,
+    with the same bits, so a state that has been read gives the bits of a
+    fresh one."""
     u = _field(3, Grid(8.0, 64))
     st = MagneticState(u, beta)
-    st.terms()
+    terms = st.terms()
+    assert "grad" in vars(st) and "current" not in vars(st)
+    grad = st.grad
     D = st.D
-    assert ("grad" in vars(st)) == (beta == 0.0)
+    assert "grad" not in vars(st)
+    assert all(d is g for d, g in zip(D, grad))
+    D_bits = [np.array(d) for d in D]
     for got, want in zip(st.grad, gradient(u)):
         assert np.array_equal(got, want.values)
     assert st.D is D
-    assert np.array_equal(stationarity(st, 3.0), stationarity(MagneticState(u, beta), 3.0))
+    want = stationarity(MagneticState(u, beta), 3.0)
+    assert np.array_equal(stationarity(st, 3.0), want)
+    assert "D" not in vars(st) and "A" not in vars(st)
+    kept = all(np.array_equal(d, b) for d, b in zip(D, D_bits))
+    assert kept == (beta == 0.0)
+    fresh = MagneticState(u, beta)
+    assert st.terms() == fresh.terms() == terms
+    for got, want_d in zip(st.D, fresh.D):
+        assert np.array_equal(got, want_d)
+    assert np.array_equal(stationarity(st, 3.0), want)
+
+
+@pytest.mark.parametrize("beta", [0.7, 2.0])
+def test_covariant_current_is_the_astar_source(beta):
+    """2 beta Im(conj(u) D), the A* source stationarity reads off D, equals
+    2 beta^2 A rho + 2 beta J with J = Im(conj(u) grad u), to 1e-14 of its
+    largest value, for a complex and a real field."""
+    g = Grid(8.0, 64)
+    X, Y = g.mesh()
+    for u in (_field(6, g), GridField(g, np.exp(-(X**2 + Y**2) / 4.0))):
+        st = MagneticState(u, beta)
+        rho = np.abs(u.values) ** 2
+        for a, du, d in zip(st.A, gradient(u), st.D):
+            want = 2 * beta**2 * a * rho + 2 * beta * np.imag(np.conj(u.values) * du.values)
+            got = functionals._current(u.values, d, 2.0 * beta)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 2.0])

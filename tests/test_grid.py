@@ -1,7 +1,6 @@
 """Desk grids: stencil accuracy, quadrature, masks, and field file I/O."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,16 +90,11 @@ def test_sample_rejects_non_finite_values():
         Grid(8.0, 1024).sample(lambda z: np.where(z.real > 7.0, np.inf, z.real))
 
 
-def test_sample_keeps_temporaries_to_a_block():
+def test_sample_keeps_temporaries_to_a_block(traced_peak):
     # the sampled soliton needs its 16 MiB output and block-sized scratch,
     # not full-grid temporaries
     g, pair = Grid(40.0, 1024), _deg4_pair()
-    tracemalloc.start()
-    try:
-        u = Soliton(pair).sample(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    u, peak = traced_peak(lambda: Soliton(pair).sample(g))
     assert peak < u.values.nbytes + 4 * 2**20
 
 

@@ -13,6 +13,7 @@ thread."""
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -524,6 +525,32 @@ def test_workspace_is_bounded_at_m1024():
     about 1 MiB each, so the M = 1024 workspace is under 40 MiB."""
     buffers = kernels.KernelPlan(Grid(40.0, 1024)).workspace()
     assert sum(b.nbytes for b in buffers) <= 40 * 2**20
+
+
+def test_large_grids_keep_no_workspace(traced_peak):
+    """Repeated calls at M = 1024 repeat their outputs bit for bit and leave
+    nothing allocated behind them, so the thread keeps no workspace above
+    _WORK_BYTES; M = 512 keeps its workspace between calls, M = 1024 makes
+    one per call."""
+    g = Grid(40.0, 1024)
+    plan, calls = kernels.KernelPlan(g), _calls(g, 4)
+    plan.a_spectra(), plan.log_spectrum()  # the tables stay cached
+
+    def run():
+        start = tracemalloc.get_traced_memory()[0]
+        first = [np.array(c()) for c in calls]
+        for _ in range(2):
+            assert all(np.array_equal(c(), want) for c, want in zip(calls, first))
+        del first
+        return tracemalloc.get_traced_memory()[0] - start
+
+    left, _ = traced_peak(run)
+    assert left <= 2**16
+    kept = getattr(kernels._WORK, "buffers", None) or ()
+    assert sum(b.nbytes for b in kept) <= kernels._WORK_BYTES
+    mid, large = kernels.KernelPlan(Grid(20.0, 512)), kernels.KernelPlan(Grid(40.0, 1024))
+    assert mid.workspace() is mid.workspace()
+    assert large.workspace() is not large.workspace()
 
 
 def test_threads_get_their_own_workspace():
