@@ -282,11 +282,7 @@ def quadrature(field: GridField, p: float) -> float:
 
 def save_field(field: GridField, path: str) -> None:
     """Flat little-endian f64 (re, im) pairs, row-major, + JSON sidecar."""
-    v = np.ascontiguousarray(field.values, dtype=complex)
-    raw = np.empty((field.grid.M, field.grid.M, 2))
-    raw[..., 0] = v.real
-    raw[..., 1] = v.imag
-    raw.astype("<f8").tofile(path)
+    np.ascontiguousarray(field.values, dtype="<c16").tofile(path)
     kind = "real" if field.is_real else "complex"
     with open(path + ".json", "w") as fh:
         json.dump({"L": field.grid.L, "M": field.grid.M, "kind": kind}, fh)
@@ -329,11 +325,9 @@ def load_field(path: str) -> GridField:
     size = os.path.getsize(path)
     if size != 16 * M * M:
         raise ValueError(f"{path}: {size} bytes, expected 16*M^2 = {16 * M * M} for M = {M}")
-    raw = np.fromfile(path, dtype="<f8").reshape(M, M, 2)
+    values = np.fromfile(path, dtype="<c16").reshape(M, M)
     if real:
-        if np.any(raw[..., 1] != 0.0):
+        if np.any(values.imag != 0.0):
             raise ValueError(f"{path}: field marked real has a nonzero imaginary part")
-        values = raw[..., 0]
-    else:
-        values = raw[..., 0] + 1j * raw[..., 1]
-    return GridField(grid, values)
+        values = np.ascontiguousarray(values.real)
+    return GridField._own(grid, values)

@@ -49,9 +49,11 @@ spectra's common -i and the 1/N^2), over the block's columns. Last, the
 rows go back, unnormalized, in row blocks straight into the M x M outputs.
 The work runs in place in a workspace of two row buffers, two column-block
 buffers and one real row-block buffer (1.8 MiB at M = 128, 11 MiB at 512,
-35 MiB at 1024). A thread keeps it for the last grid size it used while it
-fits in _WORK_BYTES, so up to M = 512 a call allocates only its M x M
-outputs, which never alias it; a larger grid's is made for the call.
+35 MiB at 1024). The process keeps it for the last grid size it used while
+it fits in _WORK_BYTES, so up to M = 512 a call allocates only its M x M
+outputs, which never alias it; a larger grid's is made for the call. The
+kept workspace and the spectrum cache are unguarded module state: the
+kernels are not thread-safe.
 
 All 25 near-zone cell averages and first moments, the singular cell's
 included, are corner second differences of closed-form mixed
@@ -60,7 +62,6 @@ antiderivatives, with no numerical quadrature.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -135,29 +136,26 @@ def _table(M: int, far, cells: np.ndarray, fold: np.ndarray) -> np.ndarray:
 
 
 class _SpectrumCache:
-    """Thread-safe LRU of tuples of arrays, bounded by their total bytes (the
-    newest entry is always kept). Entries are built under the lock, so
-    concurrent first calls on one grid build its spectra once."""
+    """LRU of tuples of arrays, bounded by their total bytes (the newest
+    entry is always kept)."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
         self._items: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key, build):
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-                return value
-            value = build()
-            self._items[key] = value
-            self.nbytes += sum(a.nbytes for a in value)
-            while self.nbytes > self.max_bytes and len(self._items) > 1:
-                _, old = self._items.popitem(last=False)
-                self.nbytes -= sum(a.nbytes for a in old)
+        value = self._items.get(key)
+        if value is not None:
+            self._items.move_to_end(key)
             return value
+        value = build()
+        self._items[key] = value
+        self.nbytes += sum(a.nbytes for a in value)
+        while self.nbytes > self.max_bytes and len(self._items) > 1:
+            _, old = self._items.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old)
+        return value
 
 
 _SPECTRA = _SpectrumCache(_CACHE_BYTES)
@@ -180,10 +178,10 @@ def _fast_len(n: int) -> int:
 # M = 128 one block holds all N/2+1 spectrum columns (256 x 129 complex, 516 KiB)
 _BLOCK_BYTES = 2**20
 
-# each thread's KernelPlan.workspace buffers (and the M they were made for),
+# the kept KernelPlan.workspace: (M, buffers) for the last grid size used,
 # kept between calls only up to _WORK_BYTES (M <= 512), so no large grid's
 # workspace sits idle; a larger grid's is made for each call
-_WORK = threading.local()
+_WORK: tuple[int, tuple] | None = None
 _WORK_BYTES = 16 * 2**20
 
 
@@ -196,19 +194,20 @@ class KernelPlan:
         self.N = _fast_len(2 * grid.M - 1)
 
     def workspace(self):
-        """Buffers for this grid, this thread's kept set or a new one: two
-        M x (N/2+1) complex row buffers, two complex N x B column-block
-        buffers and one real R x N row-block buffer, B and R set by _BLOCK_BYTES."""
+        """Buffers for this grid, the kept set or a new one: two M x (N/2+1)
+        complex row buffers, two complex N x B column-block buffers and one
+        real R x N row-block buffer, B and R set by _BLOCK_BYTES."""
+        global _WORK
         M, N = self.grid.M, self.N
-        if getattr(_WORK, "M", None) == M:
-            return _WORK.buffers
-        _WORK.M = _WORK.buffers = None  # free the old set first
+        if _WORK is not None and _WORK[0] == M:
+            return _WORK[1]
+        _WORK = None  # free the old set first
         B = min(N // 2 + 1, max(1, _BLOCK_BYTES // (16 * N)))
         R = min(M, max(1, _BLOCK_BYTES // (8 * N)))
         buffers = (np.empty((M, N // 2 + 1), complex), np.empty((M, N // 2 + 1), complex),
                    np.empty(N * B, complex), np.empty(N * B, complex), np.empty((R, N)))
         if sum(b.nbytes for b in buffers) <= _WORK_BYTES:
-            _WORK.M, _WORK.buffers = M, buffers
+            _WORK = M, buffers
         return buffers
 
     def _spectrum(self, T: np.ndarray, sign: float) -> np.ndarray:

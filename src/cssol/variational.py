@@ -5,8 +5,6 @@ structure scans, and the restricted confined-energy evaluation."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -366,35 +364,17 @@ class ScanResult:
         return not self.monotonicity_violations
 
 
-def worker_count(tasks: int | None = None) -> int:
-    """Scan threads: CSS_THREADS if a positive integer, else min(4, cpus);
-    never more than the cpus, nor than the tasks when they are given."""
-    cpus = os.cpu_count() or 1
-    try:
-        n = int(os.environ.get("CSS_THREADS", ""))
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(4, cpus)
-    return max(1, min(n, cpus, tasks if tasks is not None else n))
-
-
 def structure_scan(betas, config: DescentConfig | None = None,
                    slack: float = 0.03) -> ScanResult:
     """Estimate gamma over a strictly increasing list of positive flux
-    values and report the gamma/beta monotonicity and discrete Lipschitz data."""
+    values, in order, the i-th with seed config.seed + i, and report the
+    gamma/beta monotonicity and discrete Lipschitz data."""
     betas = [float(b) for b in betas]
     if any(b <= 0 for b in betas) or any(
             b1 <= b0 for b0, b1 in zip(betas, betas[1:])):
         raise ValueError("betas must be positive and strictly increasing")
     cfg = config or DescentConfig()
-
-    def run(i_b):
-        i, b = i_b
-        return estimate_gamma(b, replace(cfg, seed=cfg.seed + i))
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(betas))) as ex:
-        ests = list(ex.map(run, enumerate(betas)))
+    ests = [estimate_gamma(b, replace(cfg, seed=cfg.seed + i)) for i, b in enumerate(betas)]
     rows = tuple(
         ScanRow(e.beta, e.lower_bound, e.upper_bound, e.gamma_hat,
                 e.gamma_hat / e.beta)

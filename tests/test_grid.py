@@ -207,6 +207,40 @@ def test_field_io_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_field_file_is_interleaved_little_endian_pairs(tmp_path):
+    """The file is the (re, im) <f8 pairs of each node in row-major order, a
+    real field's with zero imaginary parts, and reads back bit for bit
+    (signed zeros included)."""
+    g = Grid(5.0, 16)
+    rng = np.random.default_rng(2)
+    re, im = rng.normal(size=(2, 16, 16))
+    im[0, :3] = (0.0, -0.0, 0.0)
+    z = np.empty((16, 16), complex)  # re + 1j * im would turn -0.0 into 0.0
+    z.real, z.imag = re, im
+    for values, want_im in ((z, im), (re, np.zeros_like(re))):
+        path = str(tmp_path / "field.f8")
+        save_field(GridField(g, values), path)
+        pairs = np.stack([re, want_im], axis=-1).astype("<f8")
+        with open(path, "rb") as fh:
+            assert fh.read() == pairs.tobytes()
+        back = load_field(path).values
+        assert back.dtype == values.dtype and back.tobytes() == values.tobytes()
+
+
+def test_field_io_holds_one_copy_of_a_complex_field(tmp_path, traced_peak):
+    """Saving or loading an M = 256 complex field allocates at most 1.1 of
+    its 16 M^2 bytes: no interleave buffer and no conversion copy."""
+    M = 256
+    g = Grid(10.0, M)
+    rng = np.random.default_rng(3)
+    f = GridField(g, rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
+    path = str(tmp_path / "field.f8")
+    _, save_peak = traced_peak(lambda: save_field(f, path))
+    back, load_peak = traced_peak(lambda: load_field(path))
+    assert np.array_equal(back.values, f.values)
+    assert max(save_peak, load_peak) <= 1.1 * 16 * M * M
+
+
 def test_load_field_rejects_wrong_byte_length(tmp_path):
     g = Grid(5.0, 32)
     path = str(tmp_path / "field.f8")

@@ -1,20 +1,16 @@
 """Properties of the planned FFT kernel operators on fields that do not vanish
 at the edge of the box: linearity, the discrete adjoint identities, agreement
 with the direct-table reference below, the closed-form near-zone tables
-against quadrature and their exact parities, and the thread-safe spectrum
-cache. The cached spectra are real (N/2+1)^2 quarters: each equals the real
-or imaginary part of the rfft2 of its zero-centred N-periodic table, the A
-entry is one such array, and the operators match the previous layout (full
-complex spectra of the (2M-1)^2 tables) to rounding. The per-thread FFT
-workspace gives results bit-equal to the scipy.fft formula of the quarter
-layout, is never aliased by a returned field, and is private to its
-thread."""
+against quadrature and their exact parities, and the byte-bounded LRU
+spectrum cache. The cached spectra are real (N/2+1)^2 quarters: each equals
+the real or imaginary part of the rfft2 of its zero-centred N-periodic
+table, the A entry is one such array, and the operators match the previous
+layout (full complex spectra of the (2M-1)^2 tables) to rounding. The
+process's FFT workspace gives results bit-equal to the scipy.fft formula of
+the quarter layout, is never aliased by a returned field, and is kept
+between calls only up to _WORK_BYTES."""
 
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -261,51 +257,42 @@ def test_a_spectra_shared_across_box_sizes():
         assert np.max(np.abs(Ab[k].values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_spectrum_cache_threads_build_once_and_stay_bounded():
+def test_spectrum_cache_builds_once_and_stays_bounded():
     item = np.zeros(1000)  # 8000 bytes
     builds = []
 
     def build(key):
         def make():
             builds.append(key)
-            time.sleep(1e-4)  # invite a thread switch inside the build
             return (item.copy(),)
         return make
 
-    def hammer(cache, keys, errors):
-        try:
-            for _ in range(50):
-                for k in keys:
-                    (v,) = cache.get(k, build(k))
-                    if v.shape != item.shape:
-                        errors.append(k)
-        except Exception as exc:  # reported below, so the thread never dies silently
-            errors.append(exc)
+    # room for all: every key built once on repeated gets, the same arrays
+    # returned, and the byte count exact
+    cache = kernels._SpectrumCache(10**6)
+    first = [cache.get(k, build(k)) for k in range(4)]
+    for _ in range(50):
+        assert all(cache.get(k, build(k)) is first[k] for k in range(4))
+    assert builds == list(range(4))
+    assert cache.nbytes == 4 * item.nbytes
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for max_bytes, expect_builds in ((10**6, 4), (2 * item.nbytes, None)):
-            builds.clear()
-            cache = kernels._SpectrumCache(max_bytes)
-            errors: list = []
-            threads = [threading.Thread(target=hammer, args=(cache, range(4), errors))
-                       for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert not errors
-            if expect_builds is not None:
-                # every key built once, and the byte count saw every insert
-                assert sorted(builds) == list(range(4))
-                assert cache.nbytes == 4 * item.nbytes
-            else:
-                assert cache.nbytes <= max_bytes
-                assert len(builds) >= 4
-    finally:
-        sys.setswitchinterval(old)
+    # room for two: past max_bytes the least recently used entry goes
+    builds.clear()
+    cache = kernels._SpectrumCache(2 * item.nbytes)
+    for k in (0, 1, 0, 2):  # the get of 0 makes 1 the oldest
+        cache.get(k, build(k))
+    assert list(cache._items) == [0, 2]
+    assert cache.nbytes == 2 * item.nbytes
+    cache.get(1, build(1))
+    assert builds == [0, 1, 2, 1]
+    assert list(cache._items) == [2, 1]
+
+    # room for none: the newest entry is still kept, alone
+    cache = kernels._SpectrumCache(item.nbytes // 2)
+    for k in range(3):
+        cache.get(k, build(k))
+        assert list(cache._items) == [k]
+        assert cache.nbytes == item.nbytes
 
 
 # -- the spectrum layout and the workspace ------------------------------------
@@ -529,7 +516,7 @@ def test_workspace_is_bounded_at_m1024():
 
 def test_large_grids_keep_no_workspace(traced_peak):
     """Repeated calls at M = 1024 repeat their outputs bit for bit and leave
-    nothing allocated behind them, so the thread keeps no workspace above
+    nothing allocated behind them, so the process keeps no workspace above
     _WORK_BYTES; M = 512 keeps its workspace between calls, M = 1024 makes
     one per call."""
     g = Grid(40.0, 1024)
@@ -546,32 +533,11 @@ def test_large_grids_keep_no_workspace(traced_peak):
 
     left, _ = traced_peak(run)
     assert left <= 2**16
-    kept = getattr(kernels._WORK, "buffers", None) or ()
+    kept = kernels._WORK[1] if kernels._WORK else ()
     assert sum(b.nbytes for b in kept) <= kernels._WORK_BYTES
     mid, large = kernels.KernelPlan(Grid(20.0, 512)), kernels.KernelPlan(Grid(40.0, 1024))
     assert mid.workspace() is mid.workspace()
     assert large.workspace() is not large.workspace()
-
-
-def test_threads_get_their_own_workspace():
-    """Two workers interleaving 24 calls on three grid sizes, so each keeps
-    replacing its workspace, give the serial results bit for bit (five
-    rounds, since a shared workspace shows only when the calls overlap)."""
-    grids = [Grid(4.0, 32), Grid(6.0, 48), Grid(12.0, 128)]
-    calls = [_calls(g, k) for k, g in enumerate(grids)]
-    jobs = [calls[i % 3][(i // 3) % 3] for i in range(24)]
-    serial = [np.array(job()) for job in jobs]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for _ in range(5):
-                futures = [pool.submit(job) for job in jobs]
-                results = [np.array(f.result(timeout=60)) for f in futures]
-                for want, got in zip(serial, results):
-                    assert np.array_equal(got, want)
-    finally:
-        sys.setswitchinterval(old)
 
 
 def test_fast_len_matches_scipy_rule_for_real_transforms():

@@ -4,6 +4,7 @@ and the restricted confined energy."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from cssol.variational import (
     townes_solve,
     vortex_ring_ratio,
     vortex_ring_ratio_closed,
-    worker_count,
 )
 from cssol.wronskian_pairs import WronskianPair
 
@@ -315,26 +315,17 @@ def test_structure_scan_rejects_repeated_beta_before_any_descent(monkeypatch):
         structure_scan([0.5, 1.0, 1.0])
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the count is capped at the cpus
-    monkeypatch.setenv("CSS_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("CSS_THREADS", "bogus")
-    assert worker_count() >= 1
-
-
-def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
-    # only the count is computed: no pool and no thread is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("CSS_THREADS", "64")
-    assert worker_count() == 2
-    assert worker_count(1) == 1
-    assert worker_count(3) == 2
-    monkeypatch.setenv("CSS_THREADS", "1")
-    assert worker_count(4) == 1
-    monkeypatch.delenv("CSS_THREADS")
-    assert worker_count(8) == 2
-    assert worker_count(0) == 1
+def test_structure_scan_row_i_is_estimate_gamma_with_seed_plus_i():
+    """Row i is estimate_gamma(beta_i) at seed config.seed + i, bit for bit;
+    the seed moves the estimate, so a scan that ignored it would fail."""
+    cfg = DescentConfig(grid=Grid(8.0, 32), seed=5, max_iter=3)
+    betas = [0.5, 1.0, 2.0]
+    scan = structure_scan(betas, cfg)
+    for i, (b, row) in enumerate(zip(betas, scan.rows)):
+        est = estimate_gamma(b, replace(cfg, seed=cfg.seed + i))
+        assert (row.beta, row.lower, row.upper, row.gamma_hat) == (
+            est.beta, est.lower_bound, est.upper_bound, est.gamma_hat)
+    assert estimate_gamma(betas[1], cfg).gamma_hat != scan.rows[1].gamma_hat
 
 
 def test_nll_energy_zero_at_matched_gamma():
