@@ -323,7 +323,7 @@ def cmd_townes(args) -> int:
 
     prof = townes_profile()
     rows = [ReportRow("c_lgn", 5.8504482623, prof.c_lgn, 1e-9),
-            ReportRow("peak_amplitude", 2.2062008647, float(prof.tau[0]), 1e-9)]
+            ReportRow("peak_amplitude", 2.2062008647, float(prof(0.0)), 1e-9)]
     return _check_report(args, rows)
 
 

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
-    _D1,
     _axis_deriv,
     Grid,
     GridField,
@@ -244,28 +243,26 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     return float(integrate(GridField._own(u.grid, integrand)))
 
 
-def el_residual(u: GridField, beta: float, gamma: float, order: int = 4,
-                margin: int | None = None):
+def el_residual(u: GridField, beta: float, gamma: float):
     """Interior L2 residual of the stationarity equation
 
         [-(grad + i beta A)^2 - 2 beta^2 Astar[A rho] - 2 beta Astar[J]
          - 2 gamma rho] u = lambda u,
 
-    with lambda = int [-|grad u|^2 + beta^2 |A|^2 rho]. Returns
-    (residual_L2, lambda). Requires unit mass.
+    with lambda = int [-|grad u|^2 + beta^2 |A|^2 rho], at stencil order 4
+    over the nodes at least 6 from the edge: the two derivative passes each
+    add the order-4 stencil's 2-node boundary ring, plus 2 nodes of margin.
+    Returns (residual_L2, lambda). Requires unit mass.
     """
     mass = quadrature(u, 2)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"field must have unit mass (got {mass:.8f})")
-    st = MagneticState(u, beta, order)
+    st = MagneticState(u, beta)
     kinetic, _, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
     res = stationarity(st, gamma)
     res -= lam * u.values
-    if margin is None:
-        # two derivative passes widen the boundary-contaminated ring
-        margin = 2 * _D1[order][1] + 2
-    sq = np.abs(res[margin:-margin, margin:-margin])
+    sq = np.abs(res[6:-6, 6:-6])
     sq **= 2
     res_l2 = float(np.sqrt(np.sum(sq) * u.grid.h**2))
     return res_l2, lam
@@ -281,13 +278,14 @@ def menger_melnikov(rho: GridField) -> float:
     )
 
 
-def liouville_residual(pair: WronskianPair, grid: Grid, order: int = 8) -> float:
-    """Interior max of |-Delta_h psi - |f|^2 e^psi| / (1 + |f|^2 e^psi)."""
+def liouville_residual(pair: WronskianPair, grid: Grid) -> float:
+    """Interior max of |-Delta_h psi - |f|^2 e^psi| / (1 + |f|^2 e^psi), with
+    the order-8 Laplacian, off its 4-node boundary ring."""
     sol = LiouvilleSolution(pair)
     psi = grid.sample(sol.psi)
     rhs = grid.sample(sol.rhs).values.real
-    lap = laplacian(psi, order).values.real
-    mask = interior_mask(grid, max(3, _D1[order][1]))
+    lap = laplacian(psi, 8).values.real
+    mask = interior_mask(grid, 4)
     resid = np.abs(-lap - rhs) / (1.0 + rhs)
     return float(np.max(resid[mask]))
 
@@ -315,8 +313,8 @@ def _entry(name: str, small: float, large: float) -> InequalityEntry:
                            float((large - small) / scale))
 
 
-def inequality_battery(u: GridField, beta: float, order: int = 4) -> InequalityReport:
-    """Two-sided evaluation of the standing inequalities.
+def inequality_battery(u: GridField, beta: float) -> InequalityReport:
+    """Two-sided evaluation of the standing inequalities, at stencil order 4.
 
     diamagnetic:      int |grad|u||^2          <= E_beta[u]
     hardy (C_H=3/2):  int |A[rho]|^2 rho       <= 1.5 mass^2 int |grad|u||^2
@@ -328,8 +326,8 @@ def inequality_battery(u: GridField, beta: float, order: int = 4) -> InequalityR
 
     mass = quadrature(u, 2)
     quartic = quadrature(u, 4)
-    kinetic, aj, mm = MagneticState(u, beta, order).terms()
-    a1, a2 = gradient(GridField._own(u.grid, np.abs(u.values)), order)
+    kinetic, aj, mm = MagneticState(u, beta).terms()
+    a1, a2 = gradient(GridField._own(u.grid, np.abs(u.values)))
     grad_mod = float(integrate(GridField._own(u.grid, a1.values**2 + a2.values**2)))
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm

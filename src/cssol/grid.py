@@ -246,7 +246,7 @@ def divergence(F1: GridField, F2: GridField, order: int = 4) -> GridField:
     return _pair_sum(np.add, F1, F2, order)
 
 
-def interior_mask(grid: Grid, margin: int = 3) -> np.ndarray:
+def interior_mask(grid: Grid, margin: int) -> np.ndarray:
     m = np.zeros((grid.M, grid.M), dtype=bool)
     m[margin:-margin, margin:-margin] = True
     return m

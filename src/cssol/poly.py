@@ -40,12 +40,6 @@ class ComplexPolynomial:
         """Degree as an int, or None for the zero polynomial (sentinel)."""
         return None if self.is_zero else self.coeffs.size - 1
 
-    def coeff(self, k: int) -> complex:
-        """Coefficient of z^k (0 for k beyond the stored range)."""
-        if k < 0 or k >= self.coeffs.size:
-            return 0j
-        return complex(self.coeffs[k])
-
     @property
     def leading(self) -> complex:
         if self.is_zero:
@@ -231,9 +225,9 @@ def _scaled(p: ComplexPolynomial, vals: np.ndarray) -> ComplexPolynomial:
     return ComplexPolynomial(p.coeffs * s ** np.arange(p.coeffs.size))
 
 
-def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) -> bool:
-    """Whether p and q have no common root: deg gcd = 0 by _common_degree,
-    with z scaled so that the median modulus of the roots of p and q is 1
+def coprime(p: ComplexPolynomial, q: ComplexPolynomial) -> bool:
+    """Whether p and q have no common root: deg gcd = 0 by _common_degree at
+    GCD_EPS, with z scaled so that the median modulus of the roots of p and q is 1
     (the rank test is not scale invariant)."""
     p, q = _coerce(p), _coerce(q)
     if p.is_zero and q.is_zero:
@@ -243,7 +237,7 @@ def coprime(p: ComplexPolynomial, q: ComplexPolynomial, eps: float = GCD_EPS) ->
     if p.degree == 0 or q.degree == 0:
         return True
     vals = np.concatenate([_companion_roots(p), _companion_roots(q)])
-    return _common_degree(_scaled(p, vals), _scaled(q, vals), eps) == 0
+    return _common_degree(_scaled(p, vals), _scaled(q, vals), GCD_EPS) == 0
 
 
 def roots(p: ComplexPolynomial):
@@ -314,21 +308,6 @@ class PairTransform:
         if c <= tol:
             return False
         return PairTransform(m / c).is_special_unitary(tol)
-
-    def is_special_linear(self, tol: float = 1e-10) -> bool:
-        return abs(self.det - 1) <= tol
-
-    def inverse(self) -> "PairTransform":
-        m = self.entries
-        d = self.det
-        if abs(d) == 0:
-            raise ValueError("singular transform")
-        return PairTransform(
-            np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / d
-        )
-
-    def __matmul__(self, other: "PairTransform") -> "PairTransform":
-        return PairTransform(self.entries @ other.entries)
 
     def __repr__(self):
         return f"PairTransform({self.entries.tolist()})"

@@ -20,53 +20,49 @@ def haar_su2(rng: np.random.Generator) -> PairTransform:
     return PairTransform(np.array([[a, b], [-np.conj(b), np.conj(a)]]))
 
 
-def _separated_roots(rng: np.random.Generator, count: int, radius: float = 1.8,
-                     min_sep: float = 1.3) -> list[complex]:
-    """Uniform roots in a disk with pairwise separation >= min_sep."""
+def _separated_roots(rng: np.random.Generator, count: int) -> list[complex]:
+    """Uniform roots in the disk |z| <= 1.8 with pairwise separation >= 1.3."""
     roots: list[complex] = []
     for _ in range(10_000):
-        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        if all(abs(z - w) >= min_sep for w in roots):
+        z = 1.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(z - w) >= 1.3 for w in roots):
             roots.append(complex(z))
             if len(roots) == count:
                 return roots
     raise RuntimeError("could not place separated roots")
 
 
-def random_pair(rng: np.random.Generator, max_degree: int = 4,
-                feature_scale: float = 2.0) -> WronskianPair:
+def random_pair(rng: np.random.Generator, max_degree: int = 4) -> WronskianPair:
     """Random coprime pair whose density features are resolved on desk grids.
 
     Draws a monic polynomial with well-separated roots, partners it with a
-    constant whose magnitude feature_scale * max_root |P'(root)| keeps every
-    log-spike of psi wider than the grid spacing, then mixes with a
-    Haar-random SU(2) matrix (which leaves psi and |u| invariant but
-    exercises the full pair algebra).
+    constant whose magnitude 2 max_root |P'(root)| keeps every log-spike of
+    psi wider than the grid spacing, then mixes with a Haar-random SU(2)
+    matrix (which leaves psi and |u| invariant but exercises the full pair
+    algebra).
     """
     d = int(rng.integers(1, max_degree + 1))
     roots = _separated_roots(rng, d)
     P0 = poly.from_roots(roots)
     dP0 = poly.derivative(P0)
     scale = max(abs(poly.evaluate(dP0, r)) for r in roots) if d > 1 else 1.0
-    c = feature_scale * max(scale, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    c = 2.0 * max(scale, 1.0) * np.exp(2j * np.pi * rng.uniform())
     Q0 = ComplexPolynomial([c])
     P, Q = poly.act(haar_su2(rng), (P0, Q0))
     return WronskianPair(P, Q)
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator,
-                        bumps: int = 4, min_width: float = 1.0,
-                        max_width: float = 2.5,
-                        spread: float | None = None) -> GridField:
-    """Random smooth complex field: a sum of complex Gaussian bumps with
-    gentle phase ramps, supported well inside the grid."""
-    if spread is None:
-        spread = grid.L / 4.0
+                        min_width: float = 1.0) -> GridField:
+    """Random smooth complex field: a sum of 4 complex Gaussian bumps with
+    gentle phase ramps, supported well inside the grid. Each bump's centre
+    is uniform in the square [-L/4, L/4]^2 and its width uniform in
+    [min_width, 2.5]."""
     Z = grid.zmesh()
     u = np.zeros_like(Z)
-    for _ in range(bumps):
-        center = spread * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        width = rng.uniform(min_width, max_width)
+    for _ in range(4):
+        center = grid.L / 4.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        width = rng.uniform(min_width, 2.5)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         k = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
         d = Z - center

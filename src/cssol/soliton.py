@@ -54,9 +54,6 @@ class Soliton:
         W = evaluate(self.pair.W, z)
         return self.norm_const * np.conj(W) / S
 
-    def density(self, z):
-        return np.abs(self.u(z)) ** 2
-
     def sample(self, grid: Grid) -> GridField:
         return grid.sample(self.u)
 
@@ -115,15 +112,13 @@ def vortex_ring(spec: VortexSpec) -> Soliton:
     return Soliton(WronskianPair(P, Q))
 
 
-def radial_ring(n: int, C: complex = 1.0) -> Soliton:
-    """Radial ring u_n = conj(C) sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + |C|^2).
+def radial_ring(n: int) -> Soliton:
+    """Radial ring u_n = sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + 1).
 
-    Realized as the pair (z^n, C) up to phase. Its superpotential constant
+    Realized as the pair (z^n, 1) up to phase. Its superpotential constant
     psi0 reduces to a 1-D radial integral of the radial density.
     """
-    P = poly.from_roots([0.0] * n)
-    Q = ComplexPolynomial([complex(C)])
-    return Soliton(WronskianPair(P, Q))
+    return Soliton(WronskianPair(poly.from_roots([0.0] * n), poly.ONE))
 
 
 def zeros_and_vorticity(s: Soliton):
@@ -141,19 +136,23 @@ def total_vorticity(s: Soliton) -> int:
 # -- symmetry orbit --------------------------------------------------------
 
 
-def same_orbit(p1: WronskianPair, p2: WronskianPair, tol: float = 1e-8):
+ORBIT_TOL = 1e-8  # same_orbit's relative residual and SU(2) defect bound
+
+
+def same_orbit(p1: WronskianPair, p2: WronskianPair):
     """Whether u_{p1} == u_{p2}, i.e. p2 = Lambda p1 with Lambda in R+ x SU(2).
 
     Lambda is the least-squares solution of Lambda [P1; Q1] = [P2; Q2] on the
     zero-padded coefficient rows, unique because P1 and Q1 are independent.
-    The orbits agree when its residual is at most tol times the norm of
-    [P2; Q2] and Lambda is a positive multiple of an SU(2) matrix.
+    The orbits agree when its residual is at most ORBIT_TOL times the norm of
+    [P2; Q2] and Lambda is a positive multiple of an SU(2) matrix within
+    ORBIT_TOL.
     Returns (bool, witness): the witness Lambda maps p1 to p2 when true.
     """
     n = 1 + max(p1.max_degree, p2.max_degree)
     M1, M2 = (coefficient_rows((p.P, p.Q), n) for p in (p1, p2))
     lam = PairTransform(np.linalg.lstsq(M1.T, M2.T, rcond=None)[0].T)
-    if (np.linalg.norm(lam.entries @ M1 - M2) <= tol * np.linalg.norm(M2)
-            and lam.is_positive_scaled_su2(tol)):
+    if (np.linalg.norm(lam.entries @ M1 - M2) <= ORBIT_TOL * np.linalg.norm(M2)
+            and lam.is_positive_scaled_su2(ORBIT_TOL)):
         return True, lam
     return False, None

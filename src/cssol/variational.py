@@ -22,30 +22,29 @@ from .wronskian_pairs import WronskianPair
 # -- Townes profile --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TownesProfile:
-    r: np.ndarray
-    tau: np.ndarray  # series(r)
-    mass_sq: float  # 2 pi int tau^2 r dr
-    c_lgn: float    # mass_sq / 2
-    series: np.polynomial.Chebyshev  # the collocation solution on [0, TOWNES_R]
-
-    def __call__(self, radii):
-        """Evaluate tau at given radii: the series up to r[-1], an
-        exponential tail beyond."""
-        radii = np.asarray(radii, dtype=float)
-        out = np.where(radii <= self.r[-1], self.series(np.clip(radii, 0, self.r[-1])), 0.0)
-        tail = radii > self.r[-1]
-        if np.any(tail):
-            # tau ~ c e^{-r}/sqrt(r) matched at the last sample
-            c = self.tau[-1] * np.sqrt(self.r[-1]) * np.exp(self.r[-1])
-            out = np.where(tail, c * np.exp(-radii) / np.sqrt(np.maximum(radii, 1e-9)), out)
-        return out
-
-
 TOWNES_R = 30.0  # collocation domain [0, TOWNES_R]: tau(30) ~ 1e-13
 TOWNES_N = 120   # Chebyshev degree of the collocation solve
+TOWNES_TOL = 1e-10  # Newton stops once its step is at most this
+TAIL_R = 18.0  # TownesProfile reads the series up to here, the matched tail beyond
 _NEWTON_STEPS = 20
+
+
+@dataclass(frozen=True)
+class TownesProfile:
+    series: np.polynomial.Chebyshev  # the collocation solution on [0, TOWNES_R]
+    c_lgn: float  # pi int tau^2 r dr, half the Townes critical mass
+
+    def __call__(self, radii):
+        """Evaluate tau at given radii: the series up to TAIL_R, an
+        exponential tail beyond."""
+        radii = np.asarray(radii, dtype=float)
+        out = np.where(radii <= TAIL_R, self.series(np.clip(radii, 0, TAIL_R)), 0.0)
+        tail = radii > TAIL_R
+        if np.any(tail):
+            # tau ~ c e^{-r}/sqrt(r) matched at TAIL_R
+            c = self.series(TAIL_R) * np.sqrt(TAIL_R) * np.exp(TAIL_R)
+            out = np.where(tail, c * np.exp(-radii) / np.sqrt(np.maximum(radii, 1e-9)), out)
+        return out
 
 
 def _chebyshev(n: int, length: float):
@@ -64,19 +63,16 @@ def _chebyshev(n: int, length: float):
     return 0.5 * length * (1.0 + x), (2.0 / length) * d, 0.5 * length * w
 
 
-def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile:
+def townes_solve() -> TownesProfile:
     """Ground state of tau'' + tau'/r - tau + tau^3 = 0 by Chebyshev
-    collocation on [0, TOWNES_R], sampled on a uniform grid of [0, r_max].
+    collocation on [0, TOWNES_R].
 
     The rows are tau(TOWNES_R) = 0 and, at r = 0, the regular limit
     2 tau'' - tau + tau^3 = 0. Petviashvili iterations from a Gaussian pick
     the positive solution; Newton finishes until its step is at most
-    `tolerance` (RuntimeError if it is not). The mass is the Clenshaw-Curtis
+    TOWNES_TOL (RuntimeError if it is not). The mass is the Clenshaw-Curtis
     sum; the tail beyond TOWNES_R holds about e^-60 of it.
     """
-    if not (1e-10 <= tolerance <= 1e-4):
-        raise ValueError("tolerance must lie in [1e-10, 1e-4]")
-
     n = TOWNES_N
     r, d1, w = _chebyshev(n, TOWNES_R)
     rows = np.r_[0.0, np.ones(n)]  # the equation rows, not the boundary row
@@ -96,25 +92,19 @@ def townes_solve(tolerance: float = 1e-10, r_max: float = 18.0) -> TownesProfile
         step = np.linalg.solve(lin + np.diag(3.0 * rows * tau**2),
                                lin @ tau + rows * tau**3)
         tau -= step
-        if np.max(np.abs(step)) <= tolerance:
+        if np.max(np.abs(step)) <= TOWNES_TOL:
             break
     else:
-        raise RuntimeError(f"Townes Newton step still above {tolerance:.1e}")
+        raise RuntimeError(f"Townes Newton step still above {TOWNES_TOL:.1e}")
     mass = 2.0 * np.pi * (weight @ tau**2)
 
     series = np.polynomial.Chebyshev.fit(r, tau, n, domain=[0.0, TOWNES_R])
-    r = np.linspace(0.0, r_max, 4000)
-    tau = series(r)
-    # keep the decaying stretch: cut where the profile bottoms out or flips
-    bad = np.where((tau <= 0) | (np.diff(tau, prepend=tau[0] + 1) > 0))[0]
-    cut = bad[0] if bad.size else len(r)
-    return TownesProfile(r=r[:cut], tau=tau[:cut], mass_sq=float(mass),
-                         c_lgn=float(mass / 2.0), series=series)
+    return TownesProfile(series, float(mass / 2.0))
 
 
 @cache
 def townes_profile() -> TownesProfile:
-    return townes_solve(1e-10)
+    return townes_solve()
 
 
 def townes_constant() -> float:
@@ -176,9 +166,9 @@ def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
     return values / np.sqrt(m)
 
 
-def _quotient(values: np.ndarray, g: Grid, beta: float, order: int):
+def _quotient(values: np.ndarray, g: Grid, beta: float):
     """Quotient F = sum |D|^2 / sum rho^2 at unit mass, and the state it was read from."""
-    st = MagneticState(GridField(g, values), beta, order)
+    st = MagneticState(GridField(g, values), beta, ORDER)
     quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
     return float(quot), st
 
@@ -189,9 +179,9 @@ def _projected_grad(state: MagneticState, quot: float) -> np.ndarray:
     return grad - np.real(np.sum(np.conj(u.values) * grad)) * u.grid.h**2 * u.values
 
 
-def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float, order: int):
+def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float):
     """The quotient and its projected gradient at values."""
-    quot, st = _quotient(values, g, beta, order)
+    quot, st = _quotient(values, g, beta)
     return quot, _projected_grad(st, quot)
 
 
@@ -227,14 +217,14 @@ def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
     return _norm_mass(lam * (out[0] + 1j * out[1]), g)
 
 
-def _blur(v: np.ndarray, sigma: float = 2.0) -> np.ndarray:
-    """Gaussian blur of a real 2-D array, bit-identical to
-    scipy.ndimage.gaussian_filter(v, sigma): 4 sigma radius, half-sample
+def _blur(v: np.ndarray) -> np.ndarray:
+    """Gaussian blur of a real 2-D array with sigma = 2 nodes, bit-identical
+    to scipy.ndimage.gaussian_filter(v, 2): 4 sigma = 8 radius, half-sample
     symmetric edges, axis 0 then axis 1, and each output summed as
     x w_0 + sum_{j = radius..1} (x[i-j] + x[i+j]) w_j."""
-    radius = int(4.0 * sigma + 0.5)
+    radius = 8
     x = np.arange(-radius, radius + 1)
-    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = np.exp(-x**2 / 8.0)  # exp(-x^2 / (2 sigma^2))
     w = w / w.sum()
     for _ in range(2):  # along axis 0, then along axis 0 of the transpose
         n = v.shape[0]
@@ -250,7 +240,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
              upper: float):
     """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
     Trials read only the quotient; stop_reason: grad_tol, plateau, line_search, max_iter."""
-    quot, grad = _quotient_and_grad(values, g, beta, ORDER)
+    quot, grad = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
@@ -260,7 +250,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
             raise RuntimeError("descent diverged")
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
-            tq, state = _quotient(trial, g, beta, ORDER)
+            tq, state = _quotient(trial, g, beta)
             if tq < quot:
                 break
             del state  # a rejected trial's state dies with the trial
@@ -277,7 +267,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
                 lam = 2.0**t
                 if lam == 1.0:
                     continue
-                cq, cand = _quotient(_dilate(values, g, lam), g, beta, ORDER)
+                cq, cand = _quotient(_dilate(values, g, lam), g, beta)
                 if cq < quot:
                     quot, winner = cq, cand
                 del cand
@@ -343,6 +333,10 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
 # -- structure scan --------------------------------------------------------
 
+# each gamma_hat is an early-stopped upper estimate, so a rise of gamma/beta
+# within this share of its value is not a monotonicity violation
+SCAN_SLACK = 0.03
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -364,11 +358,11 @@ class ScanResult:
         return not self.monotonicity_violations
 
 
-def structure_scan(betas, config: DescentConfig | None = None,
-                   slack: float = 0.03) -> ScanResult:
+def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
     """Estimate gamma over a strictly increasing list of positive flux
     values, in order, the i-th with seed config.seed + i, and report the
-    gamma/beta monotonicity and discrete Lipschitz data."""
+    gamma/beta monotonicity and discrete Lipschitz data. gamma/beta counts
+    as rising only where it grows by more than SCAN_SLACK = 3%."""
     betas = [float(b) for b in betas]
     if any(b <= 0 for b in betas) or any(
             b1 <= b0 for b0, b1 in zip(betas, betas[1:])):
@@ -388,7 +382,7 @@ def structure_scan(betas, config: DescentConfig | None = None,
     viol = tuple(
         i + 1
         for i in range(len(rows) - 1)
-        if rows[i + 1].gamma_over_beta > rows[i].gamma_over_beta * (1.0 + slack)
+        if rows[i + 1].gamma_over_beta > rows[i].gamma_over_beta * (1.0 + SCAN_SLACK)
     )
     return ScanResult(rows, lip, viol)
 

@@ -183,10 +183,10 @@ def canonical_form(pair: WronskianPair) -> WronskianPair:
     return WronskianPair(P, Q)
 
 
-def _same_family(p1: WronskianPair, p2: WronskianPair, tol: float = DEDUP_TOL) -> bool:
-    """Whether the spans of p1 and p2, one SL(2) orbit each, agree within tol."""
+def _same_family(p1: WronskianPair, p2: WronskianPair) -> bool:
+    """Whether the spans of p1 and p2, one SL(2) orbit each, agree within DEDUP_TOL."""
     n = 1 + max(p1.max_degree, p2.max_degree)
-    return bool(np.linalg.norm(_span(p1, n) - _span(p2, n)) <= tol)
+    return bool(np.linalg.norm(_span(p1, n) - _span(p2, n)) <= DEDUP_TOL)
 
 
 def _abel_rescale(P: ComplexPolynomial, Q: ComplexPolynomial, f: ComplexPolynomial):

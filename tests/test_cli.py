@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, report formats, determinism."""
 
+import importlib
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -253,3 +255,18 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_code_references_resolve():
+    """Every backticked `cssol.<module>` in README.md is a module of the
+    package, and every backticked `<module>.<name>` with <module> one of them
+    is an attribute that module has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    package = Path(importlib.import_module("cssol").__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    named = re.findall(r"`cssol\.(\w+)`", readme)
+    assert len(named) >= 6 and set(named) <= modules
+    refs = [(m, a) for m, a in re.findall(r"`(\w+)\.(\w+)`", readme) if m in modules]
+    assert len(refs) >= 3
+    for module, attr in refs:
+        assert hasattr(importlib.import_module(f"cssol.{module}"), attr), f"{module}.{attr}"

@@ -30,7 +30,7 @@ def _nonzero_polys(max_deg=4):
 def test_degree_and_coeffs():
     p = ComplexPolynomial([1, 0, 2])
     assert p.degree == 2
-    assert p.coeff(0) == 1 and p.coeff(2) == 2 and p.coeff(7) == 0
+    assert list(p.coeffs) == [1, 0, 2]
     assert ComplexPolynomial([0, 0]).is_zero
     assert ComplexPolynomial([0.0]).degree is None
 
@@ -214,23 +214,10 @@ def test_roots_of_constant_empty():
 # -- transforms ------------------------------------------------------------
 
 
-def test_transform_inverse_and_compose():
-    t = PairTransform(np.array([[1.0, 2.0j], [0.5, 1.0 + 1j]]))
-    ident = t @ t.inverse()
-    assert np.allclose(ident.entries, np.eye(2), atol=1e-12)
-
-
 def test_transform_classifiers():
     su2 = PairTransform(np.array([[0.6 + 0.8j, 0.0], [0.0, 0.6 - 0.8j]]))
     assert su2.is_special_unitary()
     assert (PairTransform(2.0 * su2.entries)).is_positive_scaled_su2()
-    assert not su2.is_special_linear() or abs(su2.det - 1) < 1e-12
-
-
-def test_singular_transform_has_no_inverse():
-    t = PairTransform(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(ValueError):
-        t.inverse()
 
 
 def test_transform_immutable():

@@ -80,7 +80,7 @@ def test_vortex_spec_validation():
 
 def test_vortex_ring_matches_radial_ring():
     s1 = vortex_ring(VortexSpec(2))
-    s2 = radial_ring(2, C=1.0)
+    s2 = radial_ring(2)
     z = 0.3 - 0.7j
     assert abs(s1.u(z)) == pytest.approx(abs(s2.u(z)), rel=1e-12)
 
