@@ -193,8 +193,8 @@ def cmd_verify_soliton(args) -> int:
     n = pair.max_degree
 
     rows = [ReportRow("mass", 1.0, quadrature(u, 2), args.mass_tol)]
-    lsol = LiouvilleSolution(pair)
-    flux = integrate(g.sample(lsol.rhs).map(np.real)) / (8.0 * np.pi)
+    _, rhs = LiouvilleSolution(pair).sample(g)
+    flux = integrate(rhs) / (8.0 * np.pi)
     rows.append(ReportRow("flux_over_8pi", float(n), float(flux), 1e-2))
     small = Grid(min(g.L, 8.0), min(g.M, 256))
     rows.append(ReportRow("liouville_residual", 0.0,
@@ -308,7 +308,8 @@ def cmd_scan(args) -> int:
     res = structure_scan(betas, cfg)
     rows = [asdict(r) for r in res.rows]
     if args.format == "csv":  # the bounds table; JSON adds gamma/beta and checks
-        payload = [{k: row[k] for k in ("beta", "lower", "upper", "gamma_hat")}
+        payload = [{k: row[k] for k in ("beta", "lower", "upper", "gamma_hat",
+                                        "stop_reason")}
                    for row in rows]
     else:
         payload = {"rows": rows, "lipschitz": list(res.lipschitz),

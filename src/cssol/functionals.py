@@ -281,12 +281,10 @@ def menger_melnikov(rho: GridField) -> float:
 def liouville_residual(pair: WronskianPair, grid: Grid) -> float:
     """Interior max of |-Delta_h psi - |f|^2 e^psi| / (1 + |f|^2 e^psi), with
     the order-8 Laplacian, off its 4-node boundary ring."""
-    sol = LiouvilleSolution(pair)
-    psi = grid.sample(sol.psi)
-    rhs = grid.sample(sol.rhs).values.real
-    lap = laplacian(psi, 8).values.real
+    psi, rhs = LiouvilleSolution(pair).sample(grid)
+    lap = laplacian(psi, 8).values
     mask = interior_mask(grid, 4)
-    resid = np.abs(-lap - rhs) / (1.0 + rhs)
+    resid = np.abs(-lap - rhs.values) / (1.0 + rhs.values)
     return float(np.max(resid[mask]))
 
 

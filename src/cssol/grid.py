@@ -5,9 +5,9 @@ Grid.sample(fn) evaluates fn one block of about BLOCK_NODES nodes (whole
 rows) at a time into one preallocated M x M array, so fn's temporaries stay
 in cache and no full-grid z or temporary is built. fn must act pointwise on
 an array of z: each value depends only on the z at the same place, and the
-result has the shape of its argument. Every closed form the package samples
-(the soliton u, the Liouville psi and |f|^2 e^psi) is such a function, and
-gives the same bits as fn(zmesh()).
+result has the shape of its argument; the samples are then the same bits as
+fn(zmesh()). The closed forms of the soliton module share its blocks of rows
+(Grid.row_blocks) but evaluate their polynomials on them by a matrix product.
 
 A central stencil runs in one pass as antisymmetric (first derivative) or
 symmetric (second derivative) pairs c_j (v[i+j] -+ v[i-j]) / h^k summed in
@@ -88,6 +88,11 @@ class Grid:
         z.imag = self._axis
         return z
 
+    def row_blocks(self):
+        """(a, b) of each block of the whole rows a:b of about BLOCK_NODES nodes."""
+        rows = max(1, BLOCK_NODES // self.M)
+        return ((a, min(a + rows, self.M)) for a in range(0, self.M, rows))
+
     def sample(self, fn) -> "GridField":
         """Sample fn, a pointwise function of an array z = x + iy.
 
@@ -98,10 +103,8 @@ class Grid:
         does not cast to that dtype within its kind (complex into real), and
         on a non-finite value."""
         M = self.M
-        rows = max(1, BLOCK_NODES // M)
         out = None
-        for a in range(0, M, rows):
-            b = min(a + rows, M)
+        for a, b in self.row_blocks():
             v = np.asarray(fn(self._zrows(a, b)))
             if v.shape != (b - a, M):
                 raise ValueError(f"values shape {v.shape} of rows {a}:{b} does not "

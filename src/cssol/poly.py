@@ -154,6 +154,20 @@ def evaluate(p: ComplexPolynomial, z):
     return acc
 
 
+def taylor_table(polys, x: np.ndarray, n: int) -> np.ndarray:
+    """Real T of shape (len(x), 2 len(polys), n + 1) with
+    p_m(x_i + iy) = sum_k (T[i, 2m, k] + i T[i, 2m + 1, k]) y^k for real y:
+    rows 2m and 2m + 1 hold the real and imaginary parts of i^k p_m^(k)(x_i)/k!.
+    The Taylor coefficients at every x_i come from n rounds of synthetic
+    division by z - x_i; each p_m has degree at most n."""
+    c = np.repeat(coefficient_rows(polys, n + 1)[:, :, None], len(x), axis=2)
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            c[:, j] += x * c[:, j + 1]
+    c *= np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4, None]  # exact: i^k
+    return np.stack([c.real, c.imag], axis=1).transpose(3, 0, 1, 2).reshape(len(x), -1, n + 1)
+
+
 def derivative(p: ComplexPolynomial) -> ComplexPolynomial:
     p = _coerce(p)
     if p.coeffs.size <= 1:

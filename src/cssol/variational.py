@@ -345,6 +345,7 @@ class ScanRow:
     upper: float
     gamma_hat: float
     gamma_over_beta: float
+    stop_reason: str  # GammaEstimate.stop_reason
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
     ests = [estimate_gamma(b, replace(cfg, seed=cfg.seed + i)) for i, b in enumerate(betas)]
     rows = tuple(
         ScanRow(e.beta, e.lower_bound, e.upper_bound, e.gamma_hat,
-                e.gamma_hat / e.beta)
+                e.gamma_hat / e.beta, e.stop_reason)
         for e in ests
     )
     lip = tuple(

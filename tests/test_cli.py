@@ -170,7 +170,7 @@ ROW_KEYS = ["name", "expected", "computed", "tolerance", "pass"]
 ROWS = {"": ROW_KEYS, "--json": ROW_KEYS, "--csv": ",".join(ROW_KEYS)}
 ENERGY_KEYS = ["beta", "kinetic", "cross", "curvature", "quartic", "mass",
                "total_E_beta", "susy_rhs", "bogomolnyi_gap", "quotient"]
-SCAN_HEADER = "beta,lower,upper,gamma_hat"
+SCAN_HEADER = "beta,lower,upper,gamma_hat,stop_reason"
 
 # Each subcommand on a small grid: its arguments, its exit code, and for the
 # default format ("") and each format flag it takes, the report's shape: the

@@ -98,6 +98,12 @@ def test_sample_keeps_temporaries_to_a_block(traced_peak):
     assert peak < u.values.nbytes + 4 * 2**20
 
 
+def test_liouville_sample_keeps_temporaries_to_a_block(traced_peak):
+    g, pair = Grid(40.0, 1024), _deg4_pair()
+    (psi, rhs), peak = traced_peak(lambda: LiouvilleSolution(pair).sample(g))
+    assert peak < psi.values.nbytes + rhs.values.nbytes + 4 * 2**20
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(-1.0, 64)

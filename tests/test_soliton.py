@@ -9,6 +9,7 @@ from scipy.special import gamma as gamma_fn
 from cssol import poly
 from cssol.grid import Grid, quadrature
 from cssol.poly import ComplexPolynomial, PairTransform
+from cssol.sampling import haar_su2, random_pair
 from cssol.soliton import (
     LiouvilleSolution,
     Soliton,
@@ -43,6 +44,79 @@ def test_soliton_profile_closed_form():
     z = 2.0 + 1.0j
     want = np.sqrt(1.0 / np.pi) / (1.0 + abs(z) ** 2)
     assert abs(s.u(z)) == pytest.approx(want, rel=1e-12)
+
+
+def _pair_of_degree(rng, d):
+    while True:
+        pair = random_pair(rng, max_degree=d)
+        if pair.max_degree == d:
+            return pair
+
+
+def _deg12_pair():
+    # twelve roots in |z| <= 2 and a constant partner, SU(2)-mixed
+    rng = np.random.default_rng(4)
+    roots = 2.0 * np.sqrt(rng.uniform(size=12)) * np.exp(2j * np.pi * rng.uniform(size=12))
+    return WronskianPair(*poly.act(haar_su2(rng), (poly.from_roots(roots),
+                                                   ComplexPolynomial([3.0]))))
+
+
+_rng = np.random.default_rng(25)
+GRID_PATH_CASES = {
+    **{f"ring n={n}": radial_ring(n).pair for n in (1, 2, 3, 4)},
+    **{f"pair deg {d}": _pair_of_degree(_rng, d) for d in (1, 2, 3, 4)},
+    "pair deg 12": _deg12_pair(),
+    "off-centre vortex": vortex_ring(
+        VortexSpec(3, a=0.7 - 0.2j, b=1.3, c=0.5 + 0.1j, z0=1.5 - 2j)).pair,
+}
+
+
+def _tensor_tol(pair):
+    """1e-13, or 4 * 2^(n/2) ulps where that is more (n >= 14), n the largest
+    degree of P, Q and W: the Vandermonde sum of the grid path can lose up
+    to 2^(n/2) ulps on the diagonal |x| = |y|."""
+    n = max(p.degree for p in (pair.P, pair.Q, pair.W))
+    return max(1e-13, 2 ** (n / 2) * 4 * np.finfo(float).eps)
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _horner(p, z):
+    acc = np.zeros_like(z)
+    for c in p.coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("L,M", [(12, 16), (12, 130), (40, 1024), (60, 1024)])
+@pytest.mark.parametrize("case", list(GRID_PATH_CASES))
+def test_grid_path_matches_a_long_double_horner_reference(case, L, M):
+    # 130 rows are not a whole number of blocks; at M = 1024 every fourth
+    # row is compared, which keeps the long-double reference cheap
+    pair, g = GRID_PATH_CASES[case], Grid(L, M)
+    rows = slice(None, None, max(1, M // 256))
+    x = g.axis.astype(np.longdouble)
+    z = x[rows, None] + 1j * x
+    P, Q, W = (_horner(p, z) for p in (pair.P, pair.Q, pair.W))
+    S = np.abs(P) ** 2 + np.abs(Q) ** 2
+    sol = Soliton(pair)
+    u = sol.sample(g).values
+    assert u.dtype == complex and not u.flags.writeable
+    assert _rel(u[rows], sol.norm_const * np.conj(W) / S) <= _tensor_tol(pair)
+
+
+@pytest.mark.parametrize("L,M", [(12, 16), (12, 130), (40, 1024)])
+@pytest.mark.parametrize("case", list(GRID_PATH_CASES))
+def test_liouville_grid_path_matches_pointwise_psi_and_rhs(case, L, M):
+    pair, g = GRID_PATH_CASES[case], Grid(L, M)
+    sol = LiouvilleSolution(pair)
+    for got, fn in zip(sol.sample(g), (sol.psi, sol.rhs)):
+        assert got.values.dtype == float and not got.values.flags.writeable
+        assert _rel(got.values, g.sample(fn).values) <= _tensor_tol(pair)
 
 
 def test_soliton_mass_and_quartic():
