@@ -308,12 +308,10 @@ class PairTransform:
         m = self.entries
         return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        m = self.entries
-        return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=tol))
-
     def is_special_unitary(self, tol: float = 1e-10) -> bool:
-        return self.is_unitary(tol) and abs(self.det - 1) <= tol
+        m = self.entries
+        return (bool(np.allclose(m.conj().T @ m, np.eye(2), atol=tol))
+                and abs(self.det - 1) <= tol)
 
     def is_positive_scaled_su2(self, tol: float = 1e-10) -> bool:
         """matrix = c*U with c > 0 real and U in SU(2), within tol."""

@@ -14,10 +14,6 @@ from .poly import ComplexPolynomial, PairTransform, coefficient_rows, evaluate
 from .wronskian_pairs import WronskianPair
 from .grid import Grid, GridField
 
-# (L, M) of the grid on which Soliton.psi0 is matched: wide enough that the
-# truncated density tail shifts the constant by well under 1e-3
-PSI0_GRID = (60.0, 1024)
-
 
 def _sum_sq(pair: WronskianPair, z):
     """|P(z)|^2 + |Q(z)|^2"""
@@ -80,7 +76,6 @@ class Soliton:
         self.pair = pair
         self.beta = 2.0 * pair.max_degree
         self.norm_const = float(np.sqrt(2.0 / (np.pi * self.beta)))
-        self._psi0 = None
 
     def u(self, z):
         S = _sum_sq(self.pair, z)
@@ -97,34 +92,6 @@ class Soliton:
             np.multiply(Wr, scale, out=out.real[a:b])
             np.multiply(Wi, -scale, out=out.imag[a:b])
         return GridField._own(grid, out)
-
-    # -- superpotential closed form ---------------------------------------
-
-    def _log_s(self, z):
-        return np.log(_sum_sq(self.pair, z))
-
-    def psi0(self) -> float:
-        """Additive constant of the closed-form superpotential, pinned by
-        matching the grid-based Phi[|u|^2] at z = 0 on PSI0_GRID."""
-        if self._psi0 is None:
-            from .kernels import superpotential
-
-            g = Grid(*PSI0_GRID)
-            phi = superpotential(self.sample(g).map(lambda v: np.abs(v) ** 2))
-            center = g.M // 2  # grid has even M; average the 4 center nodes
-            idx = [center - 1, center]
-            phi_at_0 = 0.0
-            s_at_0 = 0.0
-            for i in idx:
-                for j in idx:
-                    zij = g.axis[i] + 1j * g.axis[j]
-                    phi_at_0 += phi.values[i, j]
-                    s_at_0 += self._log_s(zij)
-            self._psi0 = float(phi_at_0 - s_at_0 / self.beta) / 4.0
-        return self._psi0
-
-    def superpotential_closed(self, z):
-        return self._log_s(z) / self.beta + self.psi0()
 
 
 class VortexSpec:
@@ -154,20 +121,14 @@ def vortex_ring(spec: VortexSpec) -> Soliton:
 
 
 def radial_ring(n: int) -> Soliton:
-    """Radial ring u_n = sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + 1).
-
-    Realized as the pair (z^n, 1) up to phase. Its superpotential constant
-    psi0 reduces to a 1-D radial integral of the radial density.
-    """
+    """Radial ring u_n = sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + 1), realized as
+    the pair (z^n, 1) up to phase."""
     return Soliton(WronskianPair(poly.from_roots([0.0] * n), poly.ONE))
 
 
 def zeros_and_vorticity(s: Soliton):
     """Roots of W(P,Q) with multiplicities; total lies in [beta/2-1, beta-2]."""
-    W = s.pair.W
-    if W.degree == 0:
-        return []
-    return poly.roots(W)
+    return poly.roots(s.pair.W)
 
 
 def total_vorticity(s: Soliton) -> int:

@@ -391,41 +391,28 @@ def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
 # -- restricted confined energy -------------------------------------------
 
 
-def nll_energy(pair: WronskianPair, gamma: float, V=None,
-               grid: Grid | None = None) -> float:
+def nll_energy(pair: WronskianPair, gamma: float, V=None) -> float:
     """Confined energy restricted to the explicit zero-energy family:
 
         (4 pi n - gamma) int |u_{P,Q}|^4 + int V |u_{P,Q}|^2,
 
-    with n the max degree. V may be None (zero), "harmonic" (|x|^2), or a
-    GridField sampled on the same grid.
+    with n the max degree, on Grid(40, 1024). V is None (zero) or "harmonic"
+    (|x|^2); the harmonic integral needs the density to decay faster than
+    r^-4.
     """
-    sol = Soliton(pair)
-    n = int(sol.beta / 2)
-    g = grid or Grid(40.0, 1024)
-    u = sol.sample(g)
-    quartic = quadrature(u, 4)
-    first = (4.0 * np.pi * n - gamma) * quartic
+    n = pair.max_degree
+    g = Grid(40.0, 1024)
+    u = Soliton(pair).sample(g)
+    first = (4.0 * np.pi * n - gamma) * quadrature(u, 4)
     if V is None:
         return float(first)
-    # density tail decay power: |u|^2 ~ r^{-2(2m - deg W)}
-    m = pair.max_degree
-    w = pair.W.degree or 0
-    decay = 2 * (2 * m - w)
-    if isinstance(V, str):
-        if V != "harmonic":
-            raise ValueError(f"unknown potential spec {V!r}")
-        if decay - 2 <= 2:
-            raise ValueError("divergent confinement integral")
-        X, Y = g.mesh()
-        Vv = X * X + Y * Y
-    elif isinstance(V, GridField):
-        if V.grid != g:
-            raise ValueError("potential grid does not match")
-        Vv = V.values.real
-    else:
-        raise ValueError("V must be None, 'harmonic', or a GridField")
-    conf = integrate(GridField(g, Vv * np.abs(u.values) ** 2))
+    if V != "harmonic":
+        raise ValueError(f"unknown potential spec {V!r}")
+    # density tail: |u|^2 ~ r^{-2(2n - deg W)}
+    if 2 * (2 * n - pair.W.degree) <= 4:
+        raise ValueError("divergent confinement integral")
+    X, Y = g.mesh()
+    conf = integrate(GridField(g, (X * X + Y * Y) * np.abs(u.values) ** 2))
     return float(first + conf)
 
 

@@ -59,6 +59,13 @@ def test_corrupted_pair_exit_2(capsys):
     assert "dependent" in capsys.readouterr().err
 
 
+def test_verify_soliton_row_names(capsys):
+    assert run(["verify-soliton", "--vortex", "n=1", "--grid", "16,256"]) == 0
+    names = [row["name"] for row in json.loads(capsys.readouterr().out)]
+    assert names == ["mass", "liouville_residual", "bogomolnyi_gap_rel",
+                     "susy_residual_rel", "symmetry_orbit", "total_vorticity"]
+
+
 def test_energy_json_deterministic(capsys, tmp_path):
     args = ["energy", "--vortex", "n=1", "--grid", "16,256"]
     assert run(args) == 0

@@ -3,7 +3,6 @@ vortex rings, and the scaled-SU(2) symmetry orbit."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from cssol import poly
@@ -173,46 +172,20 @@ def test_zeros_and_vorticity():
     assert abs(z1 - 1) < 1e-8 and m1 == 3
 
 
-def radial_ring_psi0(n: int, C: complex = 1.0) -> float:
-    """Independent 1-D oracle for psi0 of a radial ring.
-
-    Phi[rho](0) = 2 pi int_0^inf (log r - log(r+1)) rho_n(r) r dr with the
-    radial density rho_n = (n/pi) r^{2n-2}/(r^{2n}+|C|^2)^2, minus the
-    (1/beta) log S(0) = (1/(2n)) log |C|^2 closed-form part.
-    """
-    n = int(n)
-    aC = abs(C)
-
-    def integrand(r):
-        rho = (n / np.pi) * r ** (2 * n - 2) / (r ** (2 * n) + aC * aC) ** 2
-        return (np.log(r) - np.log(r + 1.0)) * rho * 2.0 * np.pi * r
-
-    val, _ = quad(integrand, 0.0, np.inf, limit=400)
-    return float(val - np.log(aC * aC) / (2 * n))
-
-
-def test_psi0_matches_radial_oracle():
-    for n in (1, 2):
-        s = radial_ring(n)
-        # matching-node h^2 error dominates (the constant is pinned at the
-        # four nodes nearest the origin where the log dip is steepest)
-        assert s.psi0() == pytest.approx(radial_ring_psi0(n), abs=6e-3)
-
-
-def test_superpotential_closed_gradient_consistency():
-    # grad-perp of the closed-form superpotential reproduces A[|u|^2]
-    from cssol.grid import GridField, deriv, interior_mask
+def test_vector_potential_is_grad_perp_log_s():
+    # beta A[|u|^2] = grad-perp(log S), S = |P|^2 + |Q|^2, since
+    # Phi[|u|^2] = log S / beta + const; log S = (log 8 - psi) / 2
+    from cssol.grid import deriv, interior_mask
     from cssol.kernels import vector_potential
 
     s = radial_ring(1)
     g = Grid(20.0, 512)
-    phi = GridField(g, np.vectorize(
-        lambda x, y: s.superpotential_closed(x + 1j * y))(*g.mesh()))
+    psi, _ = LiouvilleSolution(s.pair).sample(g)
+    log_s = psi.map(lambda v: (np.log(8.0) - v) / 2.0)
     rho = s.sample(g).map(lambda v: np.abs(v) ** 2)
     A1, A2 = vector_potential(rho)
-    # beta * A = grad-perp(log S) since Phi = log S / beta + const
-    e1 = np.abs(s.beta * A1.values + deriv(phi, 1, 4).values * s.beta)
-    e2 = np.abs(s.beta * A2.values - deriv(phi, 0, 4).values * s.beta)
+    e1 = np.abs(s.beta * A1.values + deriv(log_s, 1, 4).values)
+    e2 = np.abs(s.beta * A2.values - deriv(log_s, 0, 4).values)
     mask = interior_mask(g, 8)
     assert max(e1[mask].max(), e2[mask].max()) < 5e-3
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cssol import variational
-from cssol.grid import Grid
+from cssol.grid import Grid, GridField
 from cssol.soliton import radial_ring
 from cssol.variational import (
     DescentConfig,
@@ -345,6 +345,10 @@ def test_nll_energy_harmonic_divergence_guard():
     assert np.isfinite(val) and val > 0
 
 
-def test_nll_energy_rejects_unknown_potential():
-    with pytest.raises(ValueError):
-        nll_energy(radial_ring(1).pair, 0.0, V="cubic")
+@pytest.mark.parametrize("make_V", [
+    lambda: "cubic",
+    lambda: GridField(Grid(40.0, 1024), np.zeros((1024, 1024))),
+], ids=["cubic", "gridfield"])
+def test_nll_energy_rejects_unknown_potential(make_V):
+    with pytest.raises(ValueError, match="unknown potential"):
+        nll_energy(radial_ring(1).pair, 0.0, V=make_V())
