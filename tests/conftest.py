@@ -1,8 +1,34 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the --figures option: at session end it writes
+the figures that tests record as a "figures" property ({criterion: {name:
+value}}, see test_acceptance._report) to PATH as JSON, at full precision."""
 
+import json
 import tracemalloc
 
 import pytest
+
+_figures: dict[str, dict[str, float]] = {}
+
+
+def pytest_addoption(parser):
+    parser.addoption("--figures", metavar="PATH", default=None,
+                     help="write the recorded acceptance figures to PATH as JSON")
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        for key, value in report.user_properties:
+            if key == "figures":
+                _figures.update(value)
+
+
+def pytest_sessionfinish(session):
+    path = session.config.getoption("--figures")
+    if path:
+        with open(path, "w") as fh:
+            # json writes a float as its repr, the shortest string that reads back the same bits
+            json.dump(dict(sorted(_figures.items())), fh, indent=1)
+            fh.write("\n")
 
 
 def _traced_peak(fn):
