@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +50,17 @@ _D1 = {
 BLOCK_NODES = 16384
 
 
+@dataclass(frozen=True, slots=True)
 class Grid:
-    """M x M nodes spanning [-L, L]^2, spacing h = 2L/(M-1)."""
+    """M x M nodes spanning [-L, L]^2, spacing h = 2L/(M-1); equal by (L, M)."""
 
-    __slots__ = ("L", "M", "h", "_axis")
+    L: float
+    M: int
+    h: float = field(init=False, repr=False, compare=False)
+    axis: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, L: float, M: int):
+    def __post_init__(self):
+        L, M = self.L, self.M
         if M < 16:
             raise ValueError("grid size M must be >= 16")
         if M % 2 != 0:
@@ -64,18 +70,11 @@ class Grid:
         object.__setattr__(self, "L", float(L))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "h", 2.0 * L / (M - 1))
-        object.__setattr__(self, "_axis", np.linspace(-L, L, M))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grid is immutable")
-
-    @property
-    def axis(self) -> np.ndarray:
-        return self._axis
+        object.__setattr__(self, "axis", np.linspace(-L, L, M))
 
     def mesh(self):
         """(X, Y) with row index = x, column index = y."""
-        return np.meshgrid(self._axis, self._axis, indexing="ij")
+        return np.meshgrid(self.axis, self.axis, indexing="ij")
 
     def zmesh(self) -> np.ndarray:
         """z = x + iy at every node (row index = x), in one allocation."""
@@ -84,8 +83,8 @@ class Grid:
     def _zrows(self, a: int, b: int) -> np.ndarray:
         """z on the rows a:b."""
         z = np.empty((b - a, self.M), dtype=complex)
-        z.real = self._axis[a:b, None]
-        z.imag = self._axis
+        z.real = self.axis[a:b, None]
+        z.imag = self.axis
         return z
 
     def row_blocks(self):
@@ -117,30 +116,23 @@ class Grid:
             out[a:b] = v
         return GridField._own(self, out)
 
-    def __eq__(self, other):
-        return isinstance(other, Grid) and self.L == other.L and self.M == other.M
 
-    def __hash__(self):
-        return hash((self.L, self.M))
-
-    def __repr__(self):
-        return f"Grid(L={self.L}, M={self.M})"
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class GridField:
     """Samples of a scalar field on a Grid (complex or real)."""
 
-    __slots__ = ("grid", "values")
+    grid: Grid
+    values: np.ndarray
 
-    def __init__(self, grid: Grid, values):
-        self._freeze(grid, np.array(values, order="C"))
+    def __post_init__(self):
+        self._freeze(self.grid, np.array(self.values, order="C"))
 
     @classmethod
     def _own(cls, grid: Grid, values: np.ndarray) -> "GridField":
         """Wrap an array that nothing writes afterwards: checked and frozen, not copied."""
-        field = cls.__new__(cls)
-        field._freeze(grid, values)
-        return field
+        out = cls.__new__(cls)
+        out._freeze(grid, values)
+        return out
 
     def _freeze(self, grid: Grid, v: np.ndarray) -> None:
         if v.shape != (grid.M, grid.M):
@@ -150,9 +142,6 @@ class GridField:
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridField is immutable")
 
     @property
     def is_real(self) -> bool:

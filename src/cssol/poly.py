@@ -7,27 +7,28 @@ rounding. The zero polynomial has an empty coefficient array and degree None.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 # rank threshold on the relative singular values of the Sylvester matrix
 GCD_EPS = 1e-9
 
 
+@dataclass(frozen=True, slots=True)
 class ComplexPolynomial:
     """Immutable dense polynomial over the complex numbers."""
 
-    __slots__ = ("coeffs",)
+    coeffs: np.ndarray
 
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).ravel()
         # strip exact trailing zeros so degree == len(coeffs) - 1
         nz = np.nonzero(c)[0]
         c = c[: nz[-1] + 1] if nz.size else np.zeros(0, dtype=complex)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPolynomial is immutable")
 
     # -- basic structure ---------------------------------------------------
 
@@ -169,20 +170,13 @@ def taylor_table(polys, x: np.ndarray, n: int) -> np.ndarray:
 
 
 def derivative(p: ComplexPolynomial) -> ComplexPolynomial:
-    p = _coerce(p)
-    if p.coeffs.size <= 1:
-        return ZERO
-    k = np.arange(1, p.coeffs.size)
-    return ComplexPolynomial(p.coeffs[1:] * k)
+    return ComplexPolynomial(npp.polyder(_coerce(p).coeffs))
 
 
 def antiderivative(p: ComplexPolynomial) -> ComplexPolynomial:
     """Primitive with zero constant term."""
     p = _coerce(p)
-    if p.is_zero:
-        return ZERO
-    k = np.arange(1, p.coeffs.size + 1)
-    return ComplexPolynomial(np.concatenate([[0j], p.coeffs / k]))
+    return ZERO if p.is_zero else ComplexPolynomial(npp.polyint(p.coeffs))
 
 
 def wronskian(P: ComplexPolynomial, Q: ComplexPolynomial) -> ComplexPolynomial:
@@ -223,13 +217,8 @@ def _common_degree(p: ComplexPolynomial, q: ComplexPolynomial, eps: float) -> in
 
 
 def _companion_roots(p: ComplexPolynomial) -> np.ndarray:
-    """All roots of a nonzero p, with multiplicity: its companion eigenvalues."""
-    c = p.coeffs / p.coeffs[-1]
-    n = c.size - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -c[:-1]
-    return np.linalg.eigvals(comp)
+    """All roots of p, deg p >= 1, with multiplicity: its companion eigenvalues."""
+    return np.linalg.eigvals(npp.polycompanion(p.coeffs))
 
 
 def _scaled(p: ComplexPolynomial, vals: np.ndarray) -> ComplexPolynomial:
@@ -287,21 +276,19 @@ def roots(p: ComplexPolynomial):
 # -- 2x2 transforms on pairs ----------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PairTransform:
     """A 2x2 complex matrix acting componentwise on a polynomial pair."""
 
-    __slots__ = ("entries",)
+    entries: np.ndarray
 
-    def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
+    def __post_init__(self):
+        m = np.asarray(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("PairTransform needs a 2x2 matrix")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairTransform is immutable")
 
     @property
     def det(self) -> complex:
@@ -320,9 +307,6 @@ class PairTransform:
         if c <= tol:
             return False
         return PairTransform(m / c).is_special_unitary(tol)
-
-    def __repr__(self):
-        return f"PairTransform({self.entries.tolist()})"
 
 
 def act(transform: PairTransform, pair):

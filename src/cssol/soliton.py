@@ -7,6 +7,8 @@ magnetic-energy minimizer at flux beta = 2 max(deg P, deg Q).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import poly
@@ -94,22 +96,25 @@ class Soliton:
         return GridField._own(grid, out)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class VortexSpec:
     """Parameters of a vortex ring: P = a(z-z0)^n + c, Q = b."""
 
-    def __init__(self, n: int, a: complex = 1.0, b: float = 1.0, c: complex = 0.0,
-                 z0: complex = 0.0):
-        if n < 1:
+    n: int
+    a: complex = 1.0
+    b: float = 1.0
+    c: complex = 0.0
+    z0: complex = 0.0
+
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("vortex degree n must be >= 1")
-        if abs(a) == 0:
+        if abs(self.a) == 0:
             raise ValueError("leading coefficient a must be nonzero")
-        if not (np.isreal(b) and b > 0):
+        if not (np.isreal(self.b) and self.b > 0):
             raise ValueError("b must be a positive real")
-        self.n = int(n)
-        self.a = complex(a)
-        self.b = float(b)
-        self.c = complex(c)
-        self.z0 = complex(z0)
+        for name, kind in zip(("n", "a", "b", "c", "z0"), (int, complex, float, complex, complex)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def vortex_ring(spec: VortexSpec) -> Soliton:

@@ -43,16 +43,19 @@ DEDUP_TOL = 1e-8
 SOLVE_DEDUP_TOL = 1e-6
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class WronskianPair:
     """A pair (P, Q) with W(P, Q) != 0 and no common root, W cached.
 
     The constructor raises ValueError on any other pair."""
 
-    __slots__ = ("P", "Q", "W")
+    P: ComplexPolynomial
+    Q: ComplexPolynomial
+    W: ComplexPolynomial = field(init=False, repr=False)
 
-    def __init__(self, P, Q):
-        P = poly._coerce(P)
-        Q = poly._coerce(Q)
+    def __post_init__(self):
+        P = poly._coerce(self.P)
+        Q = poly._coerce(self.Q)
         W = wronskian(P, Q)
         if W.is_zero:
             raise ValueError("pair is linearly dependent (W = 0)")
@@ -62,9 +65,6 @@ class WronskianPair:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "W", W)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WronskianPair is immutable")
-
     @property
     def max_degree(self) -> int:
         return max(self.P.degree or 0, self.Q.degree or 0)
@@ -73,23 +73,23 @@ class WronskianPair:
         P, Q = act(transform, (self.P, self.Q))
         return WronskianPair(P, Q)
 
-    def __repr__(self):
-        return f"WronskianPair(P={self.P!r}, Q={self.Q!r})"
+
+def _residual(pair: WronskianPair, f: ComplexPolynomial) -> float:
+    """|W(P, Q) - f| / |f| on the coefficient vectors."""
+    return (pair.W - f).norm() / max(f.norm(), 1e-300)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class SolutionFamily:
     """One family of solutions of W(P,Q) = f: the SL(2) orbit of representative."""
 
     kind: str  # Primitive (k = 0) | Bethe (k >= 1)
-    parameters: dict = field(default_factory=dict)
-    representative: WronskianPair | None = None
-    residual: float = 0.0
+    parameters: dict
+    representative: WronskianPair
+    residual: float  # _residual of representative against f
 
     def check(self, f: ComplexPolynomial) -> float:
-        r = (self.representative.W - f).norm()
-        scale = max(f.norm(), 1e-300)
-        return r / scale
+        return _residual(self.representative, f)
 
 
 def _family(kind: str, P, Q, f: ComplexPolynomial, **parameters):
@@ -99,9 +99,7 @@ def _family(kind: str, P, Q, f: ComplexPolynomial, **parameters):
         rep = WronskianPair(P, Q)
     except ValueError:
         return None
-    fam = SolutionFamily(kind, {**parameters, "orbit": "SL(2)"}, rep)
-    fam.residual = fam.check(f)
-    return fam
+    return SolutionFamily(kind, {**parameters, "orbit": "SL(2)"}, rep, _residual(rep, f))
 
 
 def primitive_family(f: ComplexPolynomial) -> SolutionFamily:

@@ -371,8 +371,8 @@ def test_different_families_distinguished():
 
 
 def test_family_check_measures_residual():
-    fam = SolutionFamily(kind="Bethe",
-                         representative=WronskianPair([0, 0, 1.0], [1.0]))
     # W(z^2, 1) = 2z; residual against f = 2z is 0, against f = z is 1
+    fam = SolutionFamily(kind="Primitive", parameters={"k": 0},
+                         representative=WronskianPair([0, 0, 1.0], [1.0]), residual=0.0)
     assert fam.check(ComplexPolynomial([0.0, 2.0])) <= 1e-15
     assert fam.check(ComplexPolynomial([0.0, 1.0])) > 0.5
