@@ -30,8 +30,9 @@ def _grid_blocks(pair: WronskianPair, grid: Grid):
     On the row x_i, p(x_i + iy) = sum_k i^k p^(k)(x_i)/k! y^k, so the real and
     imaginary parts of P, Q and W on a block are one real product of their
     Taylor table (poly.taylor_table, built once per call) with the
-    Vandermonde matrix [y_j^k]. The sum can lose up to 2^(n/2) ulps more
-    than Horner's rule on the diagonal |x| = |y|, n the largest degree."""
+    Vandermonde matrix [y_j^k], k <= n, n the largest degree of P, Q and W
+    (WronskianPair gives W at its exact degree). The sum can lose up to
+    2^(n/2) ulps more than Horner's rule on the diagonal |x| = |y|."""
     polys = (pair.P, pair.Q, pair.W)
     n = max(p.degree for p in polys)
     T = poly.taylor_table(polys, grid.axis, n)
@@ -137,7 +138,9 @@ def zeros_and_vorticity(s: Soliton):
 
 
 def total_vorticity(s: Soliton) -> int:
-    return sum(m for _, m in zeros_and_vorticity(s))
+    """deg W, the sum of the multiplicities of zeros_and_vorticity: poly.roots
+    puts every companion eigenvalue of W into exactly one root."""
+    return s.pair.W.degree
 
 
 # -- symmetry orbit --------------------------------------------------------

@@ -63,6 +63,12 @@ class WronskianPair:
             raise ValueError("pair is not coprime")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
+        if P.degree == Q.degree:
+            # W is a constant times the Wronskian of the span's echelon rows,
+            # of degrees m > k, so its degree is exactly m + k - 1; the top
+            # terms of P'Q and PQ' cancel only to rounding above it
+            k = ComplexPolynomial(_span(self, P.degree + 1)[1]).degree
+            W = ComplexPolynomial(W.coeffs[: P.degree + k])
         object.__setattr__(self, "W", W)
 
     @property

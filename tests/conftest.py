@@ -1,13 +1,14 @@
-"""Shared test helpers, and the --figures option: at session end it writes
-the figures that tests record as a "figures" property ({criterion: {name:
-value}}, see test_acceptance._report) to PATH as JSON, at full precision."""
+"""Shared test helpers, and the --figures=PATH option: at session end it
+writes the figures that tests record as a "figures" property ({criterion:
+{name: value}}, see test_acceptance._report) to PATH as JSON, at full
+precision. Give it as --figures=PATH: pytest picks its rootdir before it
+reads this file, and a separate PATH argument that exists would count as
+a test path there."""
 
 import json
 import tracemalloc
 
 import pytest
-
-_figures: dict[str, dict[str, float]] = {}
 
 
 def pytest_addoption(parser):
@@ -15,19 +16,17 @@ def pytest_addoption(parser):
                      help="write the recorded acceptance figures to PATH as JSON")
 
 
-def pytest_runtest_logreport(report):
-    if report.when == "call":
-        for key, value in report.user_properties:
-            if key == "figures":
-                _figures.update(value)
-
-
 def pytest_sessionfinish(session):
     path = session.config.getoption("--figures")
     if path:
+        figures = {}
+        for item in session.items:
+            for key, value in item.user_properties:
+                if key == "figures":
+                    figures.update(value)
         with open(path, "w") as fh:
             # json writes a float as its repr, the shortest string that reads back the same bits
-            json.dump(dict(sorted(_figures.items())), fh, indent=1)
+            json.dump(dict(sorted(figures.items())), fh, indent=1)
             fh.write("\n")
 
 

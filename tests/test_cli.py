@@ -6,11 +6,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cssol.cli import ReportRow, _fmt, build_parser, main
 from cssol.functionals import susy_rhs
 from cssol.grid import load_field
+from cssol.sampling import random_pair
 
 
 def run(argv):
@@ -64,6 +66,15 @@ def test_verify_soliton_row_names(capsys):
     names = [row["name"] for row in json.loads(capsys.readouterr().out)]
     assert names == ["mass", "liouville_residual", "bogomolnyi_gap_rel",
                      "susy_residual_rel", "symmetry_orbit", "total_vorticity"]
+
+
+def test_verify_soliton_passes_on_a_mixed_degree_3_pair(capsys):
+    # deg P = deg Q = 3: the vorticity window is [2, 4], and deg W = 2
+    pair = random_pair(np.random.default_rng(2), max_degree=3)
+    P, Q = (json.dumps([[c.real, c.imag] for c in p.coeffs]) for p in (pair.P, pair.Q))
+    assert run(["verify-soliton", "--P", P, "--Q", Q]) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)}
+    assert rows["total_vorticity"]["computed"] == 2
 
 
 def test_energy_json_deterministic(capsys, tmp_path):

@@ -30,7 +30,6 @@ from cssol.variational import (
     vortex_ring_ratio,
     vortex_ring_ratio_closed,
 )
-from cssol.wronskian_pairs import WronskianPair
 
 
 def test_townes_constant_value():

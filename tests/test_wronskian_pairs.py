@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cssol import poly, wronskian_pairs
 from cssol.poly import ComplexPolynomial, PairTransform
+from cssol.sampling import random_pair
 from cssol.wronskian_pairs import (
     RESIDUAL_RTOL,
     SolutionFamily,
@@ -53,6 +54,16 @@ def test_pair_immutable_and_cached_w():
     assert p.W.close_to(ComplexPolynomial([0, 4.0]))
     with pytest.raises(AttributeError):
         p.P = ComplexPolynomial([1.0])
+
+
+def test_w_has_its_exact_degree():
+    # random_pair mixes (P0, c) by SU(2), so W = det * c P0' has degree
+    # deg P0 - 1; with deg P = deg Q the top terms of P'Q and PQ' cancel only
+    # to rounding, and the coefficient-wise W reached up to degree 2 deg P - 1
+    for s in range(200):
+        pair = random_pair(np.random.default_rng(s), max_degree=4)
+        assert pair.W.degree == pair.max_degree - 1
+        assert pair.W.close_to(poly.wronskian(pair.P, pair.Q), rtol=1e-14)
 
 
 # -- closed-form families --------------------------------------------------
