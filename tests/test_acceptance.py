@@ -31,11 +31,14 @@ from cssol.variational import (
 from cssol.wronskian_pairs import WronskianPair, _same_family, solve_generic
 
 
-def _report(record_property, num, name, ok, detail, t0, budget, figures):
+def _report(request, num, name, ok, detail, t0, budget, figures):
     """Print and assert criterion num's PASS/FAIL line; record its figures,
     a dict of floats, for --figures (conftest.py) first, so a failing
     criterion records them too."""
-    record_property("figures", {f"{num:02d} {name}": {k: float(v) for k, v in figures.items()}})
+    # user_properties is core pytest; the record_property fixture comes from
+    # the junitxml plugin and is missing when that plugin is disabled
+    request.node.user_properties.append(
+        ("figures", {f"{num:02d} {name}": {k: float(v) for k, v in figures.items()}}))
     dt = time.monotonic() - t0
     line = (f"ACCEPTANCE {num:2d} {name}: {'PASS' if ok else 'FAIL'} "
             f"({detail}; {dt:.1f}s of {budget:.0f}s)")
@@ -44,7 +47,7 @@ def _report(record_property, num, name, ok, detail, t0, budget, figures):
     assert dt < budget, line
 
 
-def test_01_log_density_identity(record_property):
+def test_01_log_density_identity(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     g = Grid(8.0, 256)
@@ -52,12 +55,12 @@ def test_01_log_density_identity(record_property):
     for _ in range(20):
         pair = random_pair(rng, max_degree=4)
         worst = max(worst, liouville_residual(pair, g))
-    _report(record_property, 1, "log-density identity", worst <= 1e-6,
+    _report(request, 1, "log-density identity", worst <= 1e-6,
             f"worst residual {worst:.2e} <= 1e-6", t0, 30.0,
             {"worst_residual": worst})
 
 
-def test_02_flux_quantization(record_property):
+def test_02_flux_quantization(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     g = Grid(40.0, 1024)
@@ -74,12 +77,12 @@ def test_02_flux_quantization(record_property):
             rhs = g.sample(LiouvilleSolution(pair).rhs).map(np.real)
             flux = float(integrate(rhs)) / (8.0 * np.pi)
             worst = max(worst, abs(flux - d) / d)
-    _report(record_property, 2, "flux quantization", worst <= 1e-2,
+    _report(request, 2, "flux quantization", worst <= 1e-2,
             f"worst relative flux error {worst:.2e} <= 1e-2", t0, 60.0,
             {"worst_flux_error": worst})
 
 
-def test_03_minimizer_mass_and_saturation(record_property):
+def test_03_minimizer_mass_and_saturation(request):
     t0 = time.monotonic()
     g = Grid(40.0, 1024)
     worst_mass = 0.0
@@ -92,12 +95,12 @@ def test_03_minimizer_mass_and_saturation(record_property):
         worst_gap = max(worst_gap,
                         abs(rep.bogomolnyi_gap) / rep.total_E_beta)
     ok = worst_mass <= 1e-2 and worst_gap <= 1e-3
-    _report(record_property, 3, "minimizer mass/saturation", ok,
+    _report(request, 3, "minimizer mass/saturation", ok,
             f"mass err {worst_mass:.2e} <= 1e-2, gap/E {worst_gap:.2e} <= 1e-3",
             t0, 60.0, {"mass_error": worst_mass, "gap_over_E": worst_gap})
 
 
-def test_04_vortex_ring_energy_law(record_property):
+def test_04_vortex_ring_energy_law(request):
     t0 = time.monotonic()
     worst = 0.0
     for n in (1, 2, 3):
@@ -112,12 +115,12 @@ def test_04_vortex_ring_energy_law(record_property):
         got = quadrature(radial_ring(n).sample(g), 4)
         worst_q = max(worst_q, abs(got - q_exact) / q_exact)
     ok = worst <= 1e-2 and worst_q <= 5e-3
-    _report(record_property, 4, "vortex-ring energy law", ok,
+    _report(request, 4, "vortex-ring energy law", ok,
             f"ratio err {worst:.2e} <= 1e-2, quartic err {worst_q:.2e} <= 5e-3",
             t0, 120.0, {"ratio_error": worst, "quartic_error": worst_q})
 
 
-def test_05_ground_state_constant(record_property):
+def test_05_ground_state_constant(request):
     t0 = time.monotonic()
     prof = townes_solve()
     want = 0.931 * 2.0 * np.pi
@@ -125,14 +128,14 @@ def test_05_ground_state_constant(record_property):
     # the solved constant and peak amplitude, gated as `cssol townes` gates them
     c_rel = abs(prof.c_lgn - 5.8504482623) / 5.8504482623
     tau_rel = abs(float(prof(0.0)) - 2.2062008647) / 2.2062008647
-    _report(record_property, 5, "ground-state constant", rel <= 5e-3 and c_rel <= 1e-9 and tau_rel <= 1e-9,
+    _report(request, 5, "ground-state constant", rel <= 5e-3 and c_rel <= 1e-9 and tau_rel <= 1e-9,
             f"c_lgn {prof.c_lgn:.5f} vs {want:.5f}, rel {rel:.1e} <= 5e-3; "
             f"vs 5.8504482623 rel {c_rel:.1e} <= 1e-9, "
             f"tau(0) vs 2.2062008647 rel {tau_rel:.1e} <= 1e-9",
             t0, 5.0, {"c_lgn": prof.c_lgn, "tau0": prof(0.0), "c_lgn_vs_0.931": rel})
 
 
-def test_06_factorization_identity(record_property):
+def test_06_factorization_identity(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     # the kernel near-zone error scales like h^2; M = 384 holds the worst
@@ -151,12 +154,12 @@ def test_06_factorization_identity(record_property):
                         abs(rep.bogomolnyi_gap - minus) / scale,
                         abs(rep.total_E_beta
                             + 2.0 * np.pi * beta * rep.quartic - plus) / scale)
-    _report(record_property, 6, "weighted-square factorization", worst <= 1e-4,
+    _report(request, 6, "weighted-square factorization", worst <= 1e-4,
             f"worst relative defect {worst:.2e} <= 1e-4", t0, 120.0,
             {"worst_defect": worst})
 
 
-def test_07_inequality_battery(record_property):
+def test_07_inequality_battery(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     g = Grid(16.0, 256)
@@ -171,13 +174,13 @@ def test_07_inequality_battery(record_property):
     sat = max(abs(by_name["bogomolnyi"].margin_rel),
               abs(by_name["mm_interpolation"].margin_rel))
     ok = violations == 0 and sat <= 1e-3
-    _report(record_property, 7, "inequality battery", ok,
+    _report(request, 7, "inequality battery", ok,
             f"{violations} violations over 200 fields, "
             f"soliton saturation margin {sat:.2e} <= 1e-3", t0, 600.0,
             {"violations": violations, "saturation_margin": sat})
 
 
-def test_08_inverse_problem_low_degree(record_property):
+def test_08_inverse_problem_low_degree(request):
     t0 = time.monotonic()
     cases = {
         # f: independently hand-written expected family representatives
@@ -205,13 +208,13 @@ def test_08_inverse_problem_low_degree(record_property):
         ok = ok and res_ok and onto and into
         if not (res_ok and onto and into):
             detail.append(f"f={f!r}")
-    _report(record_property, 8, "inverse-problem completeness", ok,
+    _report(request, 8, "inverse-problem completeness", ok,
             "family sets equal with residuals <= 1e-10"
             + ("" if ok else f" EXCEPT {detail}"), t0, 10.0,
             {"worst_residual": worst, "families": families})
 
 
-def test_09_symmetry_orbit(record_property):
+def test_09_symmetry_orbit(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     base = [WronskianPair([1.0, 0.0, 1.0], [0.5, 1.0]),
@@ -236,12 +239,12 @@ def test_09_symmetry_orbit(record_property):
         orbits_ok = orbits_ok and ok and witness is not None \
             and witness.is_positive_scaled_su2(1e-6)
     ok = worst <= 1e-12 and orbits_ok
-    _report(record_property, 9, "symmetry orbit", ok,
+    _report(request, 9, "symmetry orbit", ok,
             f"worst pointwise gap {worst:.1e} <= 1e-12, witnesses valid",
             t0, 10.0, {"worst_gap": worst})
 
 
-def test_10_gamma_estimation(record_property):
+def test_10_gamma_estimation(request):
     t0 = time.monotonic()
     c_lgn = townes_solve().c_lgn
     e0 = estimate_gamma(0.0)
@@ -253,7 +256,7 @@ def test_10_gamma_estimation(record_property):
                    for r in scan.rows)
     ok = (rel0 <= 2e-2 and rel2 <= 2e-2
           and scan.gamma_over_beta_monotone and sandwich)
-    _report(record_property, 10, "interpolation-constant estimation", ok,
+    _report(request, 10, "interpolation-constant estimation", ok,
             f"rel err at 0: {rel0:.1e}, at 2: {rel2:.1e} (<= 2e-2); "
             f"ratio monotone {scan.gamma_over_beta_monotone}, "
             f"bounds sandwich {sandwich}", t0, 1800.0,
@@ -261,7 +264,7 @@ def test_10_gamma_estimation(record_property):
              **{f"scan_gamma_hat_{r.beta:g}": r.gamma_hat for r in scan.rows}})
 
 
-def test_11_stationarity_residual(record_property):
+def test_11_stationarity_residual(request):
     t0 = time.monotonic()
     u = normalized(radial_ring(1).sample(Grid(40.0, 1024)))
     res_sol, _ = el_residual(u, 2.0, 4.0 * np.pi)
@@ -272,7 +275,7 @@ def test_11_stationarity_residual(record_property):
                     2.0, 4.0 * np.pi)[0]
         for _ in range(3))
     ok = res_sol <= 1e-2 and res_rand >= 0.1
-    _report(record_property, 11, "stationarity residual", ok,
+    _report(request, 11, "stationarity residual", ok,
             f"soliton {res_sol:.2e} <= 1e-2, random min {res_rand:.2e} >= 0.1",
             t0, 60.0, {"soliton_residual": res_sol, "random_min_residual": res_rand})
 
@@ -292,7 +295,7 @@ def _mc_triple_curvature(sampler, n, rng):
     return float(np.mean(vals)), float(np.std(vals) / np.sqrt(n))
 
 
-def test_12_triple_curvature_identity(record_property):
+def test_12_triple_curvature_identity(request):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     n = 2_000_000
@@ -326,5 +329,5 @@ def test_12_triple_curvature_identity(record_property):
     # exact cross-check: MM(unit Gaussian) = log(4/3)/2
     exact = np.log(4.0 / 3.0) / 2.0
     ok = ok and abs(menger_melnikov(rho_iso) - exact) <= 5e-3 * exact
-    _report(record_property, 12, "triple-curvature identity", ok, "; ".join(details), t0, 300.0,
+    _report(request, 12, "triple-curvature identity", ok, "; ".join(details), t0, 300.0,
             figures)
