@@ -145,6 +145,9 @@ def _poly_json(p: ComplexPolynomial):
 
 # -- subcommands -----------------------------------------------------------
 
+MASS_TOL = 1e-2  # verify-soliton's mass row
+IDENTITY_TOL = 1e-4  # the susy residual and factorization rows
+
 
 def cmd_solve_wronskian(args) -> int:
     f = _parse_poly(args.f)
@@ -191,7 +194,7 @@ def cmd_verify_soliton(args) -> int:
     beta = sol.beta
     n = pair.max_degree
 
-    rows = [ReportRow("mass", 1.0, quadrature(u, 2), args.mass_tol)]
+    rows = [ReportRow("mass", 1.0, quadrature(u, 2), MASS_TOL)]
     small = Grid(min(g.L, 8.0), min(g.M, 256))
     rows.append(ReportRow("liouville_residual", 0.0,
                           liouville_residual(pair, small), 1e-6))
@@ -200,7 +203,7 @@ def cmd_verify_soliton(args) -> int:
                           rep.bogomolnyi_gap / rep.total_E_beta, 1e-3))
     rows.append(ReportRow("susy_residual_rel", 0.0,
                           abs(rep.bogomolnyi_gap - susy_rhs(u, beta, -1))
-                          / max(rep.total_E_beta, 1e-300), args.identity_tol))
+                          / max(rep.total_E_beta, 1e-300), IDENTITY_TOL))
     rng = np.random.default_rng(args.seed)
     su2 = haar_su2(rng).entries
     lam = float(np.exp(rng.uniform(-0.5, 0.5)))  # drawn after the matrix
@@ -235,11 +238,11 @@ def cmd_verify_identities(args) -> int:
         scale = max(abs(erep.total_E_beta), 1.0)
         rows.append(ReportRow(
             f"field{i}_factorization_minus", 0.0,
-            (erep.bogomolnyi_gap - minus) / scale, args.identity_tol))
+            (erep.bogomolnyi_gap - minus) / scale, IDENTITY_TOL))
         rows.append(ReportRow(
             f"field{i}_factorization_plus", 0.0,
             (erep.total_E_beta + 2 * np.pi * args.beta * erep.quartic - plus)
-            / scale, args.identity_tol))
+            / scale, IDENTITY_TOL))
     return _check_report(args, rows)
 
 
@@ -367,17 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="save the sampled field: raw <f8 (re, im) pairs, "
                          "plus a PATH.json sidecar")
 
-    sp = _subcommand(sub, "verify-soliton", cmd_verify_soliton,
-                     grid="40,1024", seed=True, pair=True, formats=True)
-    sp.add_argument("--mass-tol", type=float, default=1e-2)
-    sp.add_argument("--identity-tol", type=float, default=1e-4)
+    _subcommand(sub, "verify-soliton", cmd_verify_soliton,
+                grid="40,1024", seed=True, pair=True, formats=True)
 
     sp = _subcommand(sub, "verify-identities", cmd_verify_identities,
                      grid="16,256", seed=True, formats=True,
                      help="factorization + inequality battery on random fields")
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--count", type=int, default=5)
-    sp.add_argument("--identity-tol", type=float, default=1e-4)
 
     sp = _subcommand(sub, "energy", cmd_energy, grid="40,1024", pair=True,
                      formats=True, help="energy decomposition of a field")

@@ -50,7 +50,7 @@ _D1 = {
 BLOCK_NODES = 16384
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Grid:
     """M x M nodes spanning [-L, L]^2, spacing h = 2L/(M-1); equal by (L, M)."""
 
@@ -117,7 +117,7 @@ class Grid:
         return GridField._own(self, out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Samples of a scalar field on a Grid (complex or real)."""
 

@@ -16,7 +16,7 @@ import numpy.polynomial.polynomial as npp
 GCD_EPS = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ComplexPolynomial:
     """Immutable dense polynomial over the complex numbers."""
 
@@ -276,7 +276,7 @@ def roots(p: ComplexPolynomial):
 # -- 2x2 transforms on pairs ----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class PairTransform:
     """A 2x2 complex matrix acting componentwise on a polynomial pair."""
 

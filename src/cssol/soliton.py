@@ -97,7 +97,7 @@ class Soliton:
         return GridField._own(grid, out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class VortexSpec:
     """Parameters of a vortex ring: P = a(z-z0)^n + c, Q = b."""
 

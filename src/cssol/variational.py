@@ -10,8 +10,7 @@ from functools import cache
 
 import numpy as np
 # numpy only: the Townes profile evaluates its Chebyshev series, and the start
-# noise blur and the dilation resampling are numpy ports, bit-identical to
-# scipy.ndimage.gaussian_filter and a linear RegularGridInterpolator
+# noise blur is a numpy port, bit-identical to scipy.ndimage.gaussian_filter
 
 from .functionals import MagneticState, magnetic_energy, stationarity
 from .grid import Grid, GridField, integrate, quadrature
@@ -146,7 +145,6 @@ class DescentConfig:
     plateau_tol: float = 1e-5
     plateau_window: int = 50
     grad_tol: float = 1e-4
-    dilation_every: int = 100
 
 
 @dataclass(frozen=True)
@@ -195,28 +193,6 @@ def _ring_start(g: Grid, beta: float) -> np.ndarray:
     return _norm_mass(radial_ring(n).sample(g).values, g)
 
 
-def _dilate(values: np.ndarray, g: Grid, lam: float) -> np.ndarray:
-    """u -> lam u(lam x), resampled on the same grid (zero beyond the box).
-
-    Bilinear, with scipy's RegularGridInterpolator's interval rule and
-    corner order, so the result is bit-identical to it; the scaled nodes
-    are lam * axis along both axes, so indices and distances are 1-D."""
-    a = g.axis
-    t = lam * a
-    i = np.clip(np.searchsorted(a, t, side="right") - 1, 0, a.size - 2)
-    y = (t - a[i]) / (a[i + 1] - a[i])
-    i0, i1, y0, y1 = i[:, None], i[None, :], y[:, None], y[None, :]
-    parts = np.stack([values.real, values.imag])
-    out = (parts[:, i0, i1] * (1 - y0) * (1 - y1)
-           + parts[:, i0, i1 + 1] * (1 - y0) * y1
-           + parts[:, i0 + 1, i1] * y0 * (1 - y1)
-           + parts[:, i0 + 1, i1 + 1] * y0 * y1)
-    outside = (t < a[0]) | (t > a[-1])
-    out[:, outside, :] = 0.0
-    out[:, :, outside] = 0.0
-    return _norm_mass(lam * (out[0] + 1j * out[1]), g)
-
-
 def _blur(v: np.ndarray) -> np.ndarray:
     """Gaussian blur of a real 2-D array with sigma = 2 nodes, bit-identical
     to scipy.ndimage.gaussian_filter(v, 2): 4 sigma = 8 radius, half-sample
@@ -236,8 +212,7 @@ def _blur(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
-             upper: float):
+def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
     """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
     Trials read only the quotient; stop_reason: grad_tol, plateau, line_search, max_iter."""
     quot, grad = _quotient_and_grad(values, g, beta)
@@ -246,8 +221,6 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
     it, stop = 0, "max_iter"
     for it in range(1, cfg.max_iter + 1):
-        if quot > 10.0 * upper:
-            raise RuntimeError("descent diverged")
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
             tq, state = _quotient(trial, g, beta)
@@ -261,19 +234,6 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
         values, quot, grad = trial, tq, _projected_grad(state, tq)
         del state
         step *= 1.3
-        if cfg.dilation_every and it % cfg.dilation_every == 0:
-            winner = None
-            for t in np.linspace(-1.0, 1.0, 9):
-                lam = 2.0**t
-                if lam == 1.0:
-                    continue
-                cq, cand = _quotient(_dilate(values, g, lam), g, beta)
-                if cq < quot:
-                    quot, winner = cq, cand
-                del cand
-            if winner is not None:
-                values, grad = winner.u.values, _projected_grad(winner, quot)
-                del winner
         gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
         history.append(quot)
         if gnorm < cfg.grad_tol:
@@ -290,9 +250,8 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig,
 def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEstimate:
     """Projected gradient descent estimate of gamma*(beta).
 
-    The quotient is dilation invariant; an explicit dilation line search
-    recenters the support scale periodically; line-search trials evaluate
-    only the quotient. The result is an upper estimate of the infimum.
+    Line-search trials evaluate only the quotient. The result is an upper
+    estimate of the infimum.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -315,7 +274,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
     best = None
     for v0 in starts:
-        out = _descend(v0, g, beta, cfg, upper)
+        out = _descend(v0, g, beta, cfg)
         if best is None or out[1] < best[1]:
             best = out
     v, q, gn, it, stop = best

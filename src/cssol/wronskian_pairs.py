@@ -43,7 +43,7 @@ DEDUP_TOL = 1e-8
 SOLVE_DEDUP_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class WronskianPair:
     """A pair (P, Q) with W(P, Q) != 0 and no common root, W cached.
 
@@ -85,7 +85,7 @@ def _residual(pair: WronskianPair, f: ComplexPolynomial) -> float:
     return (pair.W - f).norm() / max(f.norm(), 1e-300)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class SolutionFamily:
     """One family of solutions of W(P,Q) = f: the SL(2) orbit of representative."""
 

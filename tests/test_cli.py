@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cssol import variational
 from cssol.cli import ReportRow, _fmt, build_parser, main
 from cssol.functionals import susy_rhs
-from cssol.grid import load_field
+from cssol.grid import Grid, GridField, load_field
 from cssol.sampling import random_pair
 
 
@@ -184,6 +185,25 @@ def test_scan_not_strictly_increasing_exits_2(betas, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor,code", [(0.9, 1), (1.0, 0)])
+def test_estimate_gamma_and_scan_exit_1_below_the_sandwich(monkeypatch, capsys,
+                                                           factor, code):
+    """estimate-gamma and scan report a gamma_hat below 0.97 times the lower
+    bound, and exit 1; at the lower bound they exit 0."""
+    lower, upper = variational.bounds(1.0)
+    gamma = factor * lower
+    est = variational.GammaEstimate(1.0, gamma, lower, upper, 1, 0.0, "line_search",
+                                    GridField(Grid(4.0, 16), np.zeros((16, 16))))
+    scan = variational.ScanResult(
+        (variational.ScanRow(1.0, lower, upper, gamma, gamma, "line_search"),), (), ())
+    monkeypatch.setattr(variational, "estimate_gamma", lambda beta, cfg: est)
+    monkeypatch.setattr(variational, "structure_scan", lambda betas, cfg: scan)
+    assert run(["estimate-gamma", "--beta", "1"]) == code
+    assert json.loads(capsys.readouterr().out)["gamma_hat"] == gamma
+    assert run(["scan", "--betas", "1", "--json"]) == code
+    assert json.loads(capsys.readouterr().out)["rows"][0]["gamma_hat"] == gamma
+
+
 ROW_KEYS = ["name", "expected", "computed", "tolerance", "pass"]
 ROWS = {"": ROW_KEYS, "--json": ROW_KEYS, "--csv": ",".join(ROW_KEYS)}
 ENERGY_KEYS = ["beta", "kinetic", "cross", "curvature", "quartic", "mass",
@@ -243,8 +263,8 @@ def test_report_formats(command, flag, tmp_path, capsys):
     ["solve-wronskian", "--f", "[[1,0]]", "--json"],
     ["solve-wronskian", "--f", "[[1,0]]", "--csv"],
     ["solve-wronskian", "--f", "[[1,0]]", "--seed", "1"],
-    ["build-soliton", "--vortex", "n=1", "--mass-tol", "0.1"],
-    ["build-soliton", "--vortex", "n=1", "--identity-tol", "0.1"],
+    ["build-soliton", "--vortex", "n=1", "--count", "1"],
+    ["build-soliton", "--vortex", "n=1", "--betas", "1"],
     ["build-soliton", "--vortex", "n=1", "--seed", "1"],
     ["build-soliton", "--vortex", "n=1", "--json"],
     ["build-soliton", "--vortex", "n=1", "--csv"],

@@ -14,9 +14,9 @@ from cssol.grid import Grid, GridField
 from cssol.soliton import radial_ring
 from cssol.variational import (
     DescentConfig,
+    GammaEstimate,
     _blur,
     _descend,
-    _dilate,
     _norm_mass,
     _quotient_and_grad,
     _ring_start,
@@ -159,6 +159,15 @@ def test_estimate_gamma_validation():
         estimate_gamma(-0.5)
 
 
+def test_estimate_gamma_runs_where_the_start_exceeds_ten_times_the_upper_bound():
+    """At beta = 60 on Grid(6, 32) the Townes start's quotient (about 6,355)
+    is more than ten times the upper bound (377); the descent still runs and
+    reports an estimate."""
+    est = estimate_gamma(60.0, DescentConfig(grid=Grid(6.0, 32), max_iter=3))
+    assert isinstance(est, GammaEstimate)
+    assert est.iterations <= 3
+
+
 def test_estimate_gamma_beta0_small_grid():
     cfg = DescentConfig(grid=Grid(10.0, 96), max_iter=400)
     est = estimate_gamma(0.0, cfg)
@@ -174,43 +183,15 @@ def test_blur_equals_gaussian_filter(shape):
     assert np.array_equal(_blur(v), gaussian_filter(v, 2.0))
 
 
-def _dilate_by_interpolator(values, g, lam):
-    """_dilate by scipy's RegularGridInterpolator."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp_re = RegularGridInterpolator((g.axis, g.axis), values.real,
-                                        bounds_error=False, fill_value=0.0)
-    interp_im = RegularGridInterpolator((g.axis, g.axis), values.imag,
-                                        bounds_error=False, fill_value=0.0)
-    X, Y = g.mesh()
-    pts = np.stack([lam * X, lam * Y], axis=-1)
-    return _norm_mass(lam * (interp_re(pts) + 1j * interp_im(pts)), g)
-
-
-@pytest.mark.parametrize("M", [16, 64, 128])
-def test_dilate_equals_regular_grid_interpolator(M):
-    g = Grid(12.0, M)
-    rng = np.random.default_rng(M)
-    values = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
-    for t in np.linspace(-1.0, 1.0, 9):
-        lam = 2.0**t
-        assert np.array_equal(_dilate(values, g, lam),
-                              _dilate_by_interpolator(values, g, lam))
-
-
-def _descend_every_trial_gradient(values, g, beta, cfg, upper):
-    """Reference descent that builds the gradient of every line-search trial
-    and every dilation candidate. Returns
-    (values, quotient, gradient norm, iterations, accepted steps, dilations
-    won by a candidate)."""
+def _descend_every_trial_gradient(values, g, beta, cfg):
+    """Reference descent that builds the gradient of every line-search trial.
+    Returns (values, quotient, gradient norm, iterations, accepted steps)."""
     quot, grad = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
-    it = accepted_steps = wins = 0
+    it = accepted_steps = 0
     for it in range(1, cfg.max_iter + 1):
-        if quot > 10.0 * upper:
-            raise RuntimeError("descent diverged")
         accepted = False
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
@@ -224,18 +205,6 @@ def _descend_every_trial_gradient(values, g, beta, cfg, upper):
         if not accepted:
             break
         accepted_steps += 1
-        if cfg.dilation_every and it % cfg.dilation_every == 0:
-            best = (quot, values, grad)
-            for t in np.linspace(-1.0, 1.0, 9):
-                lam = 2.0**t
-                if lam == 1.0:
-                    continue
-                cand = _dilate(values, g, lam)
-                cq, cg = _quotient_and_grad(cand, g, beta)
-                if cq < best[0]:
-                    best = (cq, cand, cg)
-            wins += best[1] is not values
-            quot, values, grad = best
         gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
         history.append(quot)
         if gnorm < cfg.grad_tol:
@@ -244,25 +213,19 @@ def _descend_every_trial_gradient(values, g, beta, cfg, upper):
                 and history[-cfg.plateau_window - 1] - quot
                 < cfg.plateau_tol * abs(quot)):
             break
-    return values, quot, gnorm, it, accepted_steps, wins
+    return values, quot, gnorm, it, accepted_steps
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-@pytest.mark.parametrize("dilation_every", [100, 2])
-def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta, dilation_every):
+def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta):
     """Trials that read only the quotient give the same descent, bit for bit,
-    and build the gradient once per accepted step, once at the start and
-    once per dilation won by a candidate."""
+    and build the gradient once per accepted step and once at the start."""
     g = Grid(12.0, 64)
-    cfg = DescentConfig(grid=g, dilation_every=dilation_every)
-    upper = bounds(beta)[1]
+    cfg = DescentConfig(grid=g)
     Z = g.zmesh()
     v0 = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
-    values, quot, gnorm, it, accepted, wins = _descend_every_trial_gradient(
-        v0, g, beta, cfg, upper)
+    values, quot, gnorm, it, accepted = _descend_every_trial_gradient(v0, g, beta, cfg)
     assert accepted in (it - 1, it)
-    if dilation_every == 2:
-        assert wins > 0  # the dilation branch is exercised
 
     calls = []
     real = variational.stationarity
@@ -272,10 +235,10 @@ def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta, dilatio
         return real(*args)
 
     monkeypatch.setattr(variational, "stationarity", counted)
-    got = _descend(v0, g, beta, cfg, upper)
+    got = _descend(v0, g, beta, cfg)
     assert np.array_equal(got[0], values)
     assert got[1:4] == (quot, gnorm, it)
-    assert len(calls) == accepted + 1 + wins
+    assert len(calls) == accepted + 1
 
 
 def test_descent_stop_reasons():

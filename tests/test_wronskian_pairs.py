@@ -2,14 +2,17 @@
 families, the restricted ODE kernel, and the canonical deduplication form."""
 
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cssol import poly, wronskian_pairs
+from cssol.grid import Grid, GridField
 from cssol.poly import ComplexPolynomial, PairTransform
 from cssol.sampling import random_pair
+from cssol.soliton import VortexSpec
 from cssol.wronskian_pairs import (
     RESIDUAL_RTOL,
     SolutionFamily,
@@ -54,6 +57,20 @@ def test_pair_immutable_and_cached_w():
     assert p.W.close_to(ComplexPolynomial([0, 4.0]))
     with pytest.raises(AttributeError):
         p.P = ComplexPolynomial([1.0])
+
+
+def test_value_types_reject_any_attribute():
+    """Setting a field or any other name on a value type raises
+    FrozenInstanceError, an AttributeError."""
+    g = Grid(8.0, 64)
+    pair = WronskianPair([0, 0, 1.0], [2.0])
+    values = [g, GridField(g, np.zeros((64, 64))), ComplexPolynomial([1.0, 2.0]),
+              PairTransform(np.eye(2)), pair, VortexSpec(n=1),
+              SolutionFamily("Primitive", {}, pair, 0.0)]
+    for value in values:
+        for name in (fields(value)[0].name, "foo"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, 1)
 
 
 def test_w_has_its_exact_degree():
