@@ -19,7 +19,6 @@ from .grid import (
     _axis_deriv,
     Grid,
     GridField,
-    divergence,
     gradient,
     integrate,
     interior_mask,
@@ -37,14 +36,16 @@ class MagneticState:
     """One field u at flux beta: rho = |u|^2 and, built on first use, grad u,
     A[rho], D = (grad + i beta A) u, |D|^2 and Phi[rho], as owned arrays.
 
-    Readers use fields up, overwriting arrays a caller kept: D is built on
-    grad u's arrays, and stationarity sums A.D on D's, then drops D and A. A
-    dropped field is built again on its next read, with the same bits; so
-    grad u (kinetic, terms()) is read before D, and |D|^2 before
-    stationarity. At beta = 0, D is grad u and A is not built. The current
-    J = Im(conj(u) grad u) is not held: terms() forms A.J from it, and
-    stationarity's A* source 2 beta^2 A rho + 2 beta J is read off D alone
-    as the covariant current 2 beta Im(conj(u) D).
+    D is built on grad u's arrays, so reading D uses grad u up; stationarity
+    drops D and A without writing them. A dropped field is built again on
+    its next read, with the same bits; so grad u (kinetic, terms()) is read
+    before D, and |D|^2 before stationarity. At beta = 0, D is grad u and A
+    is not built. The current J = Im(conj(u) grad u) is not held: terms()
+    forms A.J from it, and stationarity's A* source 2 beta^2 A rho + 2 beta J
+    is read off D alone as the covariant current 2 beta Im(conj(u) D).
+
+    The pointwise products (i beta A u, A.J, |A|^2 rho, |D|^2, A.D) are made
+    one row block at a time (_by_rows), straight into the arrays they end in.
 
     Where both are needed A is built before grad u: at M = 256 that order
     builds A, grad u and D about 9% faster than the reverse, A alone 3-5%
@@ -73,15 +74,15 @@ class MagneticState:
 
     @cached_property
     def D(self):
-        """(grad + i beta A) u on grad u's arrays (a complex one for real u),
-        which stationarity overwrites; at beta = 0 it is grad u, which
-        stationarity leaves as it is, and A is not built"""
+        """(grad + i beta A) u on grad u's arrays (a complex one for real u);
+        at beta = 0 it is grad u, and A is not built"""
         A = self.A if self.beta != 0.0 else None
         grad = self.grad
         del self.grad
         if A is None:
             return grad
-        return tuple(_covariant(g, a, self.u.values, self.beta) for g, a in zip(grad, A))
+        return tuple(_covariant(self.u.grid, g, a, self.u.values, self.beta)
+                     for g, a in zip(grad, A))
 
     @cached_property
     def phi(self):
@@ -90,49 +91,59 @@ class MagneticState:
     @cached_property
     def d_sq(self):
         """|D|^2, the energy density"""
-        return _abs_sq_sum(*self.D)
+        return _abs_sq_sum(self.u.grid, *self.D)
 
     @cached_property
     def kinetic(self) -> float:
         """Trapezoid integral of |grad u|^2; needs no A"""
-        sq = _abs_sq_sum(*self.grad)
+        sq = _abs_sq_sum(self.u.grid, *self.grad)
         return float(integrate(GridField._own(self.u.grid, sq)))
 
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
-        their sum with weights 1, 2 beta, beta^2."""
-        (A1, A2), (g1, g2), u = self.A, self.grad, self.u.values
-        aj = A1 * _current(u, g1, 1.0)
-        aj += A2 * _current(u, g2, 1.0)
-        mm = A1**2
-        mm += A2**2
-        mm *= self.rho
-        return (self.kinetic,) + tuple(float(integrate(GridField._own(self.u.grid, v)))
-                                       for v in (aj, mm))
+        their sum with weights 1, 2 beta, beta^2. Each integrand is
+        integrated and dropped before the next is formed."""
+        (A1, A2), (g1, g2), u, g = self.A, self.grad, self.u.values, self.u.grid
+        kinetic = self.kinetic  # read first, so its integrand too is dropped before the next
+        aj = _by_rows(g, lambda o, a1, a2, v, d1, d2: np.add(
+            a1 * _current(v, d1, 1.0), a2 * _current(v, d2, 1.0), out=o), A1, A2, u, g1, g2)
+        aj = float(integrate(GridField._own(g, aj)))
+        mm = _by_rows(g, lambda o, a1, a2, r: np.multiply(a1**2 + a2**2, r, out=o),
+                      A1, A2, self.rho)
+        return kinetic, aj, float(integrate(GridField._own(g, mm)))
 
 
-def _covariant(g: np.ndarray, a: np.ndarray, u: np.ndarray, beta: float) -> np.ndarray:
-    """g + i beta a u, into g unless g is real; i beta a u is the one temporary"""
-    d = np.multiply(1j * beta, a)
-    d *= u
-    return np.add(g, d, out=g if np.iscomplexobj(g) else d)
+def _by_rows(grid: Grid, fn, *arrays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """fn(o, *blocks) on each row block (Grid.row_blocks) of the arrays: fn, a
+    pointwise map, writes into o, those rows of out (new and real by default),
+    the bits it would give on the whole arrays, with one block's temporaries"""
+    out = np.empty((grid.M, grid.M)) if out is None else out
+    for a, b in grid.row_blocks():
+        fn(out[a:b], *(x[a:b] for x in arrays))
+    return out
 
 
-def _current(u: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
-    """scale Im(conj(u) d)"""
+def _covariant(grid: Grid, g: np.ndarray, a: np.ndarray, u: np.ndarray, beta: float) -> np.ndarray:
+    """g + i beta a u, into g unless g is real; i beta a u is made one row block at a time"""
+    def block(o, g, a, u):
+        d = np.multiply(1j * beta, a)
+        d *= u
+        np.add(g, d, out=o)
+    out = g if np.iscomplexobj(g) else np.empty(g.shape, complex)
+    return _by_rows(grid, block, g, a, u, out=out)
+
+
+def _current(u: np.ndarray, d: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """scale Im(conj(u) d), into out if given"""
     p = np.conjugate(u, dtype=d.dtype)
     p *= d
-    return np.multiply(scale, p.imag)
+    return np.multiply(scale, p.imag, out=out)
 
 
-def _abs_sq_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a|^2 + |b|^2, squared and summed in place"""
-    out = np.abs(a)
-    out **= 2
-    sq = np.abs(b)
-    sq **= 2
-    out += sq
-    return out
+def _abs_sq_sum(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2, one row block at a time, |a|^2 in place"""
+    return _by_rows(grid, lambda o, x, y: np.add(np.square(np.abs(x, out=o), out=o),
+                                                 np.abs(y) ** 2, out=o), a, b)
 
 
 def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
@@ -143,28 +154,28 @@ def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     with D = (grad + i beta A) u, whose covariant current 2 beta Im(conj(u) D)
     is 2 beta^2 A rho + 2 beta J; at beta = 0 no kernel runs. The covariant
     Laplacian sum_j (d_j + i beta A_j) D_j, operands in the order written, is
-    summed over D's arrays, so a caller's state.D is overwritten at beta != 0;
-    the state drops D and A, and Astar runs last, when neither is live."""
+    summed into d_1 D_1's array, d_2 D_2 (row-local) and i beta A.D by row
+    blocks. D is not written; A is dropped before the A* sources, D before A*."""
     g, order, beta, u = state.u.grid, state.order, state.beta, state.u.values
     (D1, D2), (A1, A2) = state.D, (state.A if beta != 0.0 else (None, None))
     for name in ("D", "A"):  # used up here
         vars(state).pop(name, None)
-    # the divergence reads frozen views, so D itself stays writable
-    covlap = divergence(GridField._own(g, D1.view()), GridField._own(g, D2.view()), order).values
+    covlap = _axis_deriv(D1, 0, 1, order, g.h)
+    _by_rows(g, lambda o, d: np.add(o, _axis_deriv(d, 1, 1, order, g.h), out=o), D2, out=covlap)
+    GridField._own(g, covlap.view())  # the divergence's finite check; covlap stays writable
     if beta != 0.0:
-        F = [GridField._own(g, _current(u, d, 2.0 * beta)) for d in (D1, D2)]
-        ad = np.multiply(A1, D1, out=D1)
-        ad += np.multiply(A2, D2, out=D2)
-        np.multiply(1j * beta, ad, out=ad)
-        covlap = np.add(covlap, ad, out=ad)
-        del A1, A2, D1, D2  # Astar runs once D and A are freed
+        _by_rows(g, lambda o, a1, d1, a2, d2: np.add(o, 1j * beta * (a1 * d1 + a2 * d2), out=o),
+                 A1, D1, A2, D2, out=covlap)
+        del A1, A2
+        F = [GridField._own(g, _by_rows(g, lambda o, v, d: _current(v, d, 2.0 * beta, o), u, d))
+             for d in (D1, D2)]
+        del D1, D2  # Astar runs once D and A are freed
         s = a_star(*F).values
     # 2 gamma rho is made after Astar, so it is not live at Astar's peak
     potential = np.multiply(2.0 * gamma, state.rho)
     if beta != 0.0:
         potential = np.add(s, potential, out=potential)
-    # at beta = 0 covlap is the divergence's frozen array
-    out = np.negative(covlap, out=covlap if beta != 0.0 else None)
+    out = np.negative(covlap, out=covlap)
     out -= np.multiply(potential, u)
     return out
 
@@ -200,6 +211,7 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     mass = quadrature(u, 2)
     if mass <= 0:
         raise ValueError("zero field has no energy quotient")
+    quartic = quadrature(u, 4)  # read before the state's fields are live
     st = MagneticState(u, beta, order)
     # at beta = 0 the A terms have weight 0: A is not built for them. The
     # terms come first: building D for |D|^2 uses grad u up.
@@ -207,7 +219,6 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     total = integrate(GridField._own(u.grid, st.d_sq))
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
-    quartic = quadrature(u, 4)
     gap = total - 2.0 * np.pi * beta * quartic
     quotient = (kinetic + cross / mass + curvature / mass**2) * mass / quartic
     return EnergyReport(
@@ -233,14 +244,22 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    st = MagneticState(u, beta, order)
-    # at beta = 0 both weights are exactly 1: Phi is not built
-    w = st.beta * st.phi if st.beta else 0.0
-    if np.max(np.abs(2.0 * w)) > 700.0:
+    g, beta = u.grid, float(beta)
+    # at beta = 0 both weights are exactly 1: Phi is not built; the state,
+    # and its rho, is dropped once Phi is read
+    phi = MagneticState(u, beta, order).phi if beta else np.broadcast_to(0.0, u.values.shape)
+    # max |2 beta Phi| with no temporary: doubling is exact, rounding monotone
+    if 2.0 * abs(beta) * max(np.max(phi), -np.min(phi)) > 700.0:
         raise OverflowError("superpotential weight exponent exceeds 700")
-    g1, g2 = gradient(GridField._own(u.grid, np.exp(-sign * w) * u.values), order)
-    integrand = np.abs(g1.values + sign * 1j * g2.values) ** 2 * np.exp(2.0 * sign * w)
-    return float(integrate(GridField._own(u.grid, integrand)))
+    # the weights, e^{-+ beta Phi} u and the integrand are made one row block at a time
+    f = _by_rows(g, lambda o, p, v: np.multiply(np.exp(-sign * (beta * p)), v, out=o),
+                 phi, u.values, out=np.empty_like(u.values))
+    g1, g2 = gradient(GridField._own(g, f), order)
+    del f
+    integrand = _by_rows(g, lambda o, p, d1, d2: np.multiply(
+        np.abs(d1 + sign * 1j * d2) ** 2, np.exp(2.0 * sign * (beta * p)), out=o),
+        phi, g1.values, g2.values)
+    return float(integrate(GridField._own(g, integrand)))
 
 
 def el_residual(u: GridField, beta: float, gamma: float):

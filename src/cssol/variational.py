@@ -165,8 +165,10 @@ def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def _quotient(values: np.ndarray, g: Grid, beta: float):
-    """Quotient F = sum |D|^2 / sum rho^2 at unit mass, and the state it was read from."""
-    st = MagneticState(GridField(g, values), beta, ORDER)
+    """Quotient F = sum |D|^2 / sum rho^2 at unit mass, and the state it was
+    read from. values is checked and frozen, not copied: every caller passes
+    an array made for it."""
+    st = MagneticState(GridField._own(g, values), beta, ORDER)
     quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
     return float(quot), st
 
@@ -250,8 +252,10 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
 def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEstimate:
     """Projected gradient descent estimate of gamma*(beta).
 
-    Line-search trials evaluate only the quotient. The result is an upper
-    estimate of the infimum.
+    Line-search trials evaluate only the quotient. gamma_hat is the discrete
+    quotient of the field the descent ended on: it bounds the grid's
+    discrete infimum from above, not gamma*, which it falls far below where
+    the descent collapses to lattice scale (beta >= 4 on 12,128).
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -292,8 +296,9 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
 # -- structure scan --------------------------------------------------------
 
-# each gamma_hat is an early-stopped upper estimate, so a rise of gamma/beta
-# within this share of its value is not a monotonicity violation
+# each gamma_hat is the quotient of an early-stopped descent, above the grid's
+# discrete infimum by an unknown margin, so a rise of gamma/beta within this
+# share of its value is not a monotonicity violation
 SCAN_SLACK = 0.03
 
 

@@ -1,0 +1,53 @@
+"""Figures outside the acceptance gates, recorded for --figures=PATH (see
+conftest.py) at full precision, so two revisions can be compared figure by
+figure: the descent's gamma_hat, iterations, stop_reason and a SHA-256 of
+its minimizer on 12,128 at seed 1, and the identity checks on the 40,1024
+n = 1 ring. The ledger is a record, not a gate: these tests assert only that
+each value is finite and each stop_reason one the descent gives."""
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from cssol.functionals import el_residual, magnetic_energy, susy_rhs
+from cssol.grid import Grid
+from cssol.sampling import normalized
+from cssol.soliton import radial_ring
+from cssol.variational import DescentConfig, estimate_gamma
+
+STOP_REASONS = ("grad_tol", "plateau", "line_search", "max_iter")
+
+
+def _record(request, criterion, figures):
+    request.node.user_properties.append(("figures", {criterion: figures}))
+    numbers = [v for v in figures.values() if not isinstance(v, str)]
+    assert all(math.isfinite(v) for v in numbers), figures
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_descent_figures(request, beta):
+    est = estimate_gamma(beta, DescentConfig(grid=Grid(12.0, 128), seed=1))
+    _record(request, f"descent 12,128 seed 1 beta={beta:g}", {
+        "gamma_hat": est.gamma_hat,
+        "iterations": est.iterations,
+        "final_gradient_norm": est.final_gradient_norm,
+        "stop_reason": est.stop_reason,
+        "minimizer_sha256": hashlib.sha256(est.minimizer.values.tobytes()).hexdigest(),
+    })
+    assert est.stop_reason in STOP_REASONS
+
+
+def test_ring_identity_figures(request):
+    u = normalized(radial_ring(1).sample(Grid(40.0, 1024)))
+    res, lam = el_residual(u, 2.0, 4.0 * np.pi)
+    report = dataclasses.asdict(magnetic_energy(u, 2.0))
+    _record(request, "ring n=1 40,1024 beta=2", {
+        "el_residual": res,
+        "el_lambda": lam,
+        **{f"energy_{k}": v for k, v in report.items()},
+        "susy_rhs_plus": susy_rhs(u, 2.0, 1),
+        "susy_rhs_minus": susy_rhs(u, 2.0, -1),
+    })
