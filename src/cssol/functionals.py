@@ -1,12 +1,12 @@
 """Energy quantities and identity residuals for self-generated-field
-densities. MagneticState(u, beta, order) builds, on first use, what these
-read: rho = |u|^2, grad u, A[rho], the covariant gradient
-D = (grad + i beta A) u and Phi[rho]; stationarity(state, gamma) applies
-the Euler-Lagrange operator shared by the EL residual and the descent
-gradient. On these sit the magnetic energy and its decomposition (no Phi),
-the weighted-square (factorized) form of E_beta -+ 2 pi beta int |u|^4
-(the one reader of Phi), the stationarity residual, the Menger-Melnikov
-curvature, the Liouville residual and a battery of inequalities."""
+densities. MagneticState(u, beta, order) holds rho = |u|^2 and builds, on
+first use, what these read: A[rho] and the covariant gradient
+D = (grad + i beta A) u; stationarity(state, gamma) applies the
+Euler-Lagrange operator shared by the EL residual and the descent gradient.
+On these sit the magnetic energy and its decomposition (no Phi), the
+weighted-square (factorized) form of E_beta -+ 2 pi beta int |u|^4 (the one
+reader of Phi), the stationarity residual, the Menger-Melnikov curvature,
+the Liouville residual and a battery of inequalities."""
 
 from __future__ import annotations
 
@@ -33,23 +33,23 @@ HARDY_CONSTANT = 1.5
 
 
 class MagneticState:
-    """One field u at flux beta: rho = |u|^2 and, built on first use, grad u,
-    A[rho], D = (grad + i beta A) u, |D|^2 and Phi[rho], as owned arrays.
+    """One field u at flux beta: rho = |u|^2 and, built on first use, A[rho],
+    D = (grad + i beta A) u and |D|^2, as owned arrays.
 
-    D is built on grad u's arrays, so reading D uses grad u up; stationarity
-    drops D and A without writing them. A dropped field is built again on
-    its next read, with the same bits; so grad u (kinetic, terms()) is read
-    before D, and |D|^2 before stationarity. At beta = 0, D is grad u and A
-    is not built. The current J = Im(conj(u) grad u) is not held: terms()
-    forms A.J from it, and stationarity's A* source 2 beta^2 A rho + 2 beta J
-    is read off D alone as the covariant current 2 beta Im(conj(u) D).
+    stationarity drops D, A and |D|^2 without writing them; a dropped field
+    is built again on its next read, with the same bits. At beta = 0, D is
+    grad u and A is not built. Neither grad u nor the current
+    J = Im(conj(u) grad u) is held: terms() reads |grad u|^2 and A.J off D,
+    and stationarity's A* source 2 beta^2 A rho + 2 beta J is the covariant
+    current 2 beta Im(conj(u) D).
 
-    The pointwise products (i beta A u, A.J, |A|^2 rho, |D|^2, A.D) are made
-    one row block at a time (_by_rows), straight into the arrays they end in.
+    The pointwise products (i beta A u, A.Im(conj(u) D), |A|^2 rho, |D|^2,
+    A.D) are made one row block at a time (_by_rows), straight into the
+    arrays they end in.
 
-    Where both are needed A is built before grad u: at M = 256 that order
-    builds A, grad u and D about 9% faster than the reverse, A alone 3-5%
-    (measured single-threaded on a 2-core x86 VM)."""
+    A is built before grad u: at M = 256 that order builds A, grad u and D
+    about 9% faster than the reverse, A alone 3-5% (measured
+    single-threaded on a 2-core x86 VM)."""
 
     def __init__(self, u: GridField, beta: float, order: int = 4):
         self.u = u
@@ -59,58 +59,53 @@ class MagneticState:
         self.rho **= 2
 
     @cached_property
-    def grad(self):
-        """grad u as writable arrays, checked finite as gradient() checks them;
-        reading D overwrites them"""
-        v, h = self.u.values, self.u.grid.h
-        grad = tuple(_axis_deriv(v, axis, 1, self.order, h) for axis in (0, 1))
-        if not all(np.all(np.isfinite(d)) for d in grad):
-            raise ValueError("non-finite field values")
-        return grad
-
-    @cached_property
     def A(self):
         return tuple(a.values for a in vector_potential(GridField._own(self.u.grid, self.rho)))
 
     @cached_property
     def D(self):
-        """(grad + i beta A) u on grad u's arrays (a complex one for real u);
-        at beta = 0 it is grad u, and A is not built"""
+        """(grad + i beta A) u, i beta A u added onto grad u's arrays (a
+        complex one for real u), which are checked finite as gradient()
+        checks them; at beta = 0 it is grad u, and A is not built"""
         A = self.A if self.beta != 0.0 else None
-        grad = self.grad
-        del self.grad
+        v, h = self.u.values, self.u.grid.h
+        grad = tuple(_axis_deriv(v, axis, 1, self.order, h) for axis in (0, 1))
+        if not all(np.all(np.isfinite(d)) for d in grad):
+            raise ValueError("non-finite field values")
         if A is None:
             return grad
-        return tuple(_covariant(self.u.grid, g, a, self.u.values, self.beta)
-                     for g, a in zip(grad, A))
-
-    @cached_property
-    def phi(self):
-        return superpotential(GridField._own(self.u.grid, self.rho)).values
+        return tuple(_covariant(self.u.grid, g, a, v, self.beta) for g, a in zip(grad, A))
 
     @cached_property
     def d_sq(self):
         """|D|^2, the energy density"""
         return _abs_sq_sum(self.u.grid, *self.D)
 
-    @cached_property
-    def kinetic(self) -> float:
-        """Trapezoid integral of |grad u|^2; needs no A"""
-        sq = _abs_sq_sum(self.u.grid, *self.grad)
-        return float(integrate(GridField._own(self.u.grid, sq)))
-
     def terms(self):
         """Trapezoid integrals of |grad u|^2, A.J and |A|^2 rho: E_beta is
-        their sum with weights 1, 2 beta, beta^2. Each integrand is
-        integrated and dropped before the next is formed."""
-        (A1, A2), (g1, g2), u, g = self.A, self.grad, self.u.values, self.u.grid
-        kinetic = self.kinetic  # read first, so its integrand too is dropped before the next
-        aj = _by_rows(g, lambda o, a1, a2, v, d1, d2: np.add(
-            a1 * _current(v, d1, 1.0), a2 * _current(v, d2, 1.0), out=o), A1, A2, u, g1, g2)
-        aj = float(integrate(GridField._own(g, aj)))
-        mm = _by_rows(g, lambda o, a1, a2, r: np.multiply(a1**2 + a2**2, r, out=o),
-                      A1, A2, self.rho)
-        return kinetic, aj, float(integrate(GridField._own(g, mm)))
+        their sum with weights 1, 2 beta, beta^2. They are read off the
+        integrals of |D|^2, A.Im(conj(u) D) and |A|^2 rho by the pointwise
+        identities
+
+            |grad u|^2 = |D|^2 - 2 beta A.Im(conj(u) D) + beta^2 |A|^2 rho,
+            A.J = A.Im(conj(u) D) - beta |A|^2 rho,
+
+        so at beta = 0 they have the bits of the direct formulas; elsewhere
+        |grad u|^2 loses about eps beta^2 int |A|^2 rho / int |grad u|^2 of
+        its relative accuracy. The two products are integrated and dropped
+        before |D|^2 is formed and kept."""
+        (A1, A2), (D1, D2), u, g = self.A, self.D, self.u.values, self.u.grid
+        ad = _integral(g, _by_rows(g, lambda o, a1, a2, v, d1, d2: np.add(
+            a1 * _current(v, d1, 1.0), a2 * _current(v, d2, 1.0), out=o), A1, A2, u, D1, D2))
+        mm = _integral(g, _by_rows(g, lambda o, a1, a2, r: np.multiply(a1**2 + a2**2, r, out=o),
+                                   A1, A2, self.rho))
+        beta = self.beta
+        return _integral(g, self.d_sq) - 2.0 * beta * ad + beta**2 * mm, ad - beta * mm, mm
+
+
+def _integral(grid: Grid, values: np.ndarray) -> float:
+    """Trapezoid integral of an owned real array"""
+    return float(integrate(GridField._own(grid, values)))
 
 
 def _by_rows(grid: Grid, fn, *arrays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,14 +150,15 @@ def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     is 2 beta^2 A rho + 2 beta J; at beta = 0 no kernel runs. The covariant
     Laplacian sum_j (d_j + i beta A_j) D_j, operands in the order written, is
     summed into d_1 D_1's array, d_2 D_2 (row-local) and i beta A.D by row
-    blocks. D is not written; A is dropped before the A* sources, D before A*."""
+    blocks. D is not written; A is dropped before the A* sources, D before A*,
+    and |D|^2 at once."""
     g, order, beta, u = state.u.grid, state.order, state.beta, state.u.values
     (D1, D2), (A1, A2) = state.D, (state.A if beta != 0.0 else (None, None))
-    for name in ("D", "A"):  # used up here
+    for name in ("D", "A", "d_sq"):  # used up here
         vars(state).pop(name, None)
     covlap = _axis_deriv(D1, 0, 1, order, g.h)
     _by_rows(g, lambda o, d: np.add(o, _axis_deriv(d, 1, 1, order, g.h), out=o), D2, out=covlap)
-    GridField._own(g, covlap.view())  # the divergence's finite check; covlap stays writable
+    GridField._own(g, covlap.view())  # checks d1 D1 + d2 D2 finite; covlap stays writable
     if beta != 0.0:
         _by_rows(g, lambda o, a1, d1, a2, d2: np.add(o, 1j * beta * (a1 * d1 + a2 * d2), out=o),
                  A1, D1, A2, D2, out=covlap)
@@ -203,9 +199,10 @@ class EnergyReport:
 def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     """E_beta[u] with its kinetic / cross / curvature decomposition.
 
-    total is the quadrature of the covariant-gradient square; the three
-    decomposition terms sum to it identically (pointwise algebra), so the
-    decomposition invariant holds to rounding. No Phi is built: the
+    total is the quadrature of |D|^2, D = (grad + i beta A) u; the three
+    decomposition terms are read off D (MagneticState.terms) and sum to it
+    identically (pointwise algebra), so the decomposition invariant holds
+    to rounding. At beta = 0 no A is built. No Phi is built: the
     weighted-square form is susy_rhs.
     """
     mass = quadrature(u, 2)
@@ -213,10 +210,9 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
         raise ValueError("zero field has no energy quotient")
     quartic = quadrature(u, 4)  # read before the state's fields are live
     st = MagneticState(u, beta, order)
-    # at beta = 0 the A terms have weight 0: A is not built for them. The
-    # terms come first: building D for |D|^2 uses grad u up.
-    kinetic, aj, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
-    total = integrate(GridField._own(u.grid, st.d_sq))
+    # at beta = 0 the A terms have weight 0: A is not built for them
+    kinetic, aj, mm = st.terms() if beta != 0.0 else (_integral(u.grid, st.d_sq), 0.0, 0.0)
+    total = _integral(u.grid, st.d_sq)
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
     gap = total - 2.0 * np.pi * beta * quartic
@@ -239,15 +235,15 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
 
         int |(d1 +- i d2)(e^{-+ beta Phi} u)|^2 e^{+- 2 beta Phi},
 
-    with Phi = Phi[|u|^2]. The additive normalization of Phi cancels
-    exactly between the two weights.
+    with Phi = Phi[|u|^2], built here and at beta != 0 only. The additive
+    normalization of Phi cancels exactly between the two weights.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g, beta = u.grid, float(beta)
-    # at beta = 0 both weights are exactly 1: Phi is not built; the state,
-    # and its rho, is dropped once Phi is read
-    phi = MagneticState(u, beta, order).phi if beta else np.broadcast_to(0.0, u.values.shape)
+    # at beta = 0 both weights are exactly 1: Phi is not built
+    phi = (superpotential(GridField._own(g, np.abs(u.values) ** 2)).values if beta
+           else np.broadcast_to(0.0, u.values.shape))
     # max |2 beta Phi| with no temporary: doubling is exact, rounding monotone
     if 2.0 * abs(beta) * max(np.max(phi), -np.min(phi)) > 700.0:
         raise OverflowError("superpotential weight exponent exceeds 700")
@@ -259,7 +255,7 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     integrand = _by_rows(g, lambda o, p, d1, d2: np.multiply(
         np.abs(d1 + sign * 1j * d2) ** 2, np.exp(2.0 * sign * (beta * p)), out=o),
         phi, g1.values, g2.values)
-    return float(integrate(GridField._own(g, integrand)))
+    return _integral(g, integrand)
 
 
 def el_residual(u: GridField, beta: float, gamma: float):
@@ -268,16 +264,18 @@ def el_residual(u: GridField, beta: float, gamma: float):
         [-(grad + i beta A)^2 - 2 beta^2 Astar[A rho] - 2 beta Astar[J]
          - 2 gamma rho] u = lambda u,
 
-    with lambda = int [-|grad u|^2 + beta^2 |A|^2 rho], at stencil order 4
-    over the nodes at least 6 from the edge: the two derivative passes each
-    add the order-4 stencil's 2-node boundary ring, plus 2 nodes of margin.
-    Returns (residual_L2, lambda). Requires unit mass.
+    with lambda = int [-|grad u|^2 + beta^2 |A|^2 rho], the two integrals
+    read off D (MagneticState.terms; at beta = 0, int |D|^2 and no A), at
+    stencil order 4 over the nodes at least 6 from the edge: the two
+    derivative passes each add the order-4 stencil's 2-node boundary ring,
+    plus 2 nodes of margin. Returns (residual_L2, lambda). Requires unit
+    mass.
     """
     mass = quadrature(u, 2)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"field must have unit mass (got {mass:.8f})")
     st = MagneticState(u, beta)
-    kinetic, _, mm = st.terms() if beta != 0.0 else (st.kinetic, 0.0, 0.0)
+    kinetic, _, mm = st.terms() if beta != 0.0 else (_integral(u.grid, st.d_sq), 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
     res = stationarity(st, gamma)
     res -= lam * u.values
@@ -292,9 +290,7 @@ def menger_melnikov(rho: GridField) -> float:
     squared circumradius against rho x rho x rho / 6."""
     A1, A2 = vector_potential(rho)
     v = rho.values.real
-    return float(
-        integrate(GridField._own(rho.grid, (A1.values**2 + A2.values**2) * v))
-    )
+    return _integral(rho.grid, (A1.values**2 + A2.values**2) * v)
 
 
 def liouville_residual(pair: WronskianPair, grid: Grid) -> float:
@@ -345,7 +341,7 @@ def inequality_battery(u: GridField, beta: float) -> InequalityReport:
     quartic = quadrature(u, 4)
     kinetic, aj, mm = MagneticState(u, beta).terms()
     a1, a2 = gradient(GridField._own(u.grid, np.abs(u.values)))
-    grad_mod = float(integrate(GridField._own(u.grid, a1.values**2 + a2.values**2)))
+    grad_mod = _integral(u.grid, a1.values**2 + a2.values**2)
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
     total = kinetic + cross + curvature

@@ -219,25 +219,6 @@ def laplacian(field: GridField, order: int = 4) -> GridField:
     return GridField._own(field.grid, out)
 
 
-def _pair_sum(op, F: GridField, G: GridField, order: int) -> GridField:
-    """op(d1 F, d2 G), into d1 F's array unless G's complex values promote
-    it; the result is non-finite exactly when one of the two terms is, so it
-    alone is checked."""
-    h = F.grid.h
-    a = _axis_deriv(F.values, 0, 1, order, h)
-    b = _axis_deriv(G.values, 1, 1, order, h)
-    return GridField._own(F.grid, op(a, b, out=a if np.can_cast(b.dtype, a.dtype) else None))
-
-
-def curl(F1: GridField, F2: GridField, order: int = 4) -> GridField:
-    """Scalar curl of a planar vector field: d1 F2 - d2 F1."""
-    return _pair_sum(np.subtract, F2, F1, order)
-
-
-def divergence(F1: GridField, F2: GridField, order: int = 4) -> GridField:
-    return _pair_sum(np.add, F1, F2, order)
-
-
 def interior_mask(grid: Grid, margin: int) -> np.ndarray:
     m = np.zeros((grid.M, grid.M), dtype=bool)
     m[margin:-margin, margin:-margin] = True

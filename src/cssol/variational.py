@@ -24,7 +24,6 @@ from .wronskian_pairs import WronskianPair
 TOWNES_R = 30.0  # collocation domain [0, TOWNES_R]: tau(30) ~ 1e-13
 TOWNES_N = 120   # Chebyshev degree of the collocation solve
 TOWNES_TOL = 1e-10  # Newton stops once its step is at most this
-TAIL_R = 18.0  # TownesProfile reads the series up to here, the matched tail beyond
 _NEWTON_STEPS = 20
 
 
@@ -34,16 +33,9 @@ class TownesProfile:
     c_lgn: float  # pi int tau^2 r dr, half the Townes critical mass
 
     def __call__(self, radii):
-        """Evaluate tau at given radii: the series up to TAIL_R, an
-        exponential tail beyond."""
+        """Evaluate tau at given radii: the series up to TOWNES_R, 0 beyond."""
         radii = np.asarray(radii, dtype=float)
-        out = np.where(radii <= TAIL_R, self.series(np.clip(radii, 0, TAIL_R)), 0.0)
-        tail = radii > TAIL_R
-        if np.any(tail):
-            # tau ~ c e^{-r}/sqrt(r) matched at TAIL_R
-            c = self.series(TAIL_R) * np.sqrt(TAIL_R) * np.exp(TAIL_R)
-            out = np.where(tail, c * np.exp(-radii) / np.sqrt(np.maximum(radii, 1e-9)), out)
-        return out
+        return np.where(radii <= TOWNES_R, self.series(np.clip(radii, 0, TOWNES_R)), 0.0)
 
 
 def _chebyshev(n: int, length: float):

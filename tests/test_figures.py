@@ -1,17 +1,21 @@
 """Figures outside the acceptance gates, recorded for --figures=PATH (see
 conftest.py) at full precision, so two revisions can be compared figure by
 figure: the descent's gamma_hat, iterations, stop_reason and a SHA-256 of
-its minimizer on 12,128 at seed 1, and the identity checks on the 40,1024
-n = 1 ring. The ledger is a record, not a gate: these tests assert only that
-each value is finite and each stop_reason one the descent gives."""
+its minimizer on 12,128 at seed 1, the identity checks on the 40,1024
+n = 1 ring, and the computed rows of `cssol townes` (c_lgn, tau(0)) and of
+`cssol verify-soliton --vortex n=1` on its default grid. The ledger is a
+record, not a gate: these tests assert only that each value is finite and
+each stop_reason one the descent gives."""
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cssol.cli import main
 from cssol.functionals import el_residual, magnetic_energy, susy_rhs
 from cssol.grid import Grid
 from cssol.sampling import normalized
@@ -51,3 +55,11 @@ def test_ring_identity_figures(request):
         "susy_rhs_plus": susy_rhs(u, 2.0, 1),
         "susy_rhs_minus": susy_rhs(u, 2.0, -1),
     })
+
+
+@pytest.mark.parametrize("argv", [["townes"], ["verify-soliton", "--vortex", "n=1"]])
+def test_cli_row_figures(request, tmp_path, argv):
+    out = tmp_path / "rows.json"
+    main([*argv, "--out", str(out)])
+    rows = json.loads(out.read_text())
+    _record(request, "cssol " + " ".join(argv), {r["name"]: r["computed"] for r in rows})

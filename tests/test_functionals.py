@@ -18,7 +18,7 @@ from cssol.functionals import (
     stationarity,
     susy_rhs,
 )
-from cssol.grid import Grid, GridField, divergence, gradient, integrate, quadrature
+from cssol.grid import Grid, GridField, deriv, gradient, integrate, quadrature
 from cssol.kernels import a_star, superpotential, vector_potential
 from cssol.sampling import normalized, random_smooth_field
 from cssol.soliton import radial_ring
@@ -131,7 +131,7 @@ def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
     size, D is built on grad u's arrays, J is not held, the pointwise
     products are formed one row block at a time, and stationarity drops A
     before its A* sources and D before its A*.
-    magnetic_energy peaks with rho, A, grad u and one integrand live;
+    magnetic_energy peaks with rho, A, D and one integrand live;
     el_residual at A*, with rho, the covariant Laplacian, the two sources,
     the output and the workspace; vortex_ring_ratio samples its field first;
     susy_rhs holds Phi, e^{-+ beta Phi} u and its gradient. A kernel
@@ -148,31 +148,57 @@ def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_released_grad_is_rebuilt_with_the_same_bits(beta):
-    """Building D uses up grad u, writing D over its arrays, and the current
-    J is never held; stationarity uses up D and A but never writes D. A
-    dropped field is built again on its next read, with the same bits, so a
-    state that has been read gives the bits of a fresh one."""
+    """The state holds no grad u, current or Phi: at beta = 0 D is grad u.
+    stationarity uses up D, A and |D|^2 but never writes D. A dropped field
+    is built again on its next read, so a used state rebuilds D and A with
+    the bits of a fresh one, and its terms(), |D|^2 and stationarity too."""
     u = _field(3, Grid(8.0, 64))
     st = MagneticState(u, beta)
-    terms = st.terms()
-    assert "grad" in vars(st) and "current" not in vars(st)
-    grad = st.grad
+    terms, d_sq = st.terms(), np.array(st.d_sq)
     D = st.D
-    assert "grad" not in vars(st)
-    assert all(d is g for d, g in zip(D, grad))
+    assert set(vars(st)) == {"u", "beta", "order", "rho", "A", "D", "d_sq"}
+    if beta == 0.0:
+        for got, want in zip(D, gradient(u)):
+            assert np.array_equal(got, want.values)
     D_bits = [np.array(d) for d in D]
-    for got, want in zip(st.grad, gradient(u)):
-        assert np.array_equal(got, want.values)
-    assert st.D is D
     want = stationarity(MagneticState(u, beta), 3.0)
     assert np.array_equal(stationarity(st, 3.0), want)
-    assert "D" not in vars(st) and "A" not in vars(st)
+    assert not {"D", "A", "d_sq"} & set(vars(st))
     assert all(np.array_equal(d, b) for d, b in zip(D, D_bits))
     fresh = MagneticState(u, beta)
+    for got, want_f in zip((*st.D, *st.A), (*fresh.D, *fresh.A)):
+        assert np.array_equal(got, want_f)
     assert st.terms() == fresh.terms() == terms
-    for got, want_d in zip(st.D, fresh.D):
-        assert np.array_equal(got, want_d)
+    assert np.array_equal(st.d_sq, d_sq)
     assert np.array_equal(stationarity(st, 3.0), want)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 20.0])
+def test_decomposition_read_off_D_matches_the_direct_formulas(beta):
+    """int |grad u|^2 and int A.J, which terms() reads off D, match the
+    direct formulas with gradient(u) and J = Im(conj(u) grad u): to 1e-13
+    relative at beta != 0, bit for bit at beta = 0, for a complex and a real
+    field at unit mass (where J = 0, relative to beta int |A|^2 rho, the
+    term A.J is read as a difference from). kinetic + cross + curvature is
+    magnetic_energy's total_E_beta to 1e-14 relative. The kinetic term is a
+    difference too: at beta = 20 it reads 3.5e-14 off on the Gaussian, where
+    beta^2 int |A|^2 rho is 115 times it."""
+    g = Grid(12.0, 128)
+    X, Y = g.mesh()
+    for u in (_field(8, g), normalized(GridField(g, np.exp(-(X**2 + Y**2) / 4.0)))):
+        st = MagneticState(u, beta)
+        kinetic, aj, mm = st.terms()
+        grad = [d.values for d in gradient(u)]
+        want_kinetic = float(integrate(GridField(g, sum(np.abs(d) ** 2 for d in grad))))
+        J = [np.imag(np.conj(u.values) * d) for d in grad]
+        want_aj = float(integrate(GridField(g, sum(a * j for a, j in zip(st.A, J)))))
+        if beta == 0.0:
+            assert (kinetic, aj) == (want_kinetic, want_aj)
+        assert abs(kinetic - want_kinetic) <= 1e-13 * want_kinetic
+        assert abs(aj - want_aj) <= 1e-13 * max(abs(want_aj), beta * mm)
+        rep = magnetic_energy(u, beta)
+        total = rep.kinetic + rep.cross + rep.curvature
+        assert abs(total - rep.total_E_beta) <= 1e-14 * rep.total_E_beta
 
 
 @pytest.mark.parametrize("beta", [0.7, 2.0])
@@ -194,7 +220,8 @@ def test_covariant_current_is_the_astar_source(beta):
 def _full_array_reference(u, beta, gamma):
     """terms(), |D|^2, stationarity and susy_rhs(+-1) at order 4 by the
     whole-array formulas that the row-blocked products replaced: each
-    pointwise product over the whole M x M grid at once."""
+    pointwise product over the whole M x M grid at once, and the terms read
+    off the integrals of |D|^2, A.Im(conj(u) D) and |A|^2 rho."""
     g, v = u.grid, u.values
     rho = np.abs(v)
     rho **= 2
@@ -214,16 +241,17 @@ def _full_array_reference(u, beta, gamma):
 
     grad = [np.array(d.values) for d in gradient(u)]
     A1, A2 = (a.values for a in vector_potential(GridField(g, rho)))
-    aj = A1 * current(grad[0], 1.0)
-    aj += A2 * current(grad[1], 1.0)
-    mm = A1**2
-    mm += A2**2
-    mm *= rho
-    terms = tuple(float(integrate(GridField(g, f))) for f in (abs_sq_sum(*grad), aj, mm))
     D1, D2 = grad
     if beta != 0.0:
         D1, D2 = (np.add(d, np.multiply(1j * beta, a) * v) for d, a in zip(grad, (A1, A2)))
-    covlap = divergence(GridField(g, D1), GridField(g, D2)).values
+    ad = A1 * current(D1, 1.0)
+    ad += A2 * current(D2, 1.0)
+    mm = A1**2
+    mm += A2**2
+    mm *= rho
+    dd, ad, mm = (float(integrate(GridField(g, f))) for f in (abs_sq_sum(D1, D2), ad, mm))
+    terms = (dd - 2.0 * beta * ad + beta**2 * mm, ad - beta * mm, mm)
+    covlap = deriv(GridField(g, D1), 0).values + deriv(GridField(g, D2), 1).values
     potential = np.multiply(2.0 * gamma, rho)
     if beta != 0.0:
         F = [GridField(g, current(d, 2.0 * beta)) for d in (D1, D2)]

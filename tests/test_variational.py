@@ -41,18 +41,18 @@ def test_townes_profile_shape():
     prof = townes_profile()
     assert prof(0.0) == pytest.approx(2.2062, abs=1e-3)
     assert np.all(np.diff(prof(np.linspace(0.0, 25.0, 5001))) <= 0)
-    # callable evaluation with exponential tail
+    # the series itself out to r = 25
     assert 0 < prof(25.0) < 1e-9
 
 
 def test_townes_profile_evaluates_its_series():
-    """Up to TAIL_R the profile is its Chebyshev series, bit for bit; the
-    matched tail beyond is continuous there; and acceptance 5's figures
-    read as they are printed."""
-    prof, edge = townes_profile(), variational.TAIL_R
+    """Up to TOWNES_R the profile is its Chebyshev series, bit for bit, and
+    0 beyond; and acceptance 5's figures read as they are printed."""
+    prof, edge = townes_profile(), variational.TOWNES_R
     r = np.linspace(0.0, edge, 20001)
     assert np.array_equal(prof(r), prof.series(r))
-    assert prof(np.nextafter(edge, np.inf)) == pytest.approx(prof(edge), rel=1e-14)
+    beyond = np.nextafter(edge, np.inf) + np.array([0.0, 1.0, 100.0])
+    assert np.array_equal(prof(beyond), np.zeros(3))
     want = 0.931 * 2.0 * np.pi
     rel = abs(prof.c_lgn - want) / want
     c_rel = abs(prof.c_lgn - 5.8504482623) / 5.8504482623
