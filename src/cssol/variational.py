@@ -12,8 +12,9 @@ import numpy as np
 # numpy only: the Townes profile evaluates its Chebyshev series, and the start
 # noise blur is a numpy port, bit-identical to scipy.ndimage.gaussian_filter
 
-from .functionals import MagneticState, magnetic_energy, stationarity
-from .grid import Grid, GridField, integrate, quadrature
+from .functionals import MagneticState, _covariant, _current, magnetic_energy, stationarity
+from .grid import Grid, GridField, _axis_deriv, integrate, quadrature
+from .kernels import a_star
 from .soliton import Soliton, radial_ring
 from .wronskian_pairs import WronskianPair
 
@@ -127,6 +128,15 @@ def bounds(beta: float) -> tuple[float, float]:
 
 ORDER = 4  # finite-difference order of the descent's quotient and gradient
 START_NOISE = 0.05  # smoothed start perturbation, relative to max |start|
+# The descent stops on `ascent` where the exact slope along -grad exceeds
+# ASCENT_RTOL quot |grad|. Over 230 descents on 12,128 the slope's summands
+# added up to 1.1-4.7 quot |grad| in magnitude, so numpy's pairwise sums err
+# by at worst about log2(M^2) eps times that, 1.5e-14 quot |grad|. Summing them in
+# another order, with A[rho1] from vector_potential on rho1's two signed
+# parts, moved the slope by at most 1.3e-15 quot |grad|. The bound sits 8e4
+# times above that rounding, and 1.8e7 times below the smallest slope at
+# which those descents stopped (1.8e-3 quot |grad|).
+ASCENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ class GammaEstimate:
     upper_bound: float
     iterations: int
     final_gradient_norm: float
-    stop_reason: str  # of the winning start's descent; see _descend
+    stop_reason: str  # the winning start's: grad_tol, plateau, ascent, line_search or max_iter (_descend)
     minimizer: GridField
 
 
@@ -175,6 +185,44 @@ def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float):
     """The quotient and its projected gradient at values."""
     quot, st = _quotient(values, g, beta)
     return quot, _projected_grad(st, quot)
+
+
+def _slope(values: np.ndarray, d: np.ndarray, g: Grid, beta: float) -> float:
+    """Exact F'(0) of F(t) = _quotient(_norm_mass(values + t d)) at unit-mass
+    values, in _quotient's plain sums:
+
+        F'(0) = (2 Re sum conj(D).De - sum rho1 Astar[X] - 2 F sum rho rho1) / sum rho^2,
+
+    where e is d less its mass-normal part (what _norm_mass removes to first
+    order), De = (grad + i beta A) e with the quotient's own stencil,
+    rho1 = 2 Re(conj(u) e) and X = 2 beta Im(conj(u) D). The A[rho1] term of
+    the energy's derivative, sum A[rho1].X, is read through the adjoint
+    identity sum A[r].X = -sum r Astar[X], since A refuses the signed rho1:
+    one vector_potential and one a_star call, none at beta = 0. values is
+    checked and frozen, not copied."""
+    st = MagneticState(GridField._own(g, values), beta, ORDER)
+    u, h, A = st.u.values, g.h, (st.A if beta != 0.0 else None)
+    r2 = np.sum(st.rho**2)
+    quot = np.sum(st.d_sq) / r2
+    del st.d_sq
+    e = d - np.real(np.vdot(u, d)) * h**2 * u
+    num = 0.0
+    for axis, D in enumerate(st.D):
+        de = _axis_deriv(e, axis, 1, ORDER, h)
+        if A is not None:
+            de = _covariant(g, de, A[axis], e, beta)
+        num += 2.0 * np.vdot(D, de).real
+    del de
+    rho1 = np.multiply(u.real, e.real)
+    rho1 += u.imag * e.imag
+    rho1 *= 2.0
+    del e
+    if A is not None:
+        X = [GridField._own(g, _current(u, D, 2.0 * beta)) for D in st.D]
+        del A, D, st.A, st.D  # Astar runs once D and A are freed
+        num -= np.vdot(rho1, a_star(*X).values)
+    num -= 2.0 * quot * np.vdot(st.rho, rho1)
+    return float(num / r2)
 
 
 def _townes_start(g: Grid) -> np.ndarray:
@@ -208,22 +256,34 @@ def _blur(v: np.ndarray) -> np.ndarray:
 
 def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
     """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
-    Trials read only the quotient; stop_reason: grad_tol, plateau, line_search, max_iter."""
+
+    Trials read only the quotient: each iteration halves the step along -grad
+    up to 30 times until the quotient falls. When the first trial is
+    rejected, the exact slope along -grad (_slope) is read: above its
+    rounding bound ASCENT_RTOL quot |grad|, -grad ascends the discrete
+    quotient and the descent stops. stop_reason is grad_tol, plateau,
+    ascent (that slope stop), line_search (30 rejected trials at a slope
+    within the bound) or max_iter."""
     quot, grad = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
     it, stop = 0, "max_iter"
     for it in range(1, cfg.max_iter + 1):
-        for _ in range(30):
+        for k in range(30):
             trial = _norm_mass(values - step * grad, g)
             tq, state = _quotient(trial, g, beta)
             if tq < quot:
                 break
-            del state  # a rejected trial's state dies with the trial
+            del trial, state  # a rejected trial dies with its state
+            # the slope along -grad: negating grad's is exact and copies nothing
+            if k == 0 and -_slope(values, grad, g, beta) > ASCENT_RTOL * quot * gnorm:
+                stop = "ascent"
+                break
             step *= 0.5
         else:
             stop = "line_search"
+        if stop != "max_iter":  # no trial was accepted
             break
         values, quot, grad = trial, tq, _projected_grad(state, tq)
         del state
@@ -248,6 +308,9 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     quotient of the field the descent ended on: it bounds the grid's
     discrete infimum from above, not gamma*, which it falls far below where
     the descent collapses to lattice scale (beta >= 4 on 12,128).
+    stop_reason is the winning start's (_descend): on 12,128 at beta <= 3
+    every descent stops on ascent, where -grad ascends the discrete quotient
+    near the grid's edge, not at a minimizer.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")

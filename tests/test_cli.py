@@ -189,13 +189,14 @@ def test_scan_not_strictly_increasing_exits_2(betas, capsys):
 def test_estimate_gamma_and_scan_exit_1_below_the_sandwich(monkeypatch, capsys,
                                                            factor, code):
     """estimate-gamma and scan report a gamma_hat below 0.97 times the lower
-    bound, and exit 1; at the lower bound they exit 0."""
+    bound, and exit 1; at the lower bound they exit 0, on an ascent stop as
+    on any other."""
     lower, upper = variational.bounds(1.0)
     gamma = factor * lower
-    est = variational.GammaEstimate(1.0, gamma, lower, upper, 1, 0.0, "line_search",
+    est = variational.GammaEstimate(1.0, gamma, lower, upper, 1, 0.0, "ascent",
                                     GridField(Grid(4.0, 16), np.zeros((16, 16))))
     scan = variational.ScanResult(
-        (variational.ScanRow(1.0, lower, upper, gamma, gamma, "line_search"),), (), ())
+        (variational.ScanRow(1.0, lower, upper, gamma, gamma, "ascent"),), (), ())
     monkeypatch.setattr(variational, "estimate_gamma", lambda beta, cfg: est)
     monkeypatch.setattr(variational, "structure_scan", lambda betas, cfg: scan)
     assert run(["estimate-gamma", "--beta", "1"]) == code

@@ -2,10 +2,11 @@
 conftest.py) at full precision, so two revisions can be compared figure by
 figure: the descent's gamma_hat, iterations, stop_reason and a SHA-256 of
 its minimizer on 12,128 at seed 1, the identity checks on the 40,1024
-n = 1 ring, and the computed rows of `cssol townes` (c_lgn, tau(0)) and of
-`cssol verify-soliton --vortex n=1` on its default grid. The ledger is a
-record, not a gate: these tests assert only that each value is finite and
-each stop_reason one the descent gives."""
+n = 1 ring, the computed rows of `cssol townes` (c_lgn, tau(0)) and of
+`cssol verify-soliton --vortex n=1` on its default grid, the Liouville
+residual of four seeded pairs and the solve_generic family counts per k of
+a fixed list of f. The ledger is a record, not a gate: these tests assert
+only that each value is finite and each stop_reason one the descent gives."""
 
 import dataclasses
 import hashlib
@@ -15,14 +16,17 @@ import math
 import numpy as np
 import pytest
 
+from cssol import poly
 from cssol.cli import main
-from cssol.functionals import el_residual, magnetic_energy, susy_rhs
+from cssol.functionals import el_residual, liouville_residual, magnetic_energy, susy_rhs
 from cssol.grid import Grid
-from cssol.sampling import normalized
+from cssol.poly import ComplexPolynomial
+from cssol.sampling import normalized, random_pair
 from cssol.soliton import radial_ring
 from cssol.variational import DescentConfig, estimate_gamma
+from cssol.wronskian_pairs import solve_generic
 
-STOP_REASONS = ("grad_tol", "plateau", "line_search", "max_iter")
+STOP_REASONS = ("grad_tol", "plateau", "ascent", "line_search", "max_iter")
 
 
 def _record(request, criterion, figures):
@@ -63,3 +67,30 @@ def test_cli_row_figures(request, tmp_path, argv):
     main([*argv, "--out", str(out)])
     rows = json.loads(out.read_text())
     _record(request, "cssol " + " ".join(argv), {r["name"]: r["computed"] for r in rows})
+
+
+def test_liouville_residual_figures(request):
+    g = Grid(8.0, 256)
+    _record(request, "liouville_residual 8,256", {
+        f"seed {seed}": liouville_residual(
+            random_pair(np.random.default_rng(seed), max_degree=4), g)
+        for seed in range(4)})
+
+
+def test_family_count_figures(request):
+    """Families per k. z^5+1 reads [1, 4, 5], though it has only one k = 1
+    family (ROADMAP item 7)."""
+    rng = np.random.default_rng(5)
+    cases = {
+        "z^5+1": ComplexPolynomial([1.0, 0, 0, 0, 0, 1.0]),
+        "z^3+1": ComplexPolynomial([1.0, 0, 0, 1.0]),
+        "(z-1)^2(z+1)(z-2)": poly.from_roots([1.0, 1.0, -1.0, 2.0]),
+        **{f"real roots deg {d}": poly.from_roots(rng.standard_normal(d)) for d in (6, 7, 8)},
+    }
+    figures = {}
+    for name, f in cases.items():
+        counts = [0] * (f.degree // 2 + 1)
+        for fam in solve_generic(f):
+            counts[fam.parameters["k"]] += 1
+        figures.update({f"{name} k={k}": n for k, n in enumerate(counts)})
+    _record(request, "solve_generic families per k", figures)

@@ -242,12 +242,12 @@ def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta):
 
 
 def test_descent_stop_reasons():
-    """line_search is why every descent stops today; a huge grad_tol stops
-    on the gradient, a huge plateau_tol on the plateau, max_iter=1 on the
-    iteration cap."""
+    """ascent (-grad ascends the discrete quotient) is why every descent
+    stops today; a huge grad_tol stops on the gradient, a huge plateau_tol
+    on the plateau, max_iter=1 on the iteration cap."""
     g = Grid(12.0, 64)
     cfg = DescentConfig(grid=g, seed=1)
-    assert estimate_gamma(0.0, cfg).stop_reason == "line_search"
+    assert estimate_gamma(0.0, cfg).stop_reason == "ascent"
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, grad_tol=1e9))
     assert (est.stop_reason, est.iterations) == ("grad_tol", 1)
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, plateau_tol=1e9,
@@ -255,6 +255,79 @@ def test_descent_stop_reasons():
     assert (est.stop_reason, est.iterations) == ("plateau", 1)
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, max_iter=1))
     assert (est.stop_reason, est.iterations) == ("max_iter", 1)
+
+
+def _seed1_starts(monkeypatch, beta, g):
+    """The two starts that estimate_gamma(beta) descends from at seed 1."""
+    starts = []
+
+    def record(values, *args):
+        starts.append(values)
+        return values, 0.0, 0.0, 0, "max_iter"
+
+    with monkeypatch.context() as m:
+        m.setattr(variational, "_descend", record)
+        estimate_gamma(beta, DescentConfig(grid=g, seed=1))
+    return starts
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_ascent_stop_changes_nothing_but_the_stop_reason(monkeypatch, beta):
+    """With the slope read as 0, the descent halves 30 times and stops on
+    line_search: the values, quotient, gradient norm and iterations are
+    those of the ascent stop, bit for bit."""
+    g = Grid(12.0, 128)
+    cfg = DescentConfig(grid=g, seed=1)
+    starts = _seed1_starts(monkeypatch, beta, g)
+    got = [_descend(v, g, beta, cfg) for v in starts]
+    monkeypatch.setattr(variational, "_slope", lambda *args: 0.0)
+    for v, ascent in zip(starts, got):
+        ref = _descend(v, g, beta, cfg)
+        assert (ascent[4], ref[4]) == ("ascent", "line_search")
+        assert np.array_equal(ascent[0], ref[0])
+        assert ascent[1:4] == ref[1:4]
+
+
+def test_ascent_stop_saves_the_failed_line_searches(monkeypatch):
+    """estimate_gamma(1) on 12,128 made 99 quotient evaluations when each
+    descent ended on 30 rejected trials; the ascent stop reads one."""
+    calls = []
+    real = variational._quotient
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(variational, "_quotient", counted)
+    estimate_gamma(1.0, DescentConfig(grid=Grid(12.0, 128), seed=1))
+    assert len(calls) <= 45
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_slope_matches_central_differences(beta):
+    """_slope is the derivative of the quotient along a line: central
+    differences approach it as t^2, along -grad and along a smooth random
+    complex direction that reaches the boundary ring."""
+    g = Grid(12.0, 128)
+    Z = g.zmesh()
+    v = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
+    grad = _quotient_and_grad(v, g, beta)[1]
+    noise = np.random.default_rng(3).standard_normal((2, g.M, g.M))
+    rand = _blur(noise[0]) + 1j * _blur(noise[1])
+    ring = np.ones((g.M, g.M), bool)
+    ring[2:-2, 2:-2] = False
+    assert np.sum(np.abs(rand[ring]) ** 2) > 0.02 * np.sum(np.abs(rand) ** 2)
+
+    def quotient(w):
+        return variational._quotient(_norm_mass(w, g), g, beta)[0]
+
+    for d in (-grad, rand):
+        d = _norm_mass(d, g)  # unit L2 norm, as the field
+        s = variational._slope(v, d, g, beta)
+        err = [abs((quotient(v + t * d) - quotient(v - t * d)) / (2.0 * t) - s) / abs(s)
+               for t in (1e-4, 1e-5)]
+        assert err[1] <= 2e-6
+        assert err[0] >= 50.0 * err[1]
 
 
 def test_structure_scan_validation():
