@@ -278,7 +278,7 @@ def cmd_estimate_gamma(args) -> int:
         save_field(est.minimizer, args.field_out)
     payload = {k: getattr(est, k) for k in (
         "beta", "gamma_hat", "lower_bound", "upper_bound", "iterations",
-        "final_gradient_norm", "stop_reason")}
+        "final_gradient_norm", "stop_reason", "ascent_slope")}
     sandwiched = (est.lower_bound * 0.97 <= est.gamma_hat
                   <= est.upper_bound * 1.03)
     return _report(args, payload, sandwiched)

@@ -247,14 +247,14 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     # max |2 beta Phi| with no temporary: doubling is exact, rounding monotone
     if 2.0 * abs(beta) * max(np.max(phi), -np.min(phi)) > 700.0:
         raise OverflowError("superpotential weight exponent exceeds 700")
-    # the weights, e^{-+ beta Phi} u and the integrand are made one row block at a time
+    # the weights, e^{-+ beta Phi} u, d2 of it (row-local) and the integrand are
+    # made one row block at a time; a non-finite d1 or d2 fails the integral's check
     f = _by_rows(g, lambda o, p, v: np.multiply(np.exp(-sign * (beta * p)), v, out=o),
                  phi, u.values, out=np.empty_like(u.values))
-    g1, g2 = gradient(GridField._own(g, f), order)
-    del f
-    integrand = _by_rows(g, lambda o, p, d1, d2: np.multiply(
-        np.abs(d1 + sign * 1j * d2) ** 2, np.exp(2.0 * sign * (beta * p)), out=o),
-        phi, g1.values, g2.values)
+    d1 = _axis_deriv(f, 0, 1, order, g.h)
+    integrand = _by_rows(g, lambda o, p, d1, f: np.multiply(
+        np.abs(d1 + sign * 1j * _axis_deriv(f, 1, 1, order, g.h)) ** 2,
+        np.exp(2.0 * sign * (beta * p)), out=o), phi, d1, f)
     return _integral(g, integrand)
 
 

@@ -56,19 +56,26 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
                         min_width: float = 1.0) -> GridField:
     """Random smooth complex field: a sum of 4 complex Gaussian bumps with
     gentle phase ramps, supported well inside the grid. Each bump's centre
-    is uniform in the square [-L/4, L/4]^2 and its width uniform in
-    [min_width, 2.5]."""
-    Z = grid.zmesh()
-    u = np.zeros_like(Z)
+    c is uniform in the square [-L/4, L/4]^2, its width w uniform in
+    [min_width, 2.5], its amplitude a and ramp k complex normal.
+
+    A bump a exp(-|z - c|^2 / 2w^2 + i (Re k Re(z - c) + Im k Im(z - c)))
+    is the outer product ex[:, None] * ey of two axis vectors,
+    ex = a exp(-dx^2 / 2w^2 + i Re k dx) and ey = exp(-dy^2 / 2w^2 + i Im k dy)
+    with dx = x - Re c and dy = y - Im c: 2M complex exps per bump, not M^2.
+    The values are those of the bump sampled on the whole mesh to rounding."""
+    x = grid.axis
+    u = np.zeros((grid.M, grid.M), dtype=complex)
     for _ in range(4):
         center = grid.L / 4.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         width = rng.uniform(min_width, 2.5)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         k = 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
-        d = Z - center
-        u += amp * np.exp(-np.abs(d) ** 2 / (2.0 * width**2)
-                          + 1j * (k.real * d.real + k.imag * d.imag))
-    return GridField(grid, u)
+        dx, dy = x - center.real, x - center.imag
+        ex = amp * np.exp(-dx**2 / (2.0 * width**2) + 1j * k.real * dx)
+        ey = np.exp(-dy**2 / (2.0 * width**2) + 1j * k.imag * dy)
+        u += ex[:, None] * ey
+    return GridField._own(grid, u)
 
 
 def normalized(field: GridField) -> GridField:
@@ -78,4 +85,4 @@ def normalized(field: GridField) -> GridField:
     m = quadrature(field, 2)
     if m <= 0:
         raise ValueError("cannot normalize the zero field")
-    return field.map(lambda v: v / np.sqrt(m))
+    return GridField._own(field.grid, field.values / np.sqrt(m))

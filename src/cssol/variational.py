@@ -159,6 +159,7 @@ class GammaEstimate:
     final_gradient_norm: float
     stop_reason: str  # the winning start's: grad_tol, plateau, ascent, line_search or max_iter (_descend)
     minimizer: GridField
+    ascent_slope: float | None = None  # F'(0) along -grad at an ascent stop, else None
 
 
 def _norm_mass(values: np.ndarray, g: Grid) -> np.ndarray:
@@ -255,7 +256,8 @@ def _blur(v: np.ndarray) -> np.ndarray:
 
 
 def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
-    """Projected descent: (values, quotient, gradient norm, iterations, stop_reason).
+    """Projected descent: (values, quotient, gradient norm, iterations,
+    stop_reason, ascent_slope).
 
     Trials read only the quotient: each iteration halves the step along -grad
     up to 30 times until the quotient falls. When the first trial is
@@ -263,12 +265,13 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
     rounding bound ASCENT_RTOL quot |grad|, -grad ascends the discrete
     quotient and the descent stops. stop_reason is grad_tol, plateau,
     ascent (that slope stop), line_search (30 rejected trials at a slope
-    within the bound) or max_iter."""
+    within the bound) or max_iter. ascent_slope is the slope along -grad
+    that made an ascent stop, None at every other stop."""
     quot, grad = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
-    it, stop = 0, "max_iter"
+    it, stop, ascent_slope = 0, "max_iter", None
     for it in range(1, cfg.max_iter + 1):
         for k in range(30):
             trial = _norm_mass(values - step * grad, g)
@@ -277,9 +280,11 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
                 break
             del trial, state  # a rejected trial dies with its state
             # the slope along -grad: negating grad's is exact and copies nothing
-            if k == 0 and -_slope(values, grad, g, beta) > ASCENT_RTOL * quot * gnorm:
-                stop = "ascent"
-                break
+            if k == 0:
+                slope = -_slope(values, grad, g, beta)
+                if slope > ASCENT_RTOL * quot * gnorm:
+                    stop, ascent_slope = "ascent", slope
+                    break
             step *= 0.5
         else:
             stop = "line_search"
@@ -298,7 +303,7 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
                 < cfg.plateau_tol * abs(quot)):
             stop = "plateau"
             break
-    return values, quot, gnorm, it, stop
+    return values, quot, gnorm, it, stop, ascent_slope
 
 
 def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEstimate:
@@ -310,7 +315,8 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     the descent collapses to lattice scale (beta >= 4 on 12,128).
     stop_reason is the winning start's (_descend): on 12,128 at beta <= 3
     every descent stops on ascent, where -grad ascends the discrete quotient
-    near the grid's edge, not at a minimizer.
+    near the grid's edge, not at a minimizer; ascent_slope is then the
+    slope along -grad that stopped it.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -336,7 +342,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         out = _descend(v0, g, beta, cfg)
         if best is None or out[1] < best[1]:
             best = out
-    v, q, gn, it, stop = best
+    v, q, gn, it, stop, slope = best
     return GammaEstimate(
         beta=float(beta),
         gamma_hat=float(q),
@@ -346,6 +352,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
         final_gradient_norm=float(gn),
         stop_reason=stop,
         minimizer=GridField(g, v),
+        ascent_slope=slope,
     )
 
 

@@ -228,7 +228,8 @@ MATRIX = {
     "estimate-gamma": (["--beta", "0", "--grid", "12,128"], 0,
                        {"": ["beta", "gamma_hat", "lower_bound",
                              "upper_bound", "iterations",
-                             "final_gradient_norm", "stop_reason"]}),
+                             "final_gradient_norm", "stop_reason",
+                             "ascent_slope"]}),
     "scan": (["--betas", "1", "--grid", "12,128"], 0,
              {"": SCAN_HEADER, "--json": ["rows", "lipschitz", "monotone"],
               "--csv": SCAN_HEADER}),

@@ -1,12 +1,14 @@
 """Figures outside the acceptance gates, recorded for --figures=PATH (see
 conftest.py) at full precision, so two revisions can be compared figure by
-figure: the descent's gamma_hat, iterations, stop_reason and a SHA-256 of
-its minimizer on 12,128 at seed 1, the identity checks on the 40,1024
-n = 1 ring, the computed rows of `cssol townes` (c_lgn, tau(0)) and of
-`cssol verify-soliton --vortex n=1` on its default grid, the Liouville
-residual of four seeded pairs and the solve_generic family counts per k of
-a fixed list of f. The ledger is a record, not a gate: these tests assert
-only that each value is finite and each stop_reason one the descent gives."""
+figure: the descent's gamma_hat, iterations, stop_reason, ascent slope and
+a SHA-256 of its minimizer on 12,128 at seed 1, the identity checks on the
+40,1024 n = 1 ring, the computed rows of `cssol townes` (c_lgn, tau(0)), of
+`cssol verify-soliton --vortex n=1` and of `cssol verify-identities`
+(seeded smooth fields) on their default grids, the Liouville residual of
+four seeded pairs and the solve_generic family counts per k of a fixed list
+of f. The ledger is a record, not a gate: these tests assert only that each
+number is finite (a slope may be None) and each stop_reason one the descent
+gives."""
 
 import dataclasses
 import hashlib
@@ -31,7 +33,7 @@ STOP_REASONS = ("grad_tol", "plateau", "ascent", "line_search", "max_iter")
 
 def _record(request, criterion, figures):
     request.node.user_properties.append(("figures", {criterion: figures}))
-    numbers = [v for v in figures.values() if not isinstance(v, str)]
+    numbers = [v for v in figures.values() if v is not None and not isinstance(v, str)]
     assert all(math.isfinite(v) for v in numbers), figures
 
 
@@ -43,6 +45,7 @@ def test_descent_figures(request, beta):
         "iterations": est.iterations,
         "final_gradient_norm": est.final_gradient_norm,
         "stop_reason": est.stop_reason,
+        "ascent_slope": est.ascent_slope,
         "minimizer_sha256": hashlib.sha256(est.minimizer.values.tobytes()).hexdigest(),
     })
     assert est.stop_reason in STOP_REASONS
@@ -61,7 +64,8 @@ def test_ring_identity_figures(request):
     })
 
 
-@pytest.mark.parametrize("argv", [["townes"], ["verify-soliton", "--vortex", "n=1"]])
+@pytest.mark.parametrize("argv", [["townes"], ["verify-soliton", "--vortex", "n=1"],
+                                  ["verify-identities"]])
 def test_cli_row_figures(request, tmp_path, argv):
     out = tmp_path / "rows.json"
     main([*argv, "--out", str(out)])

@@ -118,7 +118,7 @@ _M1024_CHECKS = {
     "el_residual": (lambda: el_residual(_ring_1024(), 2.0, 4.0 * np.pi), 5.25),  # 5.19
     "vortex_ring_ratio": (lambda: vortex_ring_ratio(1, 1.0, Grid(24.0, 1024)), 5.25),  # 5.06
     "susy_rhs": (lambda: (susy_rhs(_ring_1024(), 2.0, 1), susy_rhs(_ring_1024(), 2.0, -1)),
-                 3.75),  # 3.56
+                 3.44),  # 3.19
 }
 
 
@@ -134,7 +134,8 @@ def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
     magnetic_energy peaks with rho, A, D and one integrand live;
     el_residual at A*, with rho, the covariant Laplacian, the two sources,
     the output and the workspace; vortex_ring_ratio samples its field first;
-    susy_rhs holds Phi, e^{-+ beta Phi} u and its gradient. A kernel
+    susy_rhs holds Phi, e^{-+ beta Phi} u, its d1 and the integrand, with
+    d2 made one row block at a time into the integrand. A kernel
     call on a small grid runs in between, as other grids do in a benchmark
     round."""
     check, fields = _M1024_CHECKS[name]

@@ -243,18 +243,21 @@ def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta):
 
 def test_descent_stop_reasons():
     """ascent (-grad ascends the discrete quotient) is why every descent
-    stops today; a huge grad_tol stops on the gradient, a huge plateau_tol
-    on the plateau, max_iter=1 on the iteration cap."""
+    stops today, and the estimate carries the slope above its bound that
+    stopped it; a huge grad_tol stops on the gradient, a huge plateau_tol
+    on the plateau, max_iter=1 on the iteration cap, each with no slope."""
     g = Grid(12.0, 64)
     cfg = DescentConfig(grid=g, seed=1)
-    assert estimate_gamma(0.0, cfg).stop_reason == "ascent"
+    est = estimate_gamma(0.0, cfg)
+    assert est.stop_reason == "ascent"
+    assert est.ascent_slope > variational.ASCENT_RTOL * est.gamma_hat * est.final_gradient_norm
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, grad_tol=1e9))
-    assert (est.stop_reason, est.iterations) == ("grad_tol", 1)
+    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("grad_tol", 1, None)
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, plateau_tol=1e9,
                                             plateau_window=1))
-    assert (est.stop_reason, est.iterations) == ("plateau", 1)
+    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("plateau", 1, None)
     est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, max_iter=1))
-    assert (est.stop_reason, est.iterations) == ("max_iter", 1)
+    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("max_iter", 1, None)
 
 
 def _seed1_starts(monkeypatch, beta, g):
@@ -263,7 +266,7 @@ def _seed1_starts(monkeypatch, beta, g):
 
     def record(values, *args):
         starts.append(values)
-        return values, 0.0, 0.0, 0, "max_iter"
+        return values, 0.0, 0.0, 0, "max_iter", None
 
     with monkeypatch.context() as m:
         m.setattr(variational, "_descend", record)
@@ -274,8 +277,8 @@ def _seed1_starts(monkeypatch, beta, g):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_ascent_stop_changes_nothing_but_the_stop_reason(monkeypatch, beta):
     """With the slope read as 0, the descent halves 30 times and stops on
-    line_search: the values, quotient, gradient norm and iterations are
-    those of the ascent stop, bit for bit."""
+    line_search, with no slope: the values, quotient, gradient norm and
+    iterations are those of the ascent stop, bit for bit."""
     g = Grid(12.0, 128)
     cfg = DescentConfig(grid=g, seed=1)
     starts = _seed1_starts(monkeypatch, beta, g)
@@ -284,6 +287,7 @@ def test_ascent_stop_changes_nothing_but_the_stop_reason(monkeypatch, beta):
     for v, ascent in zip(starts, got):
         ref = _descend(v, g, beta, cfg)
         assert (ascent[4], ref[4]) == ("ascent", "line_search")
+        assert ascent[5] > 0.0 and ref[5] is None
         assert np.array_equal(ascent[0], ref[0])
         assert ascent[1:4] == ref[1:4]
 
