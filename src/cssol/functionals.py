@@ -34,7 +34,8 @@ HARDY_CONSTANT = 1.5
 
 class MagneticState:
     """One field u at flux beta: rho = |u|^2 and, built on first use, A[rho],
-    D = (grad + i beta A) u and |D|^2, as owned arrays.
+    D = (grad + i beta A) u and |D|^2, as owned arrays. covariant(v) is the
+    one place that forms (grad + i beta A) v: D is covariant(u).
 
     stationarity drops D, A and |D|^2 without writing them; a dropped field
     is built again on its next read, with the same bits. At beta = 0, D is
@@ -64,17 +65,22 @@ class MagneticState:
 
     @cached_property
     def D(self):
-        """(grad + i beta A) u, i beta A u added onto grad u's arrays (a
-        complex one for real u), which are checked finite as gradient()
-        checks them; at beta = 0 it is grad u, and A is not built"""
-        A = self.A if self.beta != 0.0 else None
-        v, h = self.u.values, self.u.grid.h
-        grad = tuple(_axis_deriv(v, axis, 1, self.order, h) for axis in (0, 1))
-        if not all(np.all(np.isfinite(d)) for d in grad):
+        """covariant(u), checked finite as gradient() checks its arrays"""
+        D = self.covariant(self.u.values)
+        if not all(np.all(np.isfinite(d)) for d in D):
             raise ValueError("non-finite field values")
+        return D
+
+    def covariant(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grad + i beta A) v with the state's stencil order and A, i beta A v
+        added onto grad v's arrays (complex ones for real v); at beta = 0 it
+        is grad v, and A is not built. A is read before the stencil runs."""
+        A = self.A if self.beta != 0.0 else None
+        g = self.u.grid
+        grad = tuple(_axis_deriv(v, axis, 1, self.order, g.h) for axis in (0, 1))
         if A is None:
             return grad
-        return tuple(_covariant(self.u.grid, g, a, v, self.beta) for g, a in zip(grad, A))
+        return tuple(_covariant(g, d, a, v, self.beta) for d, a in zip(grad, A))
 
     @cached_property
     def d_sq(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +53,13 @@ BLOCK_NODES = 16384
 
 @dataclass(frozen=True)
 class Grid:
-    """M x M nodes spanning [-L, L]^2, spacing h = 2L/(M-1); equal by (L, M)."""
+    """M x M nodes spanning [-L, L]^2, spacing h = 2L/(M-1); equal by (L, M).
+    The M node coordinates (axis) are built on first read, so a grid read
+    from a file's sidecar costs nothing before the file is checked."""
 
     L: float
     M: int
     h: float = field(init=False, repr=False, compare=False)
-    axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, M = self.L, self.M
@@ -70,7 +72,10 @@ class Grid:
         object.__setattr__(self, "L", float(L))
         object.__setattr__(self, "M", int(M))
         object.__setattr__(self, "h", 2.0 * L / (M - 1))
-        object.__setattr__(self, "axis", np.linspace(-L, L, M))
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        return np.linspace(-self.L, self.L, self.M)
 
     def mesh(self):
         """(X, Y) with row index = x, column index = y."""

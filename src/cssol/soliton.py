@@ -132,14 +132,10 @@ def radial_ring(n: int) -> Soliton:
     return Soliton(WronskianPair(poly.from_roots([0.0] * n), poly.ONE))
 
 
-def zeros_and_vorticity(s: Soliton):
-    """Roots of W(P,Q) with multiplicities; total lies in [beta/2-1, beta-2]."""
-    return poly.roots(s.pair.W)
-
-
 def total_vorticity(s: Soliton) -> int:
-    """deg W, the sum of the multiplicities of zeros_and_vorticity: poly.roots
-    puts every companion eigenvalue of W into exactly one root."""
+    """deg W, the sum of the multiplicities of the vortices, the roots
+    poly.roots(s.pair.W): it puts every companion eigenvalue of W into
+    exactly one root. The total lies in [beta/2 - 1, beta - 2]."""
     return s.pair.W.degree
 
 

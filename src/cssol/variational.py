@@ -12,8 +12,8 @@ import numpy as np
 # numpy only: the Townes profile evaluates its Chebyshev series, and the start
 # noise blur is a numpy port, bit-identical to scipy.ndimage.gaussian_filter
 
-from .functionals import MagneticState, _covariant, _current, magnetic_energy, stationarity
-from .grid import Grid, GridField, _axis_deriv, integrate, quadrature
+from .functionals import MagneticState, _current, magnetic_energy, stationarity
+from .grid import Grid, GridField, integrate, quadrature
 from .kernels import a_star
 from .soliton import Soliton, radial_ring
 from .wronskian_pairs import WronskianPair
@@ -114,8 +114,8 @@ def bounds(beta: float) -> tuple[float, float]:
     upper = min{c (1 + 3/2 beta^2), 2 pi beta + (pi/2)(2-beta)_+^2}.
     c is the ground-state constant C_LGN = ||Q||^2 / 2 (townes_solve).
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < np.inf:  # nan fails this too
+        raise ValueError("beta must be finite and >= 0")
     c = townes_constant()
     lower = max(0.5 * (c + np.sqrt(c * c + 4.0 * np.pi**2 * beta**2)),
                 2.0 * np.pi * beta)
@@ -137,16 +137,16 @@ START_NOISE = 0.05  # smoothed start perturbation, relative to max |start|
 # times above that rounding, and 1.8e7 times below the smallest slope at
 # which those descents stopped (1.8e-3 quot |grad|).
 ASCENT_RTOL = 1e-10
+MAX_ITER = 20_000  # the descent stops on max_iter after this many iterations,
+GRAD_TOL = 1e-4  # on grad_tol once |grad| falls below this, and on plateau
+PLATEAU_TOL = 1e-5  # once the quotient fell by less than PLATEAU_TOL of
+PLATEAU_WINDOW = 50  # itself over the last PLATEAU_WINDOW iterations
 
 
 @dataclass(frozen=True)
 class DescentConfig:
     grid: Grid = field(default_factory=lambda: Grid(12.0, 128))
     seed: int = 42
-    max_iter: int = 20_000
-    plateau_tol: float = 1e-5
-    plateau_window: int = 50
-    grad_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -183,46 +183,40 @@ def _projected_grad(state: MagneticState, quot: float) -> np.ndarray:
 
 
 def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float):
-    """The quotient and its projected gradient at values."""
+    """The quotient at values, its projected gradient and their state."""
     quot, st = _quotient(values, g, beta)
-    return quot, _projected_grad(st, quot)
+    return quot, _projected_grad(st, quot), st
 
 
-def _slope(values: np.ndarray, d: np.ndarray, g: Grid, beta: float) -> float:
-    """Exact F'(0) of F(t) = _quotient(_norm_mass(values + t d)) at unit-mass
-    values, in _quotient's plain sums:
+def _slope(state: MagneticState, d: np.ndarray) -> float:
+    """Exact F'(0) of F(t) = _quotient(_norm_mass(u + t d)) at the unit-mass
+    field u of state, in _quotient's plain sums:
 
         F'(0) = (2 Re sum conj(D).De - sum rho1 Astar[X] - 2 F sum rho rho1) / sum rho^2,
 
     where e is d less its mass-normal part (what _norm_mass removes to first
-    order), De = (grad + i beta A) e with the quotient's own stencil,
-    rho1 = 2 Re(conj(u) e) and X = 2 beta Im(conj(u) D). The A[rho1] term of
-    the energy's derivative, sum A[rho1].X, is read through the adjoint
-    identity sum A[r].X = -sum r Astar[X], since A refuses the signed rho1:
-    one vector_potential and one a_star call, none at beta = 0. values is
-    checked and frozen, not copied."""
-    st = MagneticState(GridField._own(g, values), beta, ORDER)
-    u, h, A = st.u.values, g.h, (st.A if beta != 0.0 else None)
-    r2 = np.sum(st.rho**2)
-    quot = np.sum(st.d_sq) / r2
-    del st.d_sq
-    e = d - np.real(np.vdot(u, d)) * h**2 * u
-    num = 0.0
-    for axis, D in enumerate(st.D):
-        de = _axis_deriv(e, axis, 1, ORDER, h)
-        if A is not None:
-            de = _covariant(g, de, A[axis], e, beta)
-        num += 2.0 * np.vdot(D, de).real
-    del de
+    order), De = state.covariant(e), rho1 = 2 Re(conj(u) e) and
+    X = 2 beta Im(conj(u) D). The A[rho1] term of the energy's derivative,
+    sum A[rho1].X, is read through the adjoint identity
+    sum A[r].X = -sum r Astar[X], since A refuses the signed rho1. D, A and
+    |D|^2 are built on read (stationarity dropped them) and dropped again
+    here: one vector_potential and one a_star call, none at beta = 0."""
+    u, g, beta = state.u.values, state.u.grid, state.beta
+    r2 = np.sum(state.rho**2)
+    quot = np.sum(state.d_sq) / r2
+    del state.d_sq
+    e = d - np.real(np.vdot(u, d)) * g.h**2 * u
+    num = 2.0 * sum(np.vdot(D, de).real for D, de in zip(state.D, state.covariant(e)))
     rho1 = np.multiply(u.real, e.real)
     rho1 += u.imag * e.imag
     rho1 *= 2.0
     del e
-    if A is not None:
-        X = [GridField._own(g, _current(u, D, 2.0 * beta)) for D in st.D]
-        del A, D, st.A, st.D  # Astar runs once D and A are freed
+    X = [GridField._own(g, _current(u, D, 2.0 * beta)) for D in state.D] if beta else []
+    for name in ("D", "A"):  # Astar runs once D and A are freed
+        vars(state).pop(name, None)
+    if X:
         num -= np.vdot(rho1, a_star(*X).values)
-    num -= 2.0 * quot * np.vdot(st.rho, rho1)
+    num -= 2.0 * quot * np.vdot(state.rho, rho1)
     return float(num / r2)
 
 
@@ -255,7 +249,7 @@ def _blur(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
+def _descend(values: np.ndarray, g: Grid, beta: float):
     """Projected descent: (values, quotient, gradient norm, iterations,
     stop_reason, ascent_slope).
 
@@ -265,23 +259,24 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
     rounding bound ASCENT_RTOL quot |grad|, -grad ascends the discrete
     quotient and the descent stops. stop_reason is grad_tol, plateau,
     ascent (that slope stop), line_search (30 rejected trials at a slope
-    within the bound) or max_iter. ascent_slope is the slope along -grad
-    that made an ascent stop, None at every other stop."""
-    quot, grad = _quotient_and_grad(values, g, beta)
+    within the bound) or max_iter, after MAX_ITER iterations. ascent_slope
+    is the slope along -grad that made an ascent stop, None at every other
+    stop. The current point is held as its MagneticState; an accepted
+    trial's state takes its place."""
+    quot, grad, state = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
     it, stop, ascent_slope = 0, "max_iter", None
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         for k in range(30):
-            trial = _norm_mass(values - step * grad, g)
-            tq, state = _quotient(trial, g, beta)
+            tq, trial = _quotient(_norm_mass(state.u.values - step * grad, g), g, beta)
             if tq < quot:
                 break
-            del trial, state  # a rejected trial dies with its state
+            del trial  # a rejected trial dies with its state
             # the slope along -grad: negating grad's is exact and copies nothing
             if k == 0:
-                slope = -_slope(values, grad, g, beta)
+                slope = -_slope(state, grad)
                 if slope > ASCENT_RTOL * quot * gnorm:
                     stop, ascent_slope = "ascent", slope
                     break
@@ -290,20 +285,19 @@ def _descend(values: np.ndarray, g: Grid, beta: float, cfg: DescentConfig):
             stop = "line_search"
         if stop != "max_iter":  # no trial was accepted
             break
-        values, quot, grad = trial, tq, _projected_grad(state, tq)
-        del state
+        state, quot = trial, tq
+        grad = _projected_grad(state, quot)
         step *= 1.3
         gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
         history.append(quot)
-        if gnorm < cfg.grad_tol:
+        if gnorm < GRAD_TOL:
             stop = "grad_tol"
             break
-        if (len(history) > cfg.plateau_window
-                and history[-cfg.plateau_window - 1] - quot
-                < cfg.plateau_tol * abs(quot)):
+        if (len(history) > PLATEAU_WINDOW
+                and history[-PLATEAU_WINDOW - 1] - quot < PLATEAU_TOL * abs(quot)):
             stop = "plateau"
             break
-    return values, quot, gnorm, it, stop, ascent_slope
+    return state.u.values, quot, gnorm, it, stop, ascent_slope
 
 
 def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEstimate:
@@ -318,11 +312,9 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
     near the grid's edge, not at a minimizer; ascent_slope is then the
     slope along -grad that stopped it.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    lower, upper = bounds(beta)  # first: it rejects a negative or non-finite beta
     cfg = config or DescentConfig()
     g = cfg.grid
-    lower, upper = bounds(beta)
     rng = np.random.default_rng(cfg.seed)
 
     def with_noise(v):
@@ -339,7 +331,7 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
     best = None
     for v0 in starts:
-        out = _descend(v0, g, beta, cfg)
+        out = _descend(v0, g, beta)
         if best is None or out[1] < best[1]:
             best = out
     v, q, gn, it, stop, slope = best

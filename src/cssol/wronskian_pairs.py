@@ -94,9 +94,6 @@ class SolutionFamily:
     representative: WronskianPair
     residual: float  # _residual of representative against f
 
-    def check(self, f: ComplexPolynomial) -> float:
-        return _residual(self.representative, f)
-
 
 def _family(kind: str, P, Q, f: ComplexPolynomial, **parameters):
     """The family of the pair (P, Q) with its residual against f, or None

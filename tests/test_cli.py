@@ -40,6 +40,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_estimate_gamma_rejects_a_non_finite_beta(capsys):
+    assert run(["estimate-gamma", "--beta", "nan"]) == 2
+    assert capsys.readouterr().err == "error: beta must be finite and >= 0\n"
+
+
 def test_solve_wronskian_families(capsys):
     assert run(["solve-wronskian", "--f", "[[1,0],[0,0],[1,0]]"]) == 0
     payload = json.loads(capsys.readouterr().out)

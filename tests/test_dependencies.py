@@ -1,5 +1,7 @@
 """The runtime needs numpy alone: no module under src/ imports scipy, the
-descent and the CLI load none, and pyproject.toml declares it so."""
+descent and the CLI load none, and pyproject.toml declares it so. And the
+covariant derivative (grad + i beta A) v is formed in one place,
+MagneticState.covariant: no other module names its private parts."""
 
 import ast
 import os
@@ -27,6 +29,24 @@ def _imported_modules(path):
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_source_module_imports_scipy(path):
     assert not [m for m in _imported_modules(path) if m.split(".")[0] == "scipy"]
+
+
+# the modules that may name each private part of the covariant derivative
+_COVARIANT_PARTS = {"_axis_deriv": {"grid.py", "functionals.py"}, "_covariant": {"functionals.py"}}
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_functionals_forms_the_covariant_derivative(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not {n for n, owners in _COVARIANT_PARTS.items()
+                if path.name not in owners} & names
 
 
 def test_descent_and_cli_load_no_scipy():

@@ -18,7 +18,7 @@ from cssol.functionals import (
     stationarity,
     susy_rhs,
 )
-from cssol.grid import Grid, GridField, deriv, gradient, integrate, quadrature
+from cssol.grid import Grid, GridField, _axis_deriv, deriv, gradient, integrate, quadrature
 from cssol.kernels import a_star, superpotential, vector_potential
 from cssol.sampling import normalized, random_smooth_field
 from cssol.soliton import radial_ring
@@ -174,6 +174,28 @@ def test_released_grad_is_rebuilt_with_the_same_bits(beta):
     assert np.array_equal(stationarity(st, 3.0), want)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_covariant_forms_D_and_the_covariant_derivative_of_any_field(beta):
+    """covariant(u) on a fresh state has the bits of D; covariant(e) on a
+    random complex e has the bits of the order-4 stencil plus i beta A e,
+    with the state's A. At beta = 0 neither builds A."""
+    g = Grid(8.0, 64)
+    u = _field(4, g)
+    D = MagneticState(u, beta).D
+    st = MagneticState(u, beta)
+    for got, want in zip(st.covariant(u.values), D):
+        assert np.array_equal(got, want)
+    rng = np.random.default_rng(11)
+    e = rng.standard_normal((g.M, g.M)) + 1j * rng.standard_normal((g.M, g.M))
+    st = MagneticState(u, beta)
+    for axis, got in enumerate(st.covariant(e)):
+        want = _axis_deriv(e, axis, 1, 4, g.h)
+        if beta != 0.0:
+            want = np.add(want, np.multiply(1j * beta, st.A[axis]) * e)
+        assert np.array_equal(got, want)
+    assert ("A" in vars(st)) == (beta != 0.0)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 20.0])
 def test_decomposition_read_off_D_matches_the_direct_formulas(beta):
     """int |grad u|^2 and int A.J, which terms() reads off D, match the
@@ -301,11 +323,11 @@ def test_descent_gradient_matches_finite_differences(beta):
     chi = np.where(r2 < 1.0, (1.0 - r2) ** 4, 0.0)
     w = chi * (np.cos(Z.real) + 1j * np.sin(0.7 * Z.imag + 0.2)) * np.max(np.abs(u))
     v = w - np.real(np.vdot(u, w)) / np.real(np.vdot(u, chi * u)) * chi * u
-    _, grad = _quotient_and_grad(u, g, beta)
+    _, grad, _ = _quotient_and_grad(u, g, beta)
     slope = 2.0 * np.real(np.vdot(grad, v)) / np.sum(np.abs(u) ** 4)
     eps = 1e-5
-    up, _ = _quotient_and_grad(u + eps * v, g, beta)
-    down, _ = _quotient_and_grad(u - eps * v, g, beta)
+    up = _quotient_and_grad(u + eps * v, g, beta)[0]
+    down = _quotient_and_grad(u - eps * v, g, beta)[0]
     assert abs((up - down) / (2.0 * eps) - slope) <= 1e-6 * abs(slope)
 
 

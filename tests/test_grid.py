@@ -286,6 +286,25 @@ def test_load_field_rejects_bad_sidecar(tmp_path, meta, match):
     assert path in str(err.value)
 
 
+def test_load_field_checks_the_size_before_building_the_grid(tmp_path, traced_peak):
+    """The sidecar's M costs nothing before the file's size is checked: a
+    16-byte file whose sidecar says M = 2^22 is refused for its size without
+    the grid's 32 MiB node axis."""
+    path = str(tmp_path / "field.f8")
+    np.zeros(1, "<c16").tofile(path)
+    with open(path + ".json", "w") as fh:
+        json.dump({"L": 4.0, "M": 2**22, "kind": "complex"}, fh)
+
+    def load():
+        with pytest.raises(ValueError, match="bytes") as err:
+            load_field(path)
+        return err
+
+    err, peak = traced_peak(load)
+    assert path in str(err.value)
+    assert peak < 2**20
+
+
 def test_load_field_rejects_non_finite_extent(tmp_path):
     path = str(tmp_path / "field.f8")
     save_field(GridField(Grid(5.0, 32), np.ones((32, 32))), path)

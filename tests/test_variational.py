@@ -159,17 +159,33 @@ def test_estimate_gamma_validation():
         estimate_gamma(-0.5)
 
 
-def test_estimate_gamma_runs_where_the_start_exceeds_ten_times_the_upper_bound():
+def test_non_finite_beta_is_rejected_before_any_work(monkeypatch):
+    """bounds and estimate_gamma refuse nan and inf before the Townes
+    constant or a descent start is read."""
+    def no_work(*args):
+        raise AssertionError("work ran")
+
+    for name in ("townes_constant", "_townes_start", "_ring_start"):
+        monkeypatch.setattr(variational, name, no_work)
+    with pytest.raises(ValueError, match=r"^beta must be finite and >= 0$"):
+        bounds(float("nan"))
+    with pytest.raises(ValueError, match=r"^beta must be finite and >= 0$"):
+        estimate_gamma(float("inf"))
+
+
+def test_estimate_gamma_runs_where_the_start_exceeds_ten_times_the_upper_bound(monkeypatch):
     """At beta = 60 on Grid(6, 32) the Townes start's quotient (about 6,355)
     is more than ten times the upper bound (377); the descent still runs and
     reports an estimate."""
-    est = estimate_gamma(60.0, DescentConfig(grid=Grid(6.0, 32), max_iter=3))
+    monkeypatch.setattr(variational, "MAX_ITER", 3)
+    est = estimate_gamma(60.0, DescentConfig(grid=Grid(6.0, 32)))
     assert isinstance(est, GammaEstimate)
     assert est.iterations <= 3
 
 
-def test_estimate_gamma_beta0_small_grid():
-    cfg = DescentConfig(grid=Grid(10.0, 96), max_iter=400)
+def test_estimate_gamma_beta0_small_grid(monkeypatch):
+    monkeypatch.setattr(variational, "MAX_ITER", 400)
+    cfg = DescentConfig(grid=Grid(10.0, 96))
     est = estimate_gamma(0.0, cfg)
     assert est.gamma_hat == pytest.approx(townes_constant(), rel=2e-2)
     assert est.lower_bound * 0.97 <= est.gamma_hat
@@ -183,19 +199,20 @@ def test_blur_equals_gaussian_filter(shape):
     assert np.array_equal(_blur(v), gaussian_filter(v, 2.0))
 
 
-def _descend_every_trial_gradient(values, g, beta, cfg):
+def _descend_every_trial_gradient(values, g, beta):
     """Reference descent that builds the gradient of every line-search trial.
     Returns (values, quotient, gradient norm, iterations, accepted steps)."""
-    quot, grad = _quotient_and_grad(values, g, beta)
+    window = variational.PLATEAU_WINDOW
+    quot, grad, _ = _quotient_and_grad(values, g, beta)
     step = 1e-2 * g.h**2
     history = [quot]
     gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
     it = accepted_steps = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, variational.MAX_ITER + 1):
         accepted = False
         for _ in range(30):
             trial = _norm_mass(values - step * grad, g)
-            tq, tgrad = _quotient_and_grad(trial, g, beta)
+            tq, tgrad, _ = _quotient_and_grad(trial, g, beta)
             if tq < quot:
                 values, quot, grad = trial, tq, tgrad
                 step *= 1.3
@@ -207,11 +224,10 @@ def _descend_every_trial_gradient(values, g, beta, cfg):
         accepted_steps += 1
         gnorm = np.sqrt(np.sum(np.abs(grad) ** 2) * g.h**2)
         history.append(quot)
-        if gnorm < cfg.grad_tol:
+        if gnorm < variational.GRAD_TOL:
             break
-        if (len(history) > cfg.plateau_window
-                and history[-cfg.plateau_window - 1] - quot
-                < cfg.plateau_tol * abs(quot)):
+        if (len(history) > window
+                and history[-window - 1] - quot < variational.PLATEAU_TOL * abs(quot)):
             break
     return values, quot, gnorm, it, accepted_steps
 
@@ -221,10 +237,9 @@ def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta):
     """Trials that read only the quotient give the same descent, bit for bit,
     and build the gradient once per accepted step and once at the start."""
     g = Grid(12.0, 64)
-    cfg = DescentConfig(grid=g)
     Z = g.zmesh()
     v0 = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
-    values, quot, gnorm, it, accepted = _descend_every_trial_gradient(v0, g, beta, cfg)
+    values, quot, gnorm, it, accepted = _descend_every_trial_gradient(v0, g, beta)
     assert accepted in (it - 1, it)
 
     calls = []
@@ -235,29 +250,30 @@ def test_descent_matches_every_trial_gradient_descent(monkeypatch, beta):
         return real(*args)
 
     monkeypatch.setattr(variational, "stationarity", counted)
-    got = _descend(v0, g, beta, cfg)
+    got = _descend(v0, g, beta)
     assert np.array_equal(got[0], values)
     assert got[1:4] == (quot, gnorm, it)
     assert len(calls) == accepted + 1
 
 
-def test_descent_stop_reasons():
+def test_descent_stop_reasons(monkeypatch):
     """ascent (-grad ascends the discrete quotient) is why every descent
     stops today, and the estimate carries the slope above its bound that
-    stopped it; a huge grad_tol stops on the gradient, a huge plateau_tol
-    on the plateau, max_iter=1 on the iteration cap, each with no slope."""
+    stopped it; a huge GRAD_TOL stops on the gradient, a huge PLATEAU_TOL
+    on the plateau, MAX_ITER = 1 on the iteration cap, each with no slope."""
     g = Grid(12.0, 64)
     cfg = DescentConfig(grid=g, seed=1)
     est = estimate_gamma(0.0, cfg)
     assert est.stop_reason == "ascent"
     assert est.ascent_slope > variational.ASCENT_RTOL * est.gamma_hat * est.final_gradient_norm
-    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, grad_tol=1e9))
-    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("grad_tol", 1, None)
-    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, plateau_tol=1e9,
-                                            plateau_window=1))
-    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("plateau", 1, None)
-    est = estimate_gamma(0.0, DescentConfig(grid=g, seed=1, max_iter=1))
-    assert (est.stop_reason, est.iterations, est.ascent_slope) == ("max_iter", 1, None)
+    for constants, reason in (({"GRAD_TOL": 1e9}, "grad_tol"),
+                              ({"PLATEAU_TOL": 1e9, "PLATEAU_WINDOW": 1}, "plateau"),
+                              ({"MAX_ITER": 1}, "max_iter")):
+        with monkeypatch.context() as m:
+            for name, value in constants.items():
+                m.setattr(variational, name, value)
+            est = estimate_gamma(0.0, cfg)
+        assert (est.stop_reason, est.iterations, est.ascent_slope) == (reason, 1, None)
 
 
 def _seed1_starts(monkeypatch, beta, g):
@@ -280,12 +296,11 @@ def test_ascent_stop_changes_nothing_but_the_stop_reason(monkeypatch, beta):
     line_search, with no slope: the values, quotient, gradient norm and
     iterations are those of the ascent stop, bit for bit."""
     g = Grid(12.0, 128)
-    cfg = DescentConfig(grid=g, seed=1)
     starts = _seed1_starts(monkeypatch, beta, g)
-    got = [_descend(v, g, beta, cfg) for v in starts]
+    got = [_descend(v, g, beta) for v in starts]
     monkeypatch.setattr(variational, "_slope", lambda *args: 0.0)
     for v, ascent in zip(starts, got):
-        ref = _descend(v, g, beta, cfg)
+        ref = _descend(v, g, beta)
         assert (ascent[4], ref[4]) == ("ascent", "line_search")
         assert ascent[5] > 0.0 and ref[5] is None
         assert np.array_equal(ascent[0], ref[0])
@@ -315,7 +330,7 @@ def test_slope_matches_central_differences(beta):
     g = Grid(12.0, 128)
     Z = g.zmesh()
     v = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
-    grad = _quotient_and_grad(v, g, beta)[1]
+    _, grad, state = _quotient_and_grad(v, g, beta)
     noise = np.random.default_rng(3).standard_normal((2, g.M, g.M))
     rand = _blur(noise[0]) + 1j * _blur(noise[1])
     ring = np.ones((g.M, g.M), bool)
@@ -327,11 +342,28 @@ def test_slope_matches_central_differences(beta):
 
     for d in (-grad, rand):
         d = _norm_mass(d, g)  # unit L2 norm, as the field
-        s = variational._slope(v, d, g, beta)
+        s = variational._slope(state, d)
         err = [abs((quotient(v + t * d) - quotient(v - t * d)) / (2.0 * t) - s) / abs(s)
                for t in (1e-4, 1e-5)]
         assert err[1] <= 2e-6
         assert err[0] >= 50.0 * err[1]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_slope_reads_the_state_the_descent_holds(monkeypatch, beta):
+    """_slope on the state whose gradient was just taken (stationarity
+    dropped its D, A and |D|^2) has the bits of _slope on a fresh state of
+    the same values; it builds no state of its own and leaves the state
+    without D, A and |D|^2."""
+    g = Grid(12.0, 64)
+    Z = g.zmesh()
+    v = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
+    _, grad, used = _quotient_and_grad(v, g, beta)
+    fresh = variational._quotient(v, g, beta)[1]
+    monkeypatch.setattr(variational, "MagneticState", None)
+    assert variational._slope(used, grad).hex() == variational._slope(fresh, grad).hex()
+    for st in (used, fresh):
+        assert set(vars(st)) == {"u", "beta", "order", "rho"}
 
 
 def test_structure_scan_validation():
@@ -351,10 +383,11 @@ def test_structure_scan_rejects_repeated_beta_before_any_descent(monkeypatch):
         structure_scan([0.5, 1.0, 1.0])
 
 
-def test_structure_scan_row_i_is_estimate_gamma_with_seed_plus_i():
+def test_structure_scan_row_i_is_estimate_gamma_with_seed_plus_i(monkeypatch):
     """Row i is estimate_gamma(beta_i) at seed config.seed + i, bit for bit;
     the seed moves the estimate, so a scan that ignored it would fail."""
-    cfg = DescentConfig(grid=Grid(8.0, 32), seed=5, max_iter=3)
+    monkeypatch.setattr(variational, "MAX_ITER", 3)
+    cfg = DescentConfig(grid=Grid(8.0, 32), seed=5)
     betas = [0.5, 1.0, 2.0]
     scan = structure_scan(betas, cfg)
     for i, (b, row) in enumerate(zip(betas, scan.rows)):
