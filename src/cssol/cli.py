@@ -286,15 +286,19 @@ def cmd_estimate_gamma(args) -> int:
 
 def _parse_betas(text: str) -> list[float]:
     try:
+        values = [float(x) for x in text.split(":" if ":" in text else ",")]
         if ":" in text:
-            start, stop, step = (float(x) for x in text.split(":"))
-            if not step > 0:
-                raise UsageError(f"bad --betas {text!r}: step must be positive")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(n)]
-        return [float(x) for x in text.split(",")]
+            start, stop, step = values
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad --betas {text!r}: expected list or start:stop:step") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad --betas {text!r}: beta must be finite")
+    if ":" not in text:
+        return values
+    if not step > 0:
+        raise UsageError(f"bad --betas {text!r}: step must be positive")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(n)]
 
 
 def cmd_scan(args) -> int:

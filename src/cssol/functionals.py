@@ -1,12 +1,12 @@
-"""Energy quantities and identity residuals for self-generated-field
-densities. MagneticState(u, beta, order) holds rho = |u|^2 and builds, on
-first use, what these read: A[rho] and the covariant gradient
-D = (grad + i beta A) u; stationarity(state, gamma) applies the
-Euler-Lagrange operator shared by the EL residual and the descent gradient.
-On these sit the magnetic energy and its decomposition (no Phi), the
-weighted-square (factorized) form of E_beta -+ 2 pi beta int |u|^4 (the one
-reader of Phi), the stationarity residual, the Menger-Melnikov curvature,
-the Liouville residual and a battery of inequalities."""
+"""Energy quantities and identity residuals for self-generated-field densities.
+MagneticState(u, beta, order) holds rho = |u|^2, builds on first use A[rho]
+and D = (grad + i beta A) u, and forms the A* term, source();
+stationarity(state, gamma) applies the Euler-Lagrange operator shared by the
+EL residual and the descent gradient. On these sit the magnetic energy and
+its decomposition (no Phi), the weighted-square (factorized) form of E_beta
+-+ 2 pi beta int |u|^4 (the one reader of Phi), the stationarity residual,
+the Menger-Melnikov curvature, the Liouville residual and a battery of
+inequalities."""
 
 from __future__ import annotations
 
@@ -37,12 +37,12 @@ class MagneticState:
     D = (grad + i beta A) u and |D|^2, as owned arrays. covariant(v) is the
     one place that forms (grad + i beta A) v: D is covariant(u).
 
-    stationarity drops D, A and |D|^2 without writing them; a dropped field
-    is built again on its next read, with the same bits. At beta = 0, D is
+    source() drops D, A and |D|^2 without writing them; a dropped field is
+    built again on its next read, with the same bits. At beta = 0, D is
     grad u and A is not built. Neither grad u nor the current
     J = Im(conj(u) grad u) is held: terms() reads |grad u|^2 and A.J off D,
-    and stationarity's A* source 2 beta^2 A rho + 2 beta J is the covariant
-    current 2 beta Im(conj(u) D).
+    and source() reads the A* source 2 beta^2 A rho + 2 beta J as the
+    covariant current 2 beta Im(conj(u) D).
 
     The pointwise products (i beta A u, A.Im(conj(u) D), |A|^2 rho, |D|^2,
     A.D) are made one row block at a time (_by_rows), straight into the
@@ -53,8 +53,10 @@ class MagneticState:
     single-threaded on a 2-core x86 VM)."""
 
     def __init__(self, u: GridField, beta: float, order: int = 4):
-        self.u = u
         self.beta = float(beta)
+        if not np.isfinite(self.beta):
+            raise ValueError("beta must be finite")
+        self.u = u
         self.order = order
         self.rho = np.abs(u.values)
         self.rho **= 2
@@ -108,6 +110,21 @@ class MagneticState:
         beta = self.beta
         return _integral(g, self.d_sq) - 2.0 * beta * ad + beta**2 * mm, ad - beta * mm, mm
 
+    def source(self) -> np.ndarray | None:
+        """Astar[2 beta Im(conj(u) D)], or None at beta = 0, where no kernel
+        runs. D, A and |D|^2 are dropped: A before the current is formed by
+        row blocks, D before A* runs (D and A are built first if dropped)."""
+        D = self.D if self.beta != 0.0 else None
+        for name in ("D", "A", "d_sq"):
+            vars(self).pop(name, None)
+        if D is None:
+            return None
+        g, u, beta = self.u.grid, self.u.values, self.beta
+        F = [GridField._own(g, _by_rows(g, lambda o, v, d: _current(v, d, 2.0 * beta, o), u, d))
+             for d in D]
+        del D
+        return a_star(*F).values
+
 
 def _integral(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid integral of an owned real array"""
@@ -150,32 +167,27 @@ def _abs_sq_sum(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     """The Euler-Lagrange operator of E_beta - gamma int |u|^4 applied to u,
 
-        -(grad + i beta A)^2 u - (Astar[2 beta Im(conj(u) D)] + 2 gamma rho) u,
+        -(grad + i beta A)^2 u - (state.source() + 2 gamma rho) u,
 
-    with D = (grad + i beta A) u, whose covariant current 2 beta Im(conj(u) D)
-    is 2 beta^2 A rho + 2 beta J; at beta = 0 no kernel runs. The covariant
+    with D = (grad + i beta A) u; at beta = 0 no kernel runs. The covariant
     Laplacian sum_j (d_j + i beta A_j) D_j, operands in the order written, is
     summed into d_1 D_1's array, d_2 D_2 (row-local) and i beta A.D by row
-    blocks. D is not written; A is dropped before the A* sources, D before A*,
-    and |D|^2 at once."""
+    blocks. D is not written; |D|^2 is dropped at once, and source() drops
+    A and D once the Laplacian is made."""
     g, order, beta, u = state.u.grid, state.order, state.beta, state.u.values
-    (D1, D2), (A1, A2) = state.D, (state.A if beta != 0.0 else (None, None))
-    for name in ("D", "A", "d_sq"):  # used up here
-        vars(state).pop(name, None)
+    vars(state).pop("d_sq", None)  # not read here: freed before the Laplacian is made
+    (D1, D2), A = state.D, (state.A if beta != 0.0 else None)
     covlap = _axis_deriv(D1, 0, 1, order, g.h)
     _by_rows(g, lambda o, d: np.add(o, _axis_deriv(d, 1, 1, order, g.h), out=o), D2, out=covlap)
     GridField._own(g, covlap.view())  # checks d1 D1 + d2 D2 finite; covlap stays writable
-    if beta != 0.0:
+    if A is not None:
         _by_rows(g, lambda o, a1, d1, a2, d2: np.add(o, 1j * beta * (a1 * d1 + a2 * d2), out=o),
-                 A1, D1, A2, D2, out=covlap)
-        del A1, A2
-        F = [GridField._own(g, _by_rows(g, lambda o, v, d: _current(v, d, 2.0 * beta, o), u, d))
-             for d in (D1, D2)]
-        del D1, D2  # Astar runs once D and A are freed
-        s = a_star(*F).values
+                 A[0], D1, A[1], D2, out=covlap)
+    del D1, D2, A  # held by the state alone, which source() frees
+    s = state.source()
     # 2 gamma rho is made after Astar, so it is not live at Astar's peak
     potential = np.multiply(2.0 * gamma, state.rho)
-    if beta != 0.0:
+    if s is not None:
         potential = np.add(s, potential, out=potential)
     out = np.negative(covlap, out=covlap)
     out -= np.multiply(potential, u)
@@ -247,6 +259,8 @@ def susy_rhs(u: GridField, beta: float, sign: int, order: int = 4) -> float:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g, beta = u.grid, float(beta)
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     # at beta = 0 both weights are exactly 1: Phi is not built
     phi = (superpotential(GridField._own(g, np.abs(u.values) ** 2)).values if beta
            else np.broadcast_to(0.0, u.values.shape))
@@ -341,7 +355,7 @@ def inequality_battery(u: GridField, beta: float) -> InequalityReport:
     bogomolnyi:       2 pi beta int |u|^4      <= E_beta[u]          (beta>=0)
     mm_interpolation: pi int|u|^4 + |int A.J|  <= sqrt(kin) sqrt(MM)
     """
-    from .variational import townes_constant
+    from .variational import townes_profile
 
     mass = quadrature(u, 2)
     quartic = quadrature(u, 4)
@@ -355,7 +369,7 @@ def inequality_battery(u: GridField, beta: float) -> InequalityReport:
     entries = [
         _entry("diamagnetic", grad_mod, total),
         _entry("hardy", mm, HARDY_CONSTANT * mass**2 * grad_mod),
-        _entry("gn4", townes_constant() * quartic, mass * kinetic),
+        _entry("gn4", townes_profile().c_lgn * quartic, mass * kinetic),
         _entry("mm_interpolation",
                np.pi * quartic + abs(aj), np.sqrt(kinetic) * np.sqrt(mm)),
     ]

@@ -69,9 +69,6 @@ class ComplexPolynomial:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return ComplexPolynomial(self.coeffs * complex(other))

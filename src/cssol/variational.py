@@ -12,9 +12,8 @@ import numpy as np
 # numpy only: the Townes profile evaluates its Chebyshev series, and the start
 # noise blur is a numpy port, bit-identical to scipy.ndimage.gaussian_filter
 
-from .functionals import MagneticState, _current, magnetic_energy, stationarity
+from .functionals import MagneticState, magnetic_energy, stationarity
 from .grid import Grid, GridField, integrate, quadrature
-from .kernels import a_star
 from .soliton import Soliton, radial_ring
 from .wronskian_pairs import WronskianPair
 
@@ -99,10 +98,6 @@ def townes_profile() -> TownesProfile:
     return townes_solve()
 
 
-def townes_constant() -> float:
-    return townes_profile().c_lgn
-
-
 # -- analytic bounds -------------------------------------------------------
 
 
@@ -116,7 +111,7 @@ def bounds(beta: float) -> tuple[float, float]:
     """
     if not 0.0 <= beta < np.inf:  # nan fails this too
         raise ValueError("beta must be finite and >= 0")
-    c = townes_constant()
+    c = townes_profile().c_lgn
     lower = max(0.5 * (c + np.sqrt(c * c + 4.0 * np.pi**2 * beta**2)),
                 2.0 * np.pi * beta)
     upper = min(c * (1.0 + 1.5 * beta**2),
@@ -198,24 +193,22 @@ def _slope(state: MagneticState, d: np.ndarray) -> float:
     order), De = state.covariant(e), rho1 = 2 Re(conj(u) e) and
     X = 2 beta Im(conj(u) D). The A[rho1] term of the energy's derivative,
     sum A[rho1].X, is read through the adjoint identity
-    sum A[r].X = -sum r Astar[X], since A refuses the signed rho1. D, A and
-    |D|^2 are built on read (stationarity dropped them) and dropped again
-    here: one vector_potential and one a_star call, none at beta = 0."""
-    u, g, beta = state.u.values, state.u.grid, state.beta
+    sum A[r].X = -sum r Astar[X], since A refuses the signed rho1. Astar[X]
+    is state.source(), which drops the D and A built here on read again: one
+    vector_potential and one a_star call, none at beta = 0."""
+    u, g = state.u.values, state.u.grid
     r2 = np.sum(state.rho**2)
     quot = np.sum(state.d_sq) / r2
-    del state.d_sq
+    del state.d_sq  # not live beside De
     e = d - np.real(np.vdot(u, d)) * g.h**2 * u
     num = 2.0 * sum(np.vdot(D, de).real for D, de in zip(state.D, state.covariant(e)))
     rho1 = np.multiply(u.real, e.real)
     rho1 += u.imag * e.imag
     rho1 *= 2.0
     del e
-    X = [GridField._own(g, _current(u, D, 2.0 * beta)) for D in state.D] if beta else []
-    for name in ("D", "A"):  # Astar runs once D and A are freed
-        vars(state).pop(name, None)
-    if X:
-        num -= np.vdot(rho1, a_star(*X).values)
+    source = state.source()
+    if source is not None:
+        num -= np.vdot(rho1, source)
     num -= 2.0 * quot * np.vdot(state.rho, rho1)
     return float(num / r2)
 
@@ -378,14 +371,14 @@ class ScanResult:
 
 
 def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
-    """Estimate gamma over a strictly increasing list of positive flux
+    """Estimate gamma over a strictly increasing list of finite positive flux
     values, in order, the i-th with seed config.seed + i, and report the
     gamma/beta monotonicity and discrete Lipschitz data. gamma/beta counts
     as rising only where it grows by more than SCAN_SLACK = 3%."""
     betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or any(
+    if not all(0 < b < np.inf for b in betas) or any(
             b1 <= b0 for b0, b1 in zip(betas, betas[1:])):
-        raise ValueError("betas must be positive and strictly increasing")
+        raise ValueError("betas must be finite, positive and strictly increasing")
     cfg = config or DescentConfig()
     ests = [estimate_gamma(b, replace(cfg, seed=cfg.seed + i)) for i, b in enumerate(betas)]
     rows = tuple(

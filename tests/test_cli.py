@@ -45,6 +45,17 @@ def test_estimate_gamma_rejects_a_non_finite_beta(capsys):
     assert capsys.readouterr().err == "error: beta must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--vortex", "n=1", "--grid", "8,64", "--beta", "nan"],
+    ["verify-identities", "--grid", "8,64", "--count", "1", "--beta", "inf"],
+])
+def test_energy_and_identities_reject_a_non_finite_beta(argv, capsys):
+    """The message names beta, not the field; no RuntimeWarning is emitted
+    first (the test configuration turns warnings into errors)."""
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: beta must be finite\n"
+
+
 def test_solve_wronskian_families(capsys):
     assert run(["solve-wronskian", "--f", "[[1,0],[0,0],[1,0]]"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -188,6 +199,16 @@ def test_scan_nonpositive_step_exits_2(betas, capsys):
 def test_scan_not_strictly_increasing_exits_2(betas, capsys):
     assert run(["scan", "--betas", betas, "--grid", "12,16"]) == 2
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("betas", ["1,nan", "1:inf:0.5"])
+def test_scan_non_finite_beta_exits_2_before_any_descent(betas, monkeypatch, capsys):
+    def no_descent(*args):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(variational, "estimate_gamma", no_descent)
+    assert run(["scan", "--betas", betas, "--grid", "8,32", "--csv"]) == 2
+    assert capsys.readouterr().err == f"error: bad --betas {betas!r}: beta must be finite\n"
 
 
 @pytest.mark.parametrize("factor,code", [(0.9, 1), (1.0, 0)])

@@ -1,7 +1,8 @@
 """The runtime needs numpy alone: no module under src/ imports scipy, the
 descent and the CLI load none, and pyproject.toml declares it so. And the
-covariant derivative (grad + i beta A) v is formed in one place,
-MagneticState.covariant: no other module names its private parts."""
+covariant derivative (grad + i beta A) v and the covariant current's A* are
+formed in one place, MagneticState: no other module names their private
+parts, imports the kernels or releases a state's fields with vars."""
 
 import ast
 import os
@@ -32,7 +33,8 @@ def test_no_source_module_imports_scipy(path):
 
 
 # the modules that may name each private part of the covariant derivative
-_COVARIANT_PARTS = {"_axis_deriv": {"grid.py", "functionals.py"}, "_covariant": {"functionals.py"}}
+_COVARIANT_PARTS = {"_axis_deriv": {"grid.py", "functionals.py"}, "_covariant": {"functionals.py"},
+                    "_current": {"functionals.py"}}
 
 
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -47,6 +49,18 @@ def test_only_functionals_forms_the_covariant_derivative(path):
             names.add(node.name)
     assert not {n for n, owners in _COVARIANT_PARTS.items()
                 if path.name not in owners} & names
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_functionals_reaches_the_kernels_and_releases_state(path):
+    """Only functionals imports from .kernels, and only it names vars: the
+    fields A* must not see are released by MagneticState.source() alone."""
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    # "kernels" for both `from .kernels import ...` and `from . import kernels`
+    relative = {n.module or a.name for n in nodes if isinstance(n, ast.ImportFrom) and n.level
+                for a in n.names}
+    names_vars = any(isinstance(n, ast.Name) and n.id == "vars" for n in nodes)
+    assert path.name == "functionals.py" or not ("kernels" in relative or names_vars)
 
 
 def test_descent_and_cli_load_no_scipy():

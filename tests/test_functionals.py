@@ -129,8 +129,8 @@ def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
     it uses included (the name keeps the seven-field bound all three checks
     shared before the row-blocked products). No workspace is kept at this
     size, D is built on grad u's arrays, J is not held, the pointwise
-    products are formed one row block at a time, and stationarity drops A
-    before its A* sources and D before its A*.
+    products are formed one row block at a time, and the state's source()
+    drops A before its A* sources and D before its A*.
     magnetic_energy peaks with rho, A, D and one integrand live;
     el_residual at A*, with rho, the covariant Laplacian, the two sources,
     the output and the workspace; vortex_ring_ratio samples its field first;
@@ -226,7 +226,7 @@ def test_decomposition_read_off_D_matches_the_direct_formulas(beta):
 
 @pytest.mark.parametrize("beta", [0.7, 2.0])
 def test_covariant_current_is_the_astar_source(beta):
-    """2 beta Im(conj(u) D), the A* source stationarity reads off D, equals
+    """2 beta Im(conj(u) D), the A* source that source() reads off D, equals
     2 beta^2 A rho + 2 beta J with J = Im(conj(u) grad u), to 1e-14 of its
     largest value, for a complex and a real field."""
     g = Grid(8.0, 64)
@@ -238,6 +238,38 @@ def test_covariant_current_is_the_astar_source(beta):
             want = 2 * beta**2 * a * rho + 2 * beta * np.imag(np.conj(u.values) * du.values)
             got = functionals._current(u.values, d, 2.0 * beta)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_source_is_astar_of_the_covariant_current(monkeypatch, beta):
+    """source() equals a_star of 2 beta Im(conj(u) D_j), formed from a fresh
+    state's D, bit for bit, reusing the A the state holds (one a_star call,
+    no vector_potential), and leaves none of D, A and |D|^2 on the state.
+    At beta = 0 it is None and runs no kernel."""
+    u = _field(5, Grid(8.0, 64))
+    st = MagneticState(u, beta)
+    st.terms()  # builds A, D and |D|^2
+    F = [GridField(u.grid, 2.0 * beta * np.imag(np.conj(u.values) * d))
+         for d in MagneticState(u, beta).D]
+    calls = _count_kernel_calls(monkeypatch, "vector_potential", "a_star")
+    got = st.source()
+    assert not {"D", "A", "d_sq"} & set(vars(st))
+    if beta == 0.0:
+        assert got is None and calls == []
+    else:
+        assert calls == ["a_star"]
+        assert np.array_equal(got, a_star(*F).values)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_non_finite_beta_is_rejected(beta):
+    """magnetic_energy, susy_rhs, el_residual and inequality_battery refuse a
+    non-finite beta with a message that names it, not the field."""
+    u = _field(2, Grid(8.0, 64))
+    for check in (lambda: magnetic_energy(u, beta), lambda: susy_rhs(u, beta, -1),
+                  lambda: el_residual(u, beta, 3.0), lambda: inequality_battery(u, beta)):
+        with pytest.raises(ValueError, match=r"^beta must be finite$"):
+            check()
 
 
 def _full_array_reference(u, beta, gamma):

@@ -24,7 +24,6 @@ from cssol.variational import (
     estimate_gamma,
     nll_energy,
     structure_scan,
-    townes_constant,
     townes_profile,
     townes_solve,
     vortex_ring_ratio,
@@ -33,7 +32,7 @@ from cssol.variational import (
 
 
 def test_townes_constant_value():
-    c = townes_constant()
+    c = townes_profile().c_lgn
     assert c == pytest.approx(0.931 * 2.0 * np.pi, rel=5e-3)
 
 
@@ -121,7 +120,7 @@ def test_reading_the_constant_loads_no_scipy_quadrature_or_interpolation():
 
 
 def test_bounds_pinch():
-    c = townes_constant()
+    c = townes_profile().c_lgn
     lo, up = bounds(0.0)
     assert lo == pytest.approx(c) and up == pytest.approx(c)
     for beta in (2.0, 4.0):
@@ -165,7 +164,7 @@ def test_non_finite_beta_is_rejected_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work ran")
 
-    for name in ("townes_constant", "_townes_start", "_ring_start"):
+    for name in ("townes_profile", "_townes_start", "_ring_start"):
         monkeypatch.setattr(variational, name, no_work)
     with pytest.raises(ValueError, match=r"^beta must be finite and >= 0$"):
         bounds(float("nan"))
@@ -187,7 +186,7 @@ def test_estimate_gamma_beta0_small_grid(monkeypatch):
     monkeypatch.setattr(variational, "MAX_ITER", 400)
     cfg = DescentConfig(grid=Grid(10.0, 96))
     est = estimate_gamma(0.0, cfg)
-    assert est.gamma_hat == pytest.approx(townes_constant(), rel=2e-2)
+    assert est.gamma_hat == pytest.approx(townes_profile().c_lgn, rel=2e-2)
     assert est.lower_bound * 0.97 <= est.gamma_hat
 
 
@@ -374,13 +373,15 @@ def test_structure_scan_validation():
 
 
 def test_structure_scan_rejects_repeated_beta_before_any_descent(monkeypatch):
-    # a repeated beta would divide by zero in the Lipschitz quotient
+    # a repeated beta would divide by zero in the Lipschitz quotient; a
+    # non-finite one is refused before the finite ones before it run
     def no_descent(*args):
         raise AssertionError("a descent ran")
 
     monkeypatch.setattr(variational, "estimate_gamma", no_descent)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        structure_scan([0.5, 1.0, 1.0])
+    for betas in ([0.5, 1.0, 1.0], [0.5, 1.0, np.inf], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            structure_scan(betas)
 
 
 def test_structure_scan_row_i_is_estimate_gamma_with_seed_plus_i(monkeypatch):
