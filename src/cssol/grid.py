@@ -247,12 +247,26 @@ def integrate(field: GridField) -> complex | float:
     return float(total.real) if field.is_real else complex(total)
 
 
+def abs_sq(v):
+    """|v|^2 as re^2 + im^2, not np.abs (hypot for complex v). The magnetic
+    state's rho, functionals._abs_sq_sum and the descent's mass and gradient
+    norms keep np.abs: their bits fix every descent's gamma_hat and path."""
+    out = np.square(v.real)
+    if np.iscomplexobj(v):
+        out += np.square(v.imag)
+    return out
+
+
 def quadrature(field: GridField, p: float) -> float:
-    """Composite trapezoid of |values|^p."""
-    w = _trap_weights(field.grid.M)
-    a = np.abs(field.values)
-    a **= p
-    return float((w @ a @ w) * field.grid.h ** 2)
+    """Composite trapezoid of |values|^p, abs_sq ** (p/2) one row block at a
+    time into a length-M vector of row sums: no M x M temporary."""
+    g, w, t = field.grid, _trap_weights(field.grid.M), np.empty(field.grid.M)
+    for a, b in g.row_blocks():
+        x = abs_sq(field.values[a:b])
+        if p != 2:
+            x **= p / 2
+        t[a:b] = x @ w
+    return float((w @ t) * g.h**2)
 
 
 # -- field I/O -------------------------------------------------------------

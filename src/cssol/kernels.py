@@ -343,12 +343,6 @@ def superpotential(rho: GridField) -> GridField:
     return GridField._own(rho.grid, conv)
 
 
-def log_convolution(f: GridField) -> GridField:
-    """int log|x-y| f(y) dy for a (possibly signed) real field; no
-    -log(|y|+1) renormalization."""
-    return GridField._own(f.grid, _log_conv(f.grid, _real(f, "field"))[0])
-
-
 def vector_potential(rho: GridField):
     """A[rho](x) = PV int (x-y)^perp/|x-y|^2 rho(y) dy, componentwise.
 

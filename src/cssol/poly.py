@@ -167,7 +167,9 @@ def taylor_table(polys, x: np.ndarray, n: int) -> np.ndarray:
 
 
 def derivative(p: ComplexPolynomial) -> ComplexPolynomial:
-    return ComplexPolynomial(npp.polyder(_coerce(p).coeffs))
+    """p' as k c_k; a constant (and zero) gives ZERO."""
+    c = _coerce(p).coeffs
+    return ComplexPolynomial(c[1:] * np.arange(1, c.size)) if c.size > 1 else ZERO
 
 
 def antiderivative(p: ComplexPolynomial) -> ComplexPolynomial:

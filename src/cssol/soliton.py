@@ -14,12 +14,12 @@ import numpy as np
 from . import poly
 from .poly import ComplexPolynomial, PairTransform, coefficient_rows, evaluate
 from .wronskian_pairs import WronskianPair
-from .grid import Grid, GridField
+from .grid import Grid, GridField, abs_sq
 
 
 def _sum_sq(pair: WronskianPair, z):
     """|P(z)|^2 + |Q(z)|^2"""
-    return np.abs(evaluate(pair.P, z)) ** 2 + np.abs(evaluate(pair.Q, z)) ** 2
+    return abs_sq(evaluate(pair.P, z)) + abs_sq(evaluate(pair.Q, z))
 
 
 def _grid_blocks(pair: WronskianPair, grid: Grid):
@@ -59,7 +59,11 @@ class LiouvilleSolution:
     def rhs(self, z):
         """|f|^2 e^psi = 8 |W|^2 / (|P|^2+|Q|^2)^2."""
         S = _sum_sq(self.pair, z)
-        return 8.0 * np.abs(evaluate(self.f, z)) ** 2 / S**2
+        S *= S
+        out = abs_sq(evaluate(self.f, z))
+        out *= 8.0
+        out /= S
+        return out
 
     def sample(self, grid: Grid) -> tuple[GridField, GridField]:
         """(psi, |f|^2 e^psi) on grid, both real, from one evaluation of P, Q

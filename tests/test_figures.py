@@ -5,10 +5,10 @@ a SHA-256 of its minimizer on 12,128 at seed 1, the identity checks on the
 40,1024 n = 1 ring, the computed rows of `cssol townes` (c_lgn, tau(0)), of
 `cssol verify-soliton --vortex n=1` and of `cssol verify-identities`
 (seeded smooth fields) on their default grids, the Liouville residual of
-four seeded pairs and the solve_generic family counts per k of a fixed list
-of f. The ledger is a record, not a gate: these tests assert only that each
-number is finite (a slope may be None) and each stop_reason one the descent
-gives."""
+four seeded pairs, their flux over 8 pi and soliton mass on 40,1024, and the
+solve_generic family counts per k of a fixed list of f. The ledger is a
+record, not a gate: these tests assert only that each number is finite (a
+slope may be None) and each stop_reason one the descent gives."""
 
 import dataclasses
 import hashlib
@@ -21,10 +21,10 @@ import pytest
 from cssol import poly
 from cssol.cli import main
 from cssol.functionals import el_residual, liouville_residual, magnetic_energy, susy_rhs
-from cssol.grid import Grid
+from cssol.grid import Grid, integrate, quadrature
 from cssol.poly import ComplexPolynomial
 from cssol.sampling import normalized, random_pair
-from cssol.soliton import radial_ring
+from cssol.soliton import LiouvilleSolution, Soliton, radial_ring
 from cssol.variational import DescentConfig, estimate_gamma
 from cssol.wronskian_pairs import solve_generic
 
@@ -79,6 +79,19 @@ def test_liouville_residual_figures(request):
         f"seed {seed}": liouville_residual(
             random_pair(np.random.default_rng(seed), max_degree=4), g)
         for seed in range(4)})
+
+
+def test_pair_figures(request):
+    """The pair layer's flux int |f|^2 e^psi / 8 pi, from the pointwise rhs,
+    and the soliton's mass on 40,1024 for four seeded pairs."""
+    g = Grid(40.0, 1024)
+    figures = {}
+    for seed in range(4):
+        pair = random_pair(np.random.default_rng(seed), max_degree=4)
+        rhs = g.sample(LiouvilleSolution(pair).rhs)
+        figures[f"seed {seed} flux_over_8pi"] = integrate(rhs) / (8.0 * math.pi)
+        figures[f"seed {seed} mass"] = quadrature(Soliton(pair).sample(g), 2)
+    _record(request, "pair layer 40,1024", figures)
 
 
 def test_family_count_figures(request):

@@ -1,6 +1,7 @@
 """Desk grids: stencil accuracy, quadrature, masks, and field file I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ def test_liouville_sample_keeps_temporaries_to_a_block(traced_peak):
     assert peak < psi.values.nbytes + rhs.values.nbytes + 4 * 2**20
 
 
+@pytest.mark.parametrize("which", ["rhs", "u"])
+def test_pointwise_sample_keeps_temporaries_to_a_block(traced_peak, which):
+    # the pointwise closed forms run on one block of rows at a time
+    g, pair = Grid(40.0, 1024), _deg4_pair()
+    fn = LiouvilleSolution(pair).rhs if which == "rhs" else Soliton(pair).u
+    out, peak = traced_peak(lambda: g.sample(fn))
+    assert peak < out.values.nbytes + 4 * 2**20
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(-1.0, 64)
@@ -177,6 +187,38 @@ def test_quadrature_powers():
     f = _gaussian(g)
     assert quadrature(f, 2) == pytest.approx(np.pi, rel=1e-8)
     assert quadrature(f, 4) == pytest.approx(np.pi / 2.0, rel=1e-8)
+
+
+def _fsum_quadrature(field: GridField, p: float) -> float:
+    """The trapezoid of |values|^p summed exactly (math.fsum)."""
+    w = np.ones(field.grid.M)
+    w[0] = w[-1] = 0.5
+    terms = np.outer(w, w) * np.abs(field.values) ** p
+    return math.fsum(terms.ravel()) * field.grid.h**2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_quadrature_matches_an_exact_sum(p, complex_values):
+    # 130 rows are not a whole number of row blocks
+    g = Grid(6.0, 130)
+    X, Y = g.mesh()
+    v = np.exp(-(X**2 + Y**2) / 4.0) * (1.0 + 0.5 * np.sin(2.0 * X) - 0.3 * Y)
+    if complex_values:
+        v = v * np.exp(1j * (X - 0.5 * Y))
+    f = GridField(g, v)
+    want = _fsum_quadrature(f, p)
+    assert abs(quadrature(f, p) - want) <= 1e-13 * want
+    assert quadrature(GridField(g, 0.0 * v), p) == 0.0
+
+
+def test_quadrature_keeps_temporaries_to_a_block(traced_peak):
+    # no |values| copy of the 16 MiB field, only block-sized scratch
+    g = Grid(40.0, 1024)
+    u = Soliton(_deg4_pair()).sample(g)
+    for p in (2, 4):
+        _, peak = traced_peak(lambda: quadrature(u, p))
+        assert peak < 2**20
 
 
 def integrate_disk(field: GridField, radius: float) -> float:

@@ -22,9 +22,15 @@ from scipy.signal import convolve2d, fftconvolve
 
 from cssol import kernels
 from cssol.grid import Grid, GridField, deriv
-from cssol.kernels import a_star, log_convolution, superpotential, vector_potential
+from cssol.kernels import a_star, superpotential, vector_potential
 
 SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def log_convolution(f: GridField) -> GridField:
+    """int log|x-y| f(y) dy of a signed real field, without superpotential's
+    -log(|y|+1) renormalization: the kernel's log-table convolution itself."""
+    return GridField(f.grid, kernels._log_conv(f.grid, kernels._real(f, "field"))[0])
 
 
 def _smooth(g: Grid, rng, positive: bool) -> np.ndarray:

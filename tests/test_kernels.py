@@ -10,14 +10,20 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
+from cssol import kernels
 from cssol.grid import Grid, GridField, deriv, interior_mask
 from cssol.kernels import (
     _check_density,
     a_star,
-    log_convolution,
     superpotential,
     vector_potential,
 )
+
+
+def log_convolution(f: GridField) -> GridField:
+    """int log|x-y| f(y) dy of a signed real field, without superpotential's
+    -log(|y|+1) renormalization: the kernel's log-table convolution itself."""
+    return GridField(f.grid, kernels._log_conv(f.grid, kernels._real(f, "field"))[0])
 
 
 def _gauss_grid(L=12.0, M=256):

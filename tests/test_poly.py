@@ -90,6 +90,19 @@ def test_derivative_antiderivative_roundtrip():
     assert poly.derivative(poly.antiderivative(p)).close_to(p)
 
 
+def test_derivative_is_bit_identical_to_polyder():
+    """k c_k gives numpy's polyder bit for bit on seeded complex
+    coefficients of degree 1..12, and ZERO for a constant and for zero."""
+    rng = np.random.default_rng(28)
+    for n in rng.integers(2, 14, size=600):
+        p = ComplexPolynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = ComplexPolynomial(np.polynomial.polynomial.polyder(p.coeffs))
+        assert poly.derivative(p).coeffs.tobytes() == want.coeffs.tobytes()
+    for c in ([2.5 - 1j], []):
+        assert poly.derivative(ComplexPolynomial(c)) == poly.ZERO
+    assert ComplexPolynomial(np.polynomial.polynomial.polyder([2.5 - 1j])) == poly.ZERO
+
+
 # -- Wronskian -------------------------------------------------------------
 
 
