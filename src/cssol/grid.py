@@ -153,7 +153,9 @@ class GridField:
         return not np.iscomplexobj(self.values)
 
     def map(self, fn) -> "GridField":
-        return GridField(self.grid, fn(self.values))
+        """fn of the values; this field itself if fn returns its array (np.real of a real one)"""
+        v = fn(self.values)
+        return self if v is self.values else GridField(self.grid, v)
 
     def __repr__(self):
         return f"GridField({self.grid}, dtype={self.values.dtype})"
@@ -233,24 +235,30 @@ def interior_mask(grid: Grid, margin: int) -> np.ndarray:
 # -- quadrature ------------------------------------------------------------
 
 
-def _trap_weights(M: int) -> np.ndarray:
-    w = np.ones(M)
+def trapezoid(grid: Grid, fn, *arrays: np.ndarray):
+    """Composite 2-D trapezoid of fn, a pointwise map of the arrays: fn runs
+    on one Grid.row_blocks() block of their rows at a time, and each block's
+    weighted row sums go into one length-M vector, so no M x M integrand is
+    built. A float, or a complex when fn gives complex values; ValueError if
+    the total is not finite."""
+    w = np.ones(grid.M)
     w[0] = w[-1] = 0.5
-    return w
+    t = np.concatenate([fn(*(x[a:b] for x in arrays)) @ w for a, b in grid.row_blocks()])
+    total = (w @ t) * grid.h**2
+    if not np.isfinite(total):
+        raise ValueError("non-finite field values")
+    return total.item()
 
 
 def integrate(field: GridField) -> complex | float:
     """Composite 2-D trapezoid integral of the raw (signed/complex) values."""
-    w = _trap_weights(field.grid.M)
-    total = w @ field.values @ w
-    total *= field.grid.h ** 2
-    return float(total.real) if field.is_real else complex(total)
+    return trapezoid(field.grid, lambda v: v, field.values)
 
 
 def abs_sq(v):
     """|v|^2 as re^2 + im^2, not np.abs (hypot for complex v). The magnetic
-    state's rho, functionals._abs_sq_sum and the descent's mass and gradient
-    norms keep np.abs: their bits fix every descent's gamma_hat and path."""
+    state's rho and |D|^2 and the descent's mass and gradient norms keep
+    np.abs: their bits fix every descent's gamma_hat and path."""
     out = np.square(v.real)
     if np.iscomplexobj(v):
         out += np.square(v.imag)
@@ -258,15 +266,8 @@ def abs_sq(v):
 
 
 def quadrature(field: GridField, p: float) -> float:
-    """Composite trapezoid of |values|^p, abs_sq ** (p/2) one row block at a
-    time into a length-M vector of row sums: no M x M temporary."""
-    g, w, t = field.grid, _trap_weights(field.grid.M), np.empty(field.grid.M)
-    for a, b in g.row_blocks():
-        x = abs_sq(field.values[a:b])
-        if p != 2:
-            x **= p / 2
-        t[a:b] = x @ w
-    return float((w @ t) * g.h**2)
+    """Trapezoid of |values|^p as abs_sq ** (p/2)."""
+    return trapezoid(field.grid, lambda v: abs_sq(v) ** (p / 2), field.values)
 
 
 # -- field I/O -------------------------------------------------------------

@@ -288,8 +288,8 @@ class KernelPlan:
         def build():
             cells, fold, _, _ = _near_tables()
             T = _table(g.M, lambda d1, r2: 0.5 * np.log(r2), cells, fold / g.h)
-            X, Y = g.mesh()
-            return self._spectrum(T + np.log(g.h), 1.0), np.log(np.hypot(X, Y) + 1.0)
+            ax = g.axis
+            return self._spectrum(T + np.log(g.h), 1.0), np.log(np.hypot(ax[:, None], ax) + 1.0)
 
         Q, weight = _SPECTRA.get(("log", g.M, g.h), build)
         return (Q, 1, 1), weight

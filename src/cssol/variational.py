@@ -13,7 +13,7 @@ import numpy as np
 # noise blur is a numpy port, bit-identical to scipy.ndimage.gaussian_filter
 
 from .functionals import MagneticState, magnetic_energy, stationarity
-from .grid import Grid, GridField, integrate, quadrature
+from .grid import Grid, GridField, quadrature, trapezoid
 from .soliton import Soliton, radial_ring
 from .wronskian_pairs import WronskianPair
 
@@ -422,8 +422,9 @@ def nll_energy(pair: WronskianPair, gamma: float, V=None) -> float:
     # density tail: |u|^2 ~ r^{-2(2n - deg W)}
     if 2 * (2 * n - pair.W.degree) <= 4:
         raise ValueError("divergent confinement integral")
-    X, Y = g.mesh()
-    conf = integrate(GridField(g, (X * X + Y * Y) * np.abs(u.values) ** 2))
+    # |x|^2 from broadcast axes: x down the rows, y along them
+    x, y = g.axis[:, None], g.axis
+    conf = trapezoid(g, lambda v, x: (x * x + y * y) * np.abs(v) ** 2, u.values, x)
     return float(first + conf)
 
 

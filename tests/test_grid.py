@@ -21,6 +21,7 @@ from cssol.grid import (
     load_field,
     quadrature,
     save_field,
+    trapezoid,
 )
 from cssol.kernels import a_star, superpotential, vector_potential
 from cssol.sampling import _separated_roots, haar_su2
@@ -189,12 +190,18 @@ def test_quadrature_powers():
     assert quadrature(f, 4) == pytest.approx(np.pi / 2.0, rel=1e-8)
 
 
+def _fsum_trapezoid(grid: Grid, values: np.ndarray):
+    """The trapezoid of values summed exactly (math.fsum), real and imaginary parts apart."""
+    w = np.ones(grid.M)
+    w[0] = w[-1] = 0.5
+    terms = np.outer(w, w) * values
+    re = math.fsum(terms.real.ravel()) * grid.h**2
+    return complex(re, math.fsum(terms.imag.ravel()) * grid.h**2) if np.iscomplexobj(values) else re
+
+
 def _fsum_quadrature(field: GridField, p: float) -> float:
     """The trapezoid of |values|^p summed exactly (math.fsum)."""
-    w = np.ones(field.grid.M)
-    w[0] = w[-1] = 0.5
-    terms = np.outer(w, w) * np.abs(field.values) ** p
-    return math.fsum(terms.ravel()) * field.grid.h**2
+    return _fsum_trapezoid(field.grid, np.abs(field.values) ** p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -210,6 +217,57 @@ def test_quadrature_matches_an_exact_sum(p, complex_values):
     want = _fsum_quadrature(f, p)
     assert abs(quadrature(f, p) - want) <= 1e-13 * want
     assert quadrature(GridField(g, 0.0 * v), p) == 0.0
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_trapezoid_matches_an_exact_sum(complex_values):
+    """integrate and a two-array trapezoid integrand agree with an exact sum
+    on 130 rows, not a whole number of row blocks, to 1e-13 relative."""
+    g = Grid(6.0, 130)
+    X, Y = g.mesh()
+    v = np.exp(-(X**2 + Y**2) / 4.0) * (1.0 + 0.5 * np.sin(2.0 * X) - 0.3 * Y)
+    if complex_values:
+        v = v * np.exp(1j * (X - 0.5 * Y))
+    got = integrate(GridField(g, v))
+    assert type(got) is (complex if complex_values else float)
+    want = _fsum_trapezoid(g, v)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    c = np.cos(Y)
+    got = trapezoid(g, lambda a, b: a * b, v, c)
+    want = _fsum_trapezoid(g, v * c)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_trapezoid_rejects_a_non_finite_integrand():
+    g = Grid(6.0, 130)
+    v = np.ones((g.M, g.M))
+
+    def one_nan(x):
+        x = x.copy()
+        x[0, 3] = np.nan
+        return x
+
+    with pytest.raises(ValueError, match="^non-finite field values$"):
+        trapezoid(g, one_nan, v)
+
+
+def test_map_keeps_the_field_only_for_its_own_array():
+    """np.real of a real field is the field itself, not a copy; of a complex
+    field a new real field; a function's result is copied and checked."""
+    g = Grid(4.0, 16)
+    X, Y = g.mesh()
+    f = GridField(g, X + Y)
+    assert f.map(np.real) is f
+    z = GridField(g, X + 1j * Y)
+    r = z.map(np.real)
+    assert r is not z and r.is_real and np.array_equal(r.values, X)
+    doubled = f.map(lambda v: 2.0 * v)
+    assert np.array_equal(doubled.values, 2.0 * (X + Y)) and not doubled.values.flags.writeable
+    mine = np.array(f.values)
+    copied = f.map(lambda v: mine)
+    assert copied.values is not mine and np.array_equal(copied.values, mine)
+    with pytest.raises(ValueError, match="non-finite"):
+        f.map(lambda v: v + np.inf)
 
 
 def test_quadrature_keeps_temporaries_to_a_block(traced_peak):

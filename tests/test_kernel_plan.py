@@ -546,6 +546,16 @@ def test_large_grids_keep_no_workspace(traced_peak):
     assert large.workspace() is not large.workspace()
 
 
+@pytest.mark.parametrize("L, M", [(8.0, 64), (12.0, 130)])
+def test_log_weight_is_the_mesh_form(L, M):
+    """The log(|y|+1) weight, built from broadcast axes, has the bits of
+    np.log(np.hypot(X, Y) + 1) on the full mesh."""
+    g = Grid(L, M)
+    X, Y = g.mesh()
+    _, weight = kernels.KernelPlan(g).log_spectrum()
+    assert np.array_equal(weight, np.log(np.hypot(X, Y) + 1.0))
+
+
 def test_fast_len_matches_scipy_rule_for_real_transforms():
     assert all(kernels._fast_len(n) == scipy.fft.next_fast_len(n, real=True)
                for n in range(1, 5001))

@@ -409,6 +409,17 @@ def test_nll_energy_ring_quartic():
     assert got == pytest.approx(4.0 / 3.0, rel=1e-2)
 
 
+def test_nll_energy_keeps_temporaries_to_a_block(traced_peak):
+    """The harmonic nll_energy builds no M x M mesh or integrand: warm, its
+    peak is the 16 MiB sampled soliton and block scratch (measured 17.9 MiB;
+    49.0 MiB when |x|^2 came from the full mesh)."""
+    pair = radial_ring(2).pair
+    want = nll_energy(pair, 1.0, "harmonic")
+    got, peak = traced_peak(lambda: nll_energy(pair, 1.0, "harmonic"))
+    assert got == want
+    assert peak < 24 * 2**20
+
+
 def test_nll_energy_harmonic_divergence_guard():
     ring1 = radial_ring(1).pair  # density ~ r^-4: |x|^2 weight diverges
     with pytest.raises(ValueError, match="divergent"):
