@@ -20,7 +20,6 @@ from .grid import (
     Grid,
     GridField,
     gradient,
-    interior_mask,
     laplacian,
     quadrature,
     trapezoid,
@@ -33,20 +32,21 @@ HARDY_CONSTANT = 1.5
 
 
 class MagneticState:
-    """One field u at flux beta: rho = |u|^2 and, built on first use, A[rho],
-    D = (grad + i beta A) u and |D|^2, as owned arrays. covariant(v) is the
-    one place that forms (grad + i beta A) v: D is covariant(u).
+    """One field u at flux beta: rho = |u|^2 and, built on first use, A[rho]
+    and D = (grad + i beta A) u as owned arrays, and two sums of |D|^2
+    (d_sum, energy) as cached floats. covariant(v) is the one place that
+    forms (grad + i beta A) v: D is covariant(u).
 
-    source() drops D, A and |D|^2 without writing them; a dropped field is
-    built again on its next read, with the same bits. At beta = 0, D is
-    grad u and A is not built. Neither grad u nor the current
-    J = Im(conj(u) grad u) is held: terms() reads |grad u|^2 and A.J off D,
-    and source() reads the A* source 2 beta^2 A rho + 2 beta J as the
-    covariant current 2 beta Im(conj(u) D).
+    source() drops D and A without writing them; a dropped field is built
+    again on its next read, with the same bits, so the cached sums stay
+    valid. At beta = 0, D is grad u and A is not built. Neither grad u nor
+    the current J = Im(conj(u) grad u) is held: terms() reads |grad u|^2 and
+    A.J off D, and source() reads the A* source 2 beta^2 A rho + 2 beta J as
+    the covariant current 2 beta Im(conj(u) D).
 
     The pointwise products (i beta A u, |D|^2, A.D) are made one row block
     at a time (_by_rows), straight into the arrays they end in; the
-    integrands of terms() only inside grid.trapezoid's row blocks.
+    integrands of energy and terms() only inside grid.trapezoid's row blocks.
 
     A is built before grad u: at M = 256 that order builds A, grad u and D
     about 9% faster than the reverse, A alone 3-5% (measured
@@ -85,10 +85,11 @@ class MagneticState:
         return tuple(_covariant(g, d, a, v, self.beta) for d, a in zip(grad, A))
 
     @cached_property
-    def d_sq(self):
-        """|D|^2, the energy density, as the descent's plain sums read it"""
-        return _by_rows(self.u.grid, lambda o, x, y: np.copyto(o, _sq_sum(x, y)), *self.D)
+    def d_sum(self) -> float:
+        """np.sum of the whole |D|^2 array, the descent's plain sum; the array is not kept"""
+        return np.sum(_by_rows(self.u.grid, lambda o, x, y: np.copyto(o, _sq_sum(x, y)), *self.D))
 
+    @cached_property
     def energy(self) -> float:
         """int |D|^2, E_beta[u]; at beta = 0, int |grad u|^2 and no A"""
         return trapezoid(self.u.grid, _sq_sum, *self.D)
@@ -104,20 +105,20 @@ class MagneticState:
 
         so at beta = 0 they have the bits of the direct formulas; elsewhere
         |grad u|^2 loses about eps beta^2 int |A|^2 rho / int |grad u|^2 of
-        its relative accuracy. No integrand is kept, |D|^2 included."""
+        its relative accuracy. No integrand is kept; int |D|^2 is energy."""
         (A1, A2), (D1, D2), u, g = self.A, self.D, self.u.values, self.u.grid
         ad = trapezoid(g, lambda a1, a2, v, d1, d2: a1 * _current(v, d1, 1.0)
                        + a2 * _current(v, d2, 1.0), A1, A2, u, D1, D2)
         mm = trapezoid(g, lambda a1, a2, r: _sq_sum(a1, a2) * r, A1, A2, self.rho)
         beta = self.beta
-        return self.energy() - 2.0 * beta * ad + beta**2 * mm, ad - beta * mm, mm
+        return self.energy - 2.0 * beta * ad + beta**2 * mm, ad - beta * mm, mm
 
     def source(self) -> np.ndarray | None:
         """Astar[2 beta Im(conj(u) D)], or None at beta = 0, where no kernel
-        runs. D, A and |D|^2 are dropped: A before the current is formed by
-        row blocks, D before A* runs (D and A are built first if dropped)."""
+        runs. D and A are dropped: A before the current is formed by row
+        blocks, D before A* runs (D and A are built first if dropped)."""
         D = self.D if self.beta != 0.0 else None
-        for name in ("D", "A", "d_sq"):
+        for name in ("D", "A"):
             vars(self).pop(name, None)
         if D is None:
             return None
@@ -168,10 +169,9 @@ def stationarity(state: MagneticState, gamma: float) -> np.ndarray:
     with D = (grad + i beta A) u; at beta = 0 no kernel runs. The covariant
     Laplacian sum_j (d_j + i beta A_j) D_j, operands in the order written, is
     summed into d_1 D_1's array, d_2 D_2 (row-local) and i beta A.D by row
-    blocks. D is not written; |D|^2 is dropped at once, and source() drops
-    A and D once the Laplacian is made."""
+    blocks. D is not written; source() drops A and D once the Laplacian is
+    made."""
     g, order, beta, u = state.u.grid, state.order, state.beta, state.u.values
-    vars(state).pop("d_sq", None)  # not read here: freed before the Laplacian is made
     (D1, D2), A = state.D, (state.A if beta != 0.0 else None)
     covlap = _axis_deriv(D1, 0, 1, order, g.h)
     _by_rows(g, lambda o, d: np.add(o, _axis_deriv(d, 1, 1, order, g.h), out=o), D2, out=covlap)
@@ -213,11 +213,11 @@ class EnergyReport:
 def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     """E_beta[u] with its kinetic / cross / curvature decomposition.
 
-    total is the quadrature of |D|^2, D = (grad + i beta A) u; the three
-    decomposition terms are read off D (MagneticState.terms) and sum to it
-    identically (pointwise algebra), so the decomposition invariant holds
-    to rounding. At beta = 0 no A is built. No Phi is built: the
-    weighted-square form is susy_rhs.
+    total is the quadrature of |D|^2, D = (grad + i beta A) u, made once
+    (MagneticState.energy); the three decomposition terms are read off D
+    (MagneticState.terms) and sum to it identically (pointwise algebra), so
+    the decomposition invariant holds to rounding. At beta = 0 no A is
+    built. No Phi is built: the weighted-square form is susy_rhs.
     """
     mass = quadrature(u, 2)
     if mass <= 0:
@@ -225,7 +225,7 @@ def magnetic_energy(u: GridField, beta: float, order: int = 4) -> EnergyReport:
     quartic = quadrature(u, 4)  # read before the state's fields are live
     st = MagneticState(u, beta, order)
     # at beta = 0 the A terms have weight 0: A is not built for them
-    total = st.energy()
+    total = st.energy
     kinetic, aj, mm = st.terms() if beta != 0.0 else (total, 0.0, 0.0)
     cross = 2.0 * beta * aj
     curvature = beta**2 * mm
@@ -289,7 +289,7 @@ def el_residual(u: GridField, beta: float, gamma: float):
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"field must have unit mass (got {mass:.8f})")
     st = MagneticState(u, beta)
-    kinetic, _, mm = st.terms() if beta != 0.0 else (st.energy(), 0.0, 0.0)
+    kinetic, _, mm = st.terms() if beta != 0.0 else (st.energy, 0.0, 0.0)
     lam = -kinetic + beta**2 * mm
     res = stationarity(st, gamma)
     res -= lam * u.values
@@ -312,9 +312,8 @@ def liouville_residual(pair: WronskianPair, grid: Grid) -> float:
     the order-8 Laplacian, off its 4-node boundary ring."""
     psi, rhs = LiouvilleSolution(pair).sample(grid)
     lap = laplacian(psi, 8).values
-    mask = interior_mask(grid, 4)
     resid = np.abs(-lap - rhs.values) / (1.0 + rhs.values)
-    return float(np.max(resid[mask]))
+    return float(np.max(resid[4:-4, 4:-4]))
 
 
 @dataclass(frozen=True)

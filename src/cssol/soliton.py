@@ -51,7 +51,6 @@ class LiouvilleSolution:
 
     def __init__(self, pair: WronskianPair):
         self.pair = pair
-        self.f = pair.W
 
     def psi(self, z):
         return np.log(8.0) - 2.0 * np.log(_sum_sq(self.pair, z))
@@ -60,7 +59,7 @@ class LiouvilleSolution:
         """|f|^2 e^psi = 8 |W|^2 / (|P|^2+|Q|^2)^2."""
         S = _sum_sq(self.pair, z)
         S *= S
-        out = abs_sq(evaluate(self.f, z))
+        out = abs_sq(evaluate(self.pair.W, z))
         out *= 8.0
         out /= S
         return out
@@ -103,7 +102,9 @@ class Soliton:
 
 @dataclass(frozen=True, eq=False)
 class VortexSpec:
-    """Parameters of a vortex ring: P = a(z-z0)^n + c, Q = b."""
+    """Parameters of a vortex ring: P = a(z-z0)^n + c, Q = b. Each value is
+    converted first (int, complex or float, from a string too) and checked
+    second; a, b, c and z0 must be finite."""
 
     n: int
     a: complex = 1.0
@@ -112,14 +113,18 @@ class VortexSpec:
     z0: complex = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vortex degree n must be >= 1")
-        if abs(self.a) == 0:
-            raise ValueError("leading coefficient a must be nonzero")
-        if not (np.isreal(self.b) and self.b > 0):
+        if not (isinstance(self.b, str) or np.isreal(self.b)):
             raise ValueError("b must be a positive real")
         for name, kind in zip(("n", "a", "b", "c", "z0"), (int, complex, float, complex, complex)):
             object.__setattr__(self, name, kind(getattr(self, name)))
+        if self.n < 1:
+            raise ValueError("vortex degree n must be >= 1")
+        if self.a == 0:
+            raise ValueError("leading coefficient a must be nonzero")
+        if not self.b > 0:
+            raise ValueError("b must be a positive real")
+        if not np.all(np.isfinite((self.a, self.b, self.c, self.z0))):
+            raise ValueError("vortex parameters must be finite")
 
 
 def vortex_ring(spec: VortexSpec) -> Soliton:

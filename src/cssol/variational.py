@@ -167,7 +167,7 @@ def _quotient(values: np.ndarray, g: Grid, beta: float):
     read from. values is checked and frozen, not copied: every caller passes
     an array made for it."""
     st = MagneticState(GridField._own(g, values), beta, ORDER)
-    quot = np.sum(st.d_sq) * g.h**2 / (np.sum(st.rho**2) * g.h**2)
+    quot = st.d_sum * g.h**2 / (np.sum(st.rho**2) * g.h**2)
     return float(quot), st
 
 
@@ -185,7 +185,7 @@ def _quotient_and_grad(values: np.ndarray, g: Grid, beta: float):
 
 def _slope(state: MagneticState, d: np.ndarray) -> float:
     """Exact F'(0) of F(t) = _quotient(_norm_mass(u + t d)) at the unit-mass
-    field u of state, in _quotient's plain sums:
+    field u of state, in _quotient's plain sums (sum |D|^2 is state.d_sum):
 
         F'(0) = (2 Re sum conj(D).De - sum rho1 Astar[X] - 2 F sum rho rho1) / sum rho^2,
 
@@ -198,8 +198,7 @@ def _slope(state: MagneticState, d: np.ndarray) -> float:
     vector_potential and one a_star call, none at beta = 0."""
     u, g = state.u.values, state.u.grid
     r2 = np.sum(state.rho**2)
-    quot = np.sum(state.d_sq) / r2
-    del state.d_sq  # not live beside De
+    quot = state.d_sum / r2
     e = d - np.real(np.vdot(u, d)) * g.h**2 * u
     num = 2.0 * sum(np.vdot(D, de).real for D, de in zip(state.D, state.covariant(e)))
     rho1 = np.multiply(u.real, e.real)

@@ -1,13 +1,14 @@
 """Shared test helpers, and the --figures=PATH option: at session end it
 writes the figures that tests record as a "figures" property ({criterion:
 {name: value}}, see test_acceptance._report) to PATH as JSON, at full
-precision. Give it as --figures=PATH: pytest picks its rootdir before it
-reads this file, and a separate PATH argument that exists would count as
-a test path there."""
+precision, with a "meta" criterion that holds numpy's version. Give it as
+--figures=PATH: pytest picks its rootdir before it reads this file, and a
+separate PATH argument that exists would count as a test path there."""
 
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -19,7 +20,7 @@ def pytest_addoption(parser):
 def pytest_sessionfinish(session):
     path = session.config.getoption("--figures")
     if path:
-        figures = {}
+        figures = {"meta": {"numpy": np.__version__}}
         for item in session.items:
             for key, value in item.user_properties:
                 if key == "figures":

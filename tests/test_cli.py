@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report formats, determinism."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from cssol import variational
-from cssol.cli import ReportRow, _fmt, build_parser, main
+from cssol.cli import ReportRow, _fmt, _parse_vortex, build_parser, main
 from cssol.functionals import susy_rhs
 from cssol.grid import Grid, GridField, load_field
 from cssol.sampling import random_pair
+from cssol.soliton import VortexSpec
 
 
 def run(argv):
@@ -157,7 +159,40 @@ def test_energy_missing_field_file(capsys):
 
 def test_bad_grid_flag(capsys):
     assert run(["energy", "--vortex", "n=1", "--grid", "banana"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: bad --grid 'banana': expected L,M\n"
+
+
+@pytest.mark.parametrize("grid,reason", [("8,15", "grid size M must be >= 16"),
+                                         ("8,17", "grid size M must be even")])
+def test_bad_grid_names_its_reason(grid, reason, capsys):
+    """An L,M that Grid refuses reads Grid's own reason, not "expected L,M"."""
+    assert run(["build-soliton", "--vortex", "n=1", "--grid", grid]) == 2
+    assert capsys.readouterr().err == f"error: bad --grid {grid!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("spec", ["n=1,b=1e400", "n=1,c=nan", "n=1,z0=inf"])
+def test_non_finite_vortex_parameters_exit_2_before_sampling(spec, capsys):
+    """Refused by VortexSpec before the field is sampled, so no
+    RuntimeWarning is emitted first (the test configuration turns warnings
+    into errors)."""
+    assert run(["build-soliton", "--vortex", spec, "--grid", "8,32"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad --vortex {spec!r}: vortex parameters must be finite\n")
+
+
+def test_vortex_flag_parses_to_the_typed_spec(capsys):
+    """--vortex hands VortexSpec its strings: the spec equals the typed one,
+    and an unknown key is still named."""
+    got = _parse_vortex(" n =3,a=0.7-0.2j,b=1.3,c=0.5+0.1j,z0=1.5-2j")
+    want = VortexSpec(3, a=0.7 - 0.2j, b=1.3, c=0.5 + 0.1j, z0=1.5 - 2j)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert run(["build-soliton", "--vortex", "n=1,x=2", "--grid", "8,32"]) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+def test_dependent_pair_exits_2_with_its_reason(capsys):
+    assert run(["build-soliton", "--P", "[[1,0]]", "--Q", "[[2,0]]", "--grid", "8,32"]) == 2
+    assert capsys.readouterr().err == "error: pair is linearly dependent (W = 0)\n"
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@
 descent and the CLI load none, and pyproject.toml declares it so. And the
 covariant derivative (grad + i beta A) v and the covariant current's A* are
 formed in one place, MagneticState: no other module names their private
-parts, imports the kernels or releases a state's fields with vars."""
+parts, imports the kernels or releases a state's fields (vars, del x.y)."""
 
 import ast
 import os
@@ -53,14 +53,18 @@ def test_only_functionals_forms_the_covariant_derivative(path):
 
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_functionals_reaches_the_kernels_and_releases_state(path):
-    """Only functionals imports from .kernels, and only it names vars: the
-    fields A* must not see are released by MagneticState.source() alone."""
+    """Only functionals imports from .kernels, names vars or deletes an
+    attribute (del x.y): the fields A* must not see are released by
+    MagneticState.source() alone."""
     nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
     # "kernels" for both `from .kernels import ...` and `from . import kernels`
     relative = {n.module or a.name for n in nodes if isinstance(n, ast.ImportFrom) and n.level
                 for a in n.names}
     names_vars = any(isinstance(n, ast.Name) and n.id == "vars" for n in nodes)
-    assert path.name == "functionals.py" or not ("kernels" in relative or names_vars)
+    deletes_attr = [n.lineno for n in nodes if isinstance(n, ast.Delete)
+                    and any(isinstance(t, ast.Attribute) for t in n.targets)]
+    assert path.name == "functionals.py" or not ("kernels" in relative or names_vars
+                                                 or deletes_attr), deletes_attr
 
 
 def test_descent_and_cli_load_no_scipy():

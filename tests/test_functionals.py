@@ -41,6 +41,21 @@ def test_energy_decomposition_sums():
         rep.total_E_beta - 2 * np.pi * 1.5 * rep.quartic, rel=1e-10)
 
 
+def test_magnetic_energy_integrates_d_sq_once(monkeypatch):
+    """At beta != 0 the report's total and the kinetic term read one
+    trapezoid of |D|^2, the state's cached energy."""
+    integrands = []
+    real = functionals.trapezoid
+
+    def counted(grid, fn, *arrays):
+        integrands.append(fn)
+        return real(grid, fn, *arrays)
+
+    monkeypatch.setattr(functionals, "trapezoid", counted)
+    magnetic_energy(_field(4, Grid(8.0, 64)), 1.0)
+    assert integrands.count(functionals._sq_sum) == 1
+
+
 def test_energy_zero_field_rejected():
     g = Grid(16.0, 256)
     with pytest.raises(ValueError):
@@ -148,30 +163,38 @@ def test_m1024_identity_checks_hold_seven_fields(name, traced_peak):
     assert peak <= fields * 2**24
 
 
+def _sq_sum_hex(D1, D2):
+    """float hex of np.sum of the whole-array |D1|^2 + |D2|^2"""
+    return float(np.sum(np.abs(D1) ** 2 + np.abs(D2) ** 2)).hex()
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_released_grad_is_rebuilt_with_the_same_bits(beta):
-    """The state holds no grad u, current or Phi: at beta = 0 D is grad u.
-    stationarity uses up D, A and |D|^2 but never writes D. A dropped field
-    is built again on its next read, so a used state rebuilds D and A with
-    the bits of a fresh one, and its terms(), |D|^2 and stationarity too."""
+    """The state holds no grad u, current, Phi or |D|^2 array: at beta = 0 D
+    is grad u, and of |D|^2 it keeps two cached sums. stationarity uses up D
+    and A but never writes D. A dropped field is built again on its next
+    read, so a used state rebuilds D and A with the bits of a fresh one, and
+    its terms(), sum of |D|^2 and stationarity too: the cached sums stay
+    valid."""
     u = _field(3, Grid(8.0, 64))
     st = MagneticState(u, beta)
-    terms, d_sq = st.terms(), np.array(st.d_sq)
+    terms, d_sum = st.terms(), st.d_sum
     D = st.D
-    assert set(vars(st)) == {"u", "beta", "order", "rho", "A", "D", "d_sq"}
+    assert set(vars(st)) == {"u", "beta", "order", "rho", "A", "D", "d_sum", "energy"}
+    assert d_sum.hex() == _sq_sum_hex(*D)
     if beta == 0.0:
         for got, want in zip(D, gradient(u)):
             assert np.array_equal(got, want.values)
     D_bits = [np.array(d) for d in D]
     want = stationarity(MagneticState(u, beta), 3.0)
     assert np.array_equal(stationarity(st, 3.0), want)
-    assert not {"D", "A", "d_sq"} & set(vars(st))
+    assert set(vars(st)) == {"u", "beta", "order", "rho", "d_sum", "energy"}
     assert all(np.array_equal(d, b) for d, b in zip(D, D_bits))
     fresh = MagneticState(u, beta)
     for got, want_f in zip((*st.D, *st.A), (*fresh.D, *fresh.A)):
         assert np.array_equal(got, want_f)
     assert st.terms() == fresh.terms() == terms
-    assert np.array_equal(st.d_sq, d_sq)
+    assert _sq_sum_hex(*st.D) == fresh.d_sum.hex() == d_sum.hex()
     assert np.array_equal(stationarity(st, 3.0), want)
 
 
@@ -245,16 +268,17 @@ def test_covariant_current_is_the_astar_source(beta):
 def test_source_is_astar_of_the_covariant_current(monkeypatch, beta):
     """source() equals a_star of 2 beta Im(conj(u) D_j), formed from a fresh
     state's D, bit for bit, reusing the A the state holds (one a_star call,
-    no vector_potential), and leaves none of D, A and |D|^2 on the state.
-    At beta = 0 it is None and runs no kernel."""
+    no vector_potential), and leaves neither D nor A on the state, only its
+    cached sums of |D|^2. At beta = 0 it is None and runs no kernel."""
     u = _field(5, Grid(8.0, 64))
     st = MagneticState(u, beta)
     st.terms()  # builds A and D
-    F = [GridField(u.grid, 2.0 * beta * np.imag(np.conj(u.values) * d))
-         for d in MagneticState(u, beta).D]
+    D = MagneticState(u, beta).D
+    assert st.d_sum.hex() == _sq_sum_hex(*D)
+    F = [GridField(u.grid, 2.0 * beta * np.imag(np.conj(u.values) * d)) for d in D]
     calls = _count_kernel_calls(monkeypatch, "vector_potential", "a_star")
     got = st.source()
-    assert not {"D", "A", "d_sq"} & set(vars(st))
+    assert set(vars(st)) == {"u", "beta", "order", "rho", "d_sum", "energy"}
     if beta == 0.0:
         assert got is None and calls == []
     else:
@@ -329,7 +353,7 @@ def _full_array_reference(u, beta, gamma):
 @pytest.mark.parametrize("M", [384, 128])
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 def test_row_blocked_products_keep_the_bits(M, beta):
-    """terms(), |D|^2, stationarity and susy_rhs, whose pointwise products
+    """terms(), sum |D|^2, stationarity and susy_rhs, whose pointwise products
     run one row block at a time, have the bits of the whole-array formulas,
     for a complex and a real field: on Grid(16, 384) the blocks are 42 rows
     and the last is 6, on Grid(12, 128) one block is the whole grid."""
@@ -339,7 +363,7 @@ def test_row_blocked_products_keep_the_bits(M, beta):
         terms, d_sq, res, susy = _full_array_reference(u, beta, 3.0)
         st = MagneticState(u, beta)
         assert st.terms() == terms
-        assert np.array_equal(st.d_sq, d_sq)
+        assert st.d_sum.hex() == float(np.sum(d_sq)).hex()
         assert np.array_equal(stationarity(st, 3.0), res)
         assert [susy_rhs(u, beta, sign) for sign in (1, -1)] == susy
 

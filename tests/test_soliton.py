@@ -1,6 +1,8 @@
 """Explicit solutions: the log-density equation, the minimizing fields,
 vortex rings, and the scaled-SU(2) symmetry orbit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -152,6 +154,28 @@ def test_vortex_spec_validation():
         VortexSpec(1, a=0.0)
     with pytest.raises(ValueError):
         VortexSpec(1, b=-1.0)
+    for b in (1j, np.nan):  # a complex b is refused before float() sees it
+        with pytest.raises(ValueError, match="^b must be a positive real$"):
+            VortexSpec(1, b=b)
+
+
+def test_vortex_spec_from_strings_equals_typed():
+    """VortexSpec converts first: strings, as the CLI passes them, give the
+    fields, and the types, of the typed values."""
+    typed = VortexSpec(3, a=0.7 - 0.2j, b=1.3, c=0.5 + 0.1j, z0=1.5 - 2j)
+    text = VortexSpec("3", a="0.7-0.2j", b=" 1.3", c="0.5+0.1j", z0="1.5-2j")
+    for spec in (text, typed):
+        assert [type(v) for v in dataclasses.astuple(spec)] == [int, complex, float, complex,
+                                                                 complex]
+    assert dataclasses.astuple(text) == dataclasses.astuple(typed)
+
+
+@pytest.mark.parametrize("kw", [{"a": np.nan}, {"a": complex(0.0, np.inf)}, {"b": np.inf},
+                                {"b": "1e400"}, {"c": "nan"}, {"c": -np.inf},
+                                {"z0": complex(np.nan, 1.0)}, {"z0": "inf"}])
+def test_vortex_spec_rejects_non_finite_parameters(kw):
+    with pytest.raises(ValueError, match="^vortex parameters must be finite$"):
+        VortexSpec(1, **kw)
 
 
 def test_vortex_ring_matches_radial_ring():

@@ -351,18 +351,22 @@ def test_slope_matches_central_differences(beta):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_slope_reads_the_state_the_descent_holds(monkeypatch, beta):
     """_slope on the state whose gradient was just taken (stationarity
-    dropped its D, A and |D|^2) has the bits of _slope on a fresh state of
-    the same values; it builds no state of its own and leaves the state
-    without D, A and |D|^2."""
+    dropped its D and A) has the bits of _slope on a fresh state of the same
+    values; it builds no state of its own, reads the sum of |D|^2 the state
+    cached (np.sum of the whole-array |D|^2) and leaves the state without D
+    and A."""
     g = Grid(12.0, 64)
     Z = g.zmesh()
     v = _norm_mass(_ring_start(g, beta) * (1.0 + 0.2 * np.exp(-np.abs(Z - 1.0) ** 2)), g)
     _, grad, used = _quotient_and_grad(v, g, beta)
     fresh = variational._quotient(v, g, beta)[1]
+    D1, D2 = variational.MagneticState(GridField(g, v), beta, variational.ORDER).D
+    d_sum = float(np.sum(np.abs(D1) ** 2 + np.abs(D2) ** 2)).hex()
     monkeypatch.setattr(variational, "MagneticState", None)
     assert variational._slope(used, grad).hex() == variational._slope(fresh, grad).hex()
     for st in (used, fresh):
-        assert set(vars(st)) == {"u", "beta", "order", "rho"}
+        assert set(vars(st)) == {"u", "beta", "order", "rho", "d_sum"}
+        assert st.d_sum.hex() == d_sum
 
 
 def test_structure_scan_validation():
