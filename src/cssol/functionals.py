@@ -327,7 +327,6 @@ class InequalityEntry:
 @dataclass(frozen=True)
 class InequalityReport:
     entries: tuple[InequalityEntry, ...]
-    hardy_empirical_ratio: float
 
     def violations(self, tol: float = 1e-6) -> list[InequalityEntry]:
         return [e for e in self.entries if e.margin_rel < -tol]
@@ -369,5 +368,4 @@ def inequality_battery(u: GridField, beta: float) -> InequalityReport:
     if beta >= 0:
         entries.append(
             _entry("bogomolnyi", 2.0 * np.pi * beta * quartic, total))
-    ratio = mm / (mass**2 * grad_mod) if grad_mod > 0 else 0.0
-    return InequalityReport(tuple(entries), float(ratio))
+    return InequalityReport(tuple(entries))

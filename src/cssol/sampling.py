@@ -7,7 +7,7 @@ import numpy as np
 
 from . import poly
 from .poly import ComplexPolynomial, PairTransform
-from .grid import Grid, GridField
+from .grid import Grid, GridField, quadrature
 from .wronskian_pairs import WronskianPair
 
 
@@ -80,8 +80,6 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
 
 def normalized(field: GridField) -> GridField:
     """Scale to unit mass."""
-    from .grid import quadrature
-
     m = quadrature(field, 2)
     if m <= 0:
         raise ValueError("cannot normalize the zero field")

@@ -7,6 +7,7 @@ magnetic-energy minimizer at flux beta = 2 max(deg P, deg Q).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,8 @@ class Soliton:
 class VortexSpec:
     """Parameters of a vortex ring: P = a(z-z0)^n + c, Q = b. Each value is
     converted first (int, complex or float, from a string too) and checked
-    second; a, b, c and z0 must be finite."""
+    second; n must be an integer (operator.index, so a float fails; a string
+    goes through int) and a, b, c and z0 finite."""
 
     n: int
     a: complex = 1.0
@@ -115,7 +117,12 @@ class VortexSpec:
     def __post_init__(self):
         if not (isinstance(self.b, str) or np.isreal(self.b)):
             raise ValueError("b must be a positive real")
-        for name, kind in zip(("n", "a", "b", "c", "z0"), (int, complex, float, complex, complex)):
+        try:
+            n = int(self.n) if isinstance(self.n, str) else operator.index(self.n)
+        except TypeError:
+            raise ValueError("vortex degree n must be an integer") from None
+        object.__setattr__(self, "n", n)
+        for name, kind in zip(("a", "b", "c", "z0"), (complex, float, complex, complex)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.n < 1:
             raise ValueError("vortex degree n must be >= 1")
@@ -139,13 +146,6 @@ def radial_ring(n: int) -> Soliton:
     """Radial ring u_n = sqrt(n/pi) zbar^{n-1} / (|z|^{2n} + 1), realized as
     the pair (z^n, 1) up to phase."""
     return Soliton(WronskianPair(poly.from_roots([0.0] * n), poly.ONE))
-
-
-def total_vorticity(s: Soliton) -> int:
-    """deg W, the sum of the multiplicities of the vortices, the roots
-    poly.roots(s.pair.W): it puts every companion eigenvalue of W into
-    exactly one root. The total lies in [beta/2 - 1, beta - 2]."""
-    return s.pair.W.degree
 
 
 # -- symmetry orbit --------------------------------------------------------

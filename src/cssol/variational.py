@@ -321,12 +321,9 @@ def estimate_gamma(beta: float, config: DescentConfig | None = None) -> GammaEst
 
     starts = [with_noise(_townes_start(g)), with_noise(_ring_start(g, beta))]
 
-    best = None
-    for v0 in starts:
-        out = _descend(v0, g, beta)
-        if best is None or out[1] < best[1]:
-            best = out
-    v, q, gn, it, stop, slope = best
+    # the lower quotient; min keeps the first start on a tie
+    v, q, gn, it, stop, slope = min((_descend(v0, g, beta) for v0 in starts),
+                                    key=lambda out: out[1])
     return GammaEstimate(
         beta=float(beta),
         gamma_hat=float(q),
@@ -362,11 +359,7 @@ class ScanRow:
 class ScanResult:
     rows: tuple[ScanRow, ...]
     lipschitz: tuple[float, ...]  # |dgamma| / |dbeta| between neighbors
-    monotonicity_violations: tuple[int, ...]  # indices where gamma/beta rises
-
-    @property
-    def gamma_over_beta_monotone(self) -> bool:
-        return not self.monotonicity_violations
+    gamma_over_beta_monotone: bool  # no neighbor rises by more than SCAN_SLACK
 
 
 def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
@@ -385,17 +378,12 @@ def structure_scan(betas, config: DescentConfig | None = None) -> ScanResult:
                 e.gamma_hat / e.beta, e.stop_reason)
         for e in ests
     )
-    lip = tuple(
-        abs(rows[i + 1].gamma_hat - rows[i].gamma_hat)
-        / abs(rows[i + 1].beta - rows[i].beta)
-        for i in range(len(rows) - 1)
-    )
-    viol = tuple(
-        i + 1
-        for i in range(len(rows) - 1)
-        if rows[i + 1].gamma_over_beta > rows[i].gamma_over_beta * (1.0 + SCAN_SLACK)
-    )
-    return ScanResult(rows, lip, viol)
+    pairs = list(zip(rows, rows[1:]))
+    lip = tuple(abs(r1.gamma_hat - r0.gamma_hat) / abs(r1.beta - r0.beta)
+                for r0, r1 in pairs)
+    monotone = not any(r1.gamma_over_beta > r0.gamma_over_beta * (1.0 + SCAN_SLACK)
+                       for r0, r1 in pairs)
+    return ScanResult(rows, lip, monotone)
 
 
 # -- restricted confined energy -------------------------------------------

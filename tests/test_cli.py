@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cssol import variational
-from cssol.cli import ReportRow, _fmt, _parse_vortex, build_parser, main
+from cssol import poly, variational
+from cssol.cli import ReportRow, _cell, _parse_vortex, build_parser, main
 from cssol.functionals import susy_rhs
 from cssol.grid import Grid, GridField, load_field
 from cssol.sampling import random_pair
 from cssol.soliton import VortexSpec
+from cssol.wronskian_pairs import RESIDUAL_RTOL
 
 
 def run(argv):
@@ -30,7 +31,7 @@ def test_report_row_pass_rule():
 
 
 def test_fmt_is_17_sig_digits():
-    assert _fmt(1.0 / 3.0) == "0.33333333333333331"
+    assert _cell(1.0 / 3.0) == "0.33333333333333331"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -65,6 +66,26 @@ def test_solve_wronskian_families(capsys):
     assert all(f["residual"] <= 1e-10 for f in payload["families"])
     assert [f["parameters"]["k"] for f in payload["families"]] == ["0", "1"]
     assert all("R" in f["parameters"] for f in payload["families"])
+
+
+def test_solve_wronskian_exits_1_on_a_merged_root_miscount(capsys):
+    """fs[70] has degree 9 and real roots -1.65317 and -1.65311, 5.6e-5
+    apart, which poly.roots calls one double root: solve_generic returns 15
+    families, per k [1, 4, 5, 4, 1] against C(9, k) - C(9, k - 1) =
+    [1, 8, 27, 48, 42]. Each is within RESIDUAL_RTOL, 12 of them above 1e-10,
+    so only the CLI's 1e-10 pass rule flags the miscount (ROADMAP item 7)."""
+    rng = np.random.default_rng(5)
+    fs = [poly.from_roots(rng.standard_normal(d)) for d in (6, 7, 8, 9, 10) for _ in range(20)]
+    coeffs = json.dumps([[c.real, c.imag] for c in fs[70].coeffs])
+    assert run(["solve-wronskian", "--f", coeffs]) == 1
+    families = json.loads(capsys.readouterr().out)["families"]
+    counts = [0] * 5
+    for fam in families:
+        counts[int(fam["parameters"]["k"])] += 1
+    assert counts == [1, 4, 5, 4, 1]
+    residuals = [fam["residual"] for fam in families]
+    assert max(residuals) <= RESIDUAL_RTOL
+    assert sum(r > 1e-10 for r in residuals) == 12
 
 
 def test_solve_wronskian_affine(capsys):
@@ -190,6 +211,11 @@ def test_vortex_flag_parses_to_the_typed_spec(capsys):
     assert "'x'" in capsys.readouterr().err
 
 
+def test_non_integer_vortex_degree_exits_2(capsys):
+    assert run(["build-soliton", "--vortex", "n=1.5", "--grid", "8,32"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --vortex 'n=1.5': ")
+
+
 def test_dependent_pair_exits_2_with_its_reason(capsys):
     assert run(["build-soliton", "--P", "[[1,0]]", "--Q", "[[2,0]]", "--grid", "8,32"]) == 2
     assert capsys.readouterr().err == "error: pair is linearly dependent (W = 0)\n"
@@ -257,13 +283,64 @@ def test_estimate_gamma_and_scan_exit_1_below_the_sandwich(monkeypatch, capsys,
     est = variational.GammaEstimate(1.0, gamma, lower, upper, 1, 0.0, "ascent",
                                     GridField(Grid(4.0, 16), np.zeros((16, 16))))
     scan = variational.ScanResult(
-        (variational.ScanRow(1.0, lower, upper, gamma, gamma, "ascent"),), (), ())
+        (variational.ScanRow(1.0, lower, upper, gamma, gamma, "ascent"),), (), True)
     monkeypatch.setattr(variational, "estimate_gamma", lambda beta, cfg: est)
     monkeypatch.setattr(variational, "structure_scan", lambda betas, cfg: scan)
     assert run(["estimate-gamma", "--beta", "1"]) == code
     assert json.loads(capsys.readouterr().out)["gamma_hat"] == gamma
     assert run(["scan", "--betas", "1", "--json"]) == code
     assert json.loads(capsys.readouterr().out)["rows"][0]["gamma_hat"] == gamma
+
+
+def _scan_receives(monkeypatch):
+    """Replace structure_scan with one that records its betas and runs no
+    descent; returns the list of recorded beta lists."""
+    seen = []
+
+    def scan(betas, cfg):
+        seen.append(betas)
+        lower, upper = variational.bounds(1.0)
+        row = variational.ScanRow(1.0, lower, upper, lower, lower, "ascent")
+        return variational.ScanResult((row,), (), True)
+
+    monkeypatch.setattr(variational, "structure_scan", scan)
+    return seen
+
+
+@pytest.mark.parametrize("betas,want", [
+    ("0.5:2:0.5", [0.5, 1.0, 1.5, 2.0]),
+    ("0.1:0.3:0.1", [0.1 + i * 0.1 for i in range(3)]),  # 1e-9 slack keeps 0.3
+])
+def test_scan_range_form_of_betas(betas, want, monkeypatch):
+    seen = _scan_receives(monkeypatch)
+    assert run(["scan", "--betas", betas, "--grid", "8,32"]) == 0
+    assert seen == [want]
+
+
+def test_scan_without_a_positive_beta_exits_2(monkeypatch, capsys):
+    seen = _scan_receives(monkeypatch)
+    # the = form: argparse reads a separate "-1,0" as a flag
+    assert run(["scan", "--betas=-1,0", "--grid", "8,32"]) == 2
+    assert capsys.readouterr().err == "error: no positive beta values in --betas\n"
+    assert seen == []
+
+
+def test_estimate_gamma_field_out_is_the_minimizer(tmp_path, monkeypatch, capsys):
+    """The saved field is the minimizer of the run that wrote it."""
+    estimate, runs = variational.estimate_gamma, []
+
+    def recorded(beta, cfg):
+        runs.append(estimate(beta, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(variational, "estimate_gamma", recorded)
+    path = tmp_path / "min.f8"
+    run(["estimate-gamma", "--beta", "0", "--grid", "6,32", "--field-out", str(path)])
+    capsys.readouterr()
+    (est,) = runs
+    field = load_field(str(path))
+    assert (field.grid.L, field.grid.M) == (6.0, 32)
+    assert np.array_equal(field.values, est.minimizer.values)
 
 
 ROW_KEYS = ["name", "expected", "computed", "tolerance", "pass"]

@@ -1,7 +1,8 @@
 """Figures outside the acceptance gates, recorded for --figures=PATH (see
 conftest.py) at full precision, so two revisions can be compared figure by
-figure: the descent's gamma_hat, iterations, stop_reason, ascent slope and
-a SHA-256 of its minimizer on 12,128 at seed 1, the identity checks on the
+figure: the descent's gamma_hat, iterations, stop_reason, ascent slope,
+final gradient norm and a SHA-256 of its minimizer on 12,128 and 12,64 at
+seeds 1 and 7, beta in {0, 0.5, 1, 1.5, 2, 3}, the identity checks on the
 40,1024 n = 1 ring, the computed rows of `cssol townes` (c_lgn, tau(0)), of
 `cssol verify-soliton --vortex n=1` and of `cssol verify-identities`
 (seeded smooth fields) on their default grids, the Liouville residual of
@@ -37,10 +38,22 @@ def _record(request, criterion, figures):
     assert all(math.isfinite(v) for v in numbers), figures
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0])
-def test_descent_figures(request, beta):
-    est = estimate_gamma(beta, DescentConfig(grid=Grid(12.0, 128), seed=1))
-    _record(request, f"descent 12,128 seed 1 beta={beta:g}", {
+# the reference descents: each grid and seed at each beta
+DESCENTS = [(M, seed, beta) for M in (128, 64) for seed in (1, 7)
+            for beta in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)]
+
+
+def _descent_id(case):
+    """The test id: grid, seed and beta; the five descents recorded first
+    keep their old id, the beta alone."""
+    M, seed, beta = case
+    return str(beta) if (M, seed) == (128, 1) and beta < 3 else f"12,{M}-seed{seed}-{beta}"
+
+
+@pytest.mark.parametrize("M,seed,beta", DESCENTS, ids=map(_descent_id, DESCENTS))
+def test_descent_figures(request, M, seed, beta):
+    est = estimate_gamma(beta, DescentConfig(grid=Grid(12.0, M), seed=seed))
+    _record(request, f"descent 12,{M} seed {seed} beta={beta:g}", {
         "gamma_hat": est.gamma_hat,
         "iterations": est.iterations,
         "final_gradient_norm": est.final_gradient_norm,

@@ -17,7 +17,6 @@ from cssol.soliton import (
     VortexSpec,
     radial_ring,
     same_orbit,
-    total_vorticity,
     vortex_ring,
 )
 from cssol.wronskian_pairs import WronskianPair
@@ -159,6 +158,18 @@ def test_vortex_spec_validation():
             VortexSpec(1, b=b)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, np.float64(2.0)])
+def test_vortex_spec_degree_must_be_an_integer(n):
+    """A float degree is refused, not truncated to a lower ring."""
+    with pytest.raises(ValueError, match="^vortex degree n must be an integer$"):
+        VortexSpec(n)
+
+
+def test_vortex_spec_takes_a_numpy_integer_degree():
+    spec = VortexSpec(np.int64(2))
+    assert spec.n == 2 and type(spec.n) is int
+
+
 def test_vortex_spec_from_strings_equals_typed():
     """VortexSpec converts first: strings, as the CLI passes them, give the
     fields, and the types, of the typed values."""
@@ -191,8 +202,8 @@ def test_zeros_and_vorticity():
     assert len(zv) == 1
     z0, m = zv[0]
     assert abs(z0) < 1e-8 and m == 2
-    assert total_vorticity(s) == 2
-    assert total_vorticity(radial_ring(1)) == 0
+    assert s.pair.W.degree == 2
+    assert radial_ring(1).pair.W.degree == 0
     # W = 4 (z - 1)^3: a triple zero, though its companion eigenvalues are
     # spread by 3e-5
     (z1, m1), = poly.roots(vortex_ring(VortexSpec(4, z0=1, c=0.5)).pair.W)

@@ -388,6 +388,22 @@ def test_structure_scan_rejects_repeated_beta_before_any_descent(monkeypatch):
             structure_scan(betas)
 
 
+@pytest.mark.parametrize("rise,monotone", [(1.02, True), (1.04, False)])
+def test_structure_scan_allows_gamma_over_beta_the_slack(monkeypatch, rise, monotone):
+    """gamma/beta may rise by SCAN_SLACK = 3% from one beta to the next and
+    no more; lipschitz is |dgamma| / |dbeta| between neighbours."""
+    gammas = {1.0: 6.0, 2.0: 12.0 * rise}
+    field = GridField(Grid(4.0, 16), np.zeros((16, 16)))
+
+    def estimate(beta, cfg):
+        return GammaEstimate(beta, gammas[beta], *bounds(beta), 1, 0.0, "ascent", field)
+
+    monkeypatch.setattr(variational, "estimate_gamma", estimate)
+    scan = structure_scan([1.0, 2.0])
+    assert scan.gamma_over_beta_monotone is monotone
+    assert scan.lipschitz == (12.0 * rise - 6.0,)
+
+
 def test_structure_scan_row_i_is_estimate_gamma_with_seed_plus_i(monkeypatch):
     """Row i is estimate_gamma(beta_i) at seed config.seed + i, bit for bit;
     the seed moves the estimate, so a scan that ignored it would fail."""
